@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .derivatives import Backend, StepContext, StepEvaluator
-from .sparse import Matrix, is_hermitian, linear_combine
+from .derivatives import Backend, ScaledGenerator, StepContext, StepEvaluator, scale_controls
+from .sparse import DenseMatrix, FixedPatternSum, Matrix, is_hermitian, linear_combine
 
 __all__ = [
     "CostKind",
@@ -100,6 +101,12 @@ class ControlProblem:
     ``initial_state`` seeds state-transfer costs evaluated through
     :func:`composite_grad`; gate costs use ``basis`` (computational basis
     when omitted).
+
+    Step Hamiltonians of CSR problems are assembled on the union
+    sparsity pattern of ``h_static`` and ``h_controls``, built on first
+    use and kept on the instance; dense problems use
+    :func:`leangrape.sparse.linear_combine`.  The scaled control
+    generators of the most recent ``dt`` are kept as well.
     """
 
     h_static: Matrix
@@ -128,14 +135,34 @@ class ControlProblem:
     def n_channels(self) -> int:
         return len(self.h_controls)
 
+    @cached_property
+    def _pattern(self) -> FixedPatternSum | None:
+        """Union-pattern assembler of the step Hamiltonians; None for dense storage."""
+        ops = (self.h_static, *self.h_controls)
+        if any(isinstance(m, DenseMatrix) for m in ops):
+            return None
+        return FixedPatternSum(ops)
+
+    def _scaled_controls(self, dt: float) -> tuple[ScaledGenerator, ...]:
+        cached = self.__dict__.get("_controls_at")
+        if cached is None or cached[0] != dt:
+            cached = (dt, scale_controls(self.h_controls, dt))
+            self.__dict__["_controls_at"] = cached
+        return cached[1]
+
     def step_evaluator(self, a: ControlField, n: int) -> StepEvaluator:
         """Evaluator for step ``n`` with the step's amplitudes folded in."""
-        coeffs = [1.0] + [complex(x) for x in a.amplitudes[n]]
-        h_step = linear_combine(coeffs, [self.h_static, *self.h_controls])
+        coeffs = np.empty(self.n_channels + 1, dtype=np.complex128)
+        coeffs[0] = 1.0
+        coeffs[1:] = a.amplitudes[n]
+        if self._pattern is None:
+            h_step = linear_combine(coeffs, [self.h_static, *self.h_controls])
+        else:
+            h_step = self._pattern.combine(coeffs)
         ctx = StepContext(
             h_step, self.h_controls, a.dt, self.backend, self.tau, validate=False
         )
-        return StepEvaluator(ctx)
+        return StepEvaluator(ctx, self._scaled_controls(a.dt))
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,14 @@ from enum import Enum
 import numpy as np
 
 from . import expm
-from .sparse import Matrix, aux_embed, is_hermitian
-
-#: Embedded dimension (2d) at or below which the derivative generator is
-#: materialized: one fused product on the doubled space then beats three
-#: dispatched products on the state space.  Above it, the matrix-free
-#: block action wins on both flops and memory traffic.
-_MATERIALIZE_DIM_LIMIT = 256
+from .sparse import DenseMatrix, Matrix, is_hermitian
 
 __all__ = [
     "Backend",
     "StepContext",
     "DiagFactorization",
+    "ScaledGenerator",
+    "scale_controls",
     "BlockDerivativeOperator",
     "propagate",
     "propagate_adjoint",
@@ -106,82 +102,104 @@ def _generator(ctx: StepContext) -> Matrix:
     return ctx.h_step.scaled(-1j * ctx.dt)
 
 
-def _plan_for(ctx: StepContext, gen: Matrix) -> expm.ExpmPlan:
-    return expm.make_plan(gen.one_norm(), gen.max_row_nnz(), ctx.tau)
-
-
 def propagate(ctx: StepContext, psi: np.ndarray) -> np.ndarray:
     """Apply the short-time propagator ``exp(-i H dt)`` to ``psi``."""
-    if ctx.backend is Backend.DIAGONALIZATION:
-        return _diag_propagate(diag_prepare(ctx), psi, adjoint=False)
-    gen = _generator(ctx)
-    return expm.apply(gen, psi, _plan_for(ctx, gen), validate=False)
+    return StepEvaluator(ctx).forward(psi)
 
 
 def propagate_adjoint(ctx: StepContext, psi: np.ndarray) -> np.ndarray:
-    """Apply the adjoint propagator ``exp(+i H dt)`` to ``psi``.
+    """Apply the adjoint propagator ``exp(+i H dt)`` to ``psi``."""
+    return StepEvaluator(ctx).adjoint(psi)
 
-    The generator norm is unchanged under negation, so the adjoint reuses
-    the forward plan.
+
+class ScaledGenerator:
+    """A generator matrix with its column and row abs-sums and per-row element counts.
+
+    These are the pieces the norms and the per-row element count of a
+    block embedding are assembled from; they are computed once here.
     """
-    if ctx.backend is Backend.DIAGONALIZATION:
-        return _diag_propagate(diag_prepare(ctx), psi, adjoint=True)
-    gen = _generator(ctx)
-    return expm.apply(gen.scaled(-1.0), psi, _plan_for(ctx, gen), validate=False)
+
+    __slots__ = ("matrix", "col_abs_sums", "row_abs_sums", "row_nnz")
+
+    def __init__(self, matrix: Matrix):
+        self.matrix = matrix
+        self.col_abs_sums = matrix.col_abs_sums()
+        self.row_abs_sums = matrix.row_abs_sums()
+        self.row_nnz = matrix.row_nnz_counts()
+
+
+def scale_controls(h_controls, dt: float) -> tuple[ScaledGenerator, ...]:
+    """The control generators ``-i h_k dt`` of every channel."""
+    return tuple(ScaledGenerator(hc.scaled(-1j * dt)) for hc in h_controls)
 
 
 class BlockDerivativeOperator:
     """Matrix-free action of the block-embedded derivative generator.
 
     Acts on stacked vectors ``(x, y)`` as ``(A x + A_c y, A y)`` with
-    ``A = -i H dt`` and ``A_c = -i h_c dt``, which is entrywise identical
-    to the materialized :func:`leangrape.sparse.aux_embed` matrix but
-    costs three state-dimension products instead of one doubled-dimension
-    product and never allocates the embedded matrix.  Norms and the
-    per-row element count are assembled exactly from the blocks; the
-    reported ``max_row_nnz`` carries one extra unit because each output
-    component adds the two block contributions in a separate step.
+    ``A = -i H dt`` and ``A_c = -i h_c dt``, which is entrywise the
+    :func:`leangrape.sparse.aux_embed` matrix without allocating it.  On
+    CSR storage one stacked product is three state-dimension products:
+    ``A x`` into the top block, ``A_c y`` accumulated onto it, and
+    ``A y`` into the bottom block.  When either block is dense, the top
+    block row ``T = [A | A_c]`` is kept as one column-major ``d x 2d``
+    matrix whose left half serves as ``A``: a stacked product is then the
+    two dense products ``T v`` and ``A y`` on the same stored elements.
+
+    Norms and the per-row element count are assembled exactly from the
+    blocks' column and row sums.  ``max_row_nnz`` is the largest
+    ``n_A + n_c`` of a top-block row, and either way that row is one sum
+    of its ``n_A + n_c`` products: a running sum on CSR storage, one
+    ``2d``-term dot product on dense storage.  (Two partial sums of
+    ``n_A`` and ``n_c`` terms plus one addition would have depth
+    ``max(n_A, n_c) + 1 <= n_A + n_c`` and be covered as well.)
     """
 
-    def __init__(self, generator: Matrix, h_control: Matrix, dt: float):
-        self.generator = generator
-        self.control_gen = h_control.scaled(-1j * dt)
-        d = generator.n_rows
+    def __init__(self, step: ScaledGenerator, control: ScaledGenerator):
+        self.step = step
+        self.control = control
+        d = step.matrix.n_rows
         self.n_rows = self.n_cols = 2 * d
         self.shape = (2 * d, 2 * d)
-        self.nnz = 2 * generator.nnz + h_control.nnz
+        self.nnz = 2 * step.matrix.nnz + control.matrix.nnz
+        self._dense_top: np.ndarray | None = None
+        if isinstance(step.matrix, DenseMatrix) or isinstance(control.matrix, DenseMatrix):
+            top = np.empty((d, 2 * d), dtype=np.complex128, order="F")
+            for half, m in ((top[:, :d], step.matrix), (top[:, d:], control.matrix)):
+                half[...] = m.array if isinstance(m, DenseMatrix) else m.to_dense()
+            self._dense_top = top
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        d = self.generator.n_rows
+        d = self.step.matrix.n_rows
         if v.shape != (2 * d,):
             raise ValueError("stacked vector dimension mismatch")
         if out is None:
             out = np.empty(2 * d, dtype=np.complex128)
-        top, bottom = out[:d], out[d:]
-        self.generator.matvec(v[:d], out=top)
-        top += self.control_gen.matvec(v[d:])
-        self.generator.matvec(v[d:], out=bottom)
+        if self._dense_top is not None:
+            np.matmul(self._dense_top, v, out=out[:d])
+            np.matmul(self._dense_top[:, :d], v[d:], out=out[d:])
+            return out
+        gen = self.step.matrix
+        gen.matvec(v[:d], out=out[:d])
+        self.control.matrix.matvec_add(v[d:], out[:d])
+        gen.matvec(v[d:], out=out[d:])
         return out
 
     def one_norm(self) -> float:
-        gen_cols = self.generator.col_abs_sums()
-        ctrl_cols = self.control_gen.col_abs_sums()
-        left = gen_cols.max() if gen_cols.size else 0.0
-        right = (gen_cols + ctrl_cols).max() if gen_cols.size else 0.0
-        return float(max(left, right))
+        gen_cols = self.step.col_abs_sums
+        if gen_cols.size == 0:
+            return 0.0
+        return float(max(gen_cols.max(), (gen_cols + self.control.col_abs_sums).max()))
 
     def inf_norm(self) -> float:
-        gen_rows = self.generator.row_abs_sums()
-        ctrl_rows = self.control_gen.row_abs_sums()
+        gen_rows = self.step.row_abs_sums
         if gen_rows.size == 0:
             return 0.0
-        return float(max((gen_rows + ctrl_rows).max(), gen_rows.max()))
+        return float(max((gen_rows + self.control.row_abs_sums).max(), gen_rows.max()))
 
     def max_row_nnz(self) -> int:
-        counts = self.generator.row_nnz_counts() + self.control_gen.row_nnz_counts()
-        top = int(counts.max()) if counts.size else 0
-        # +1: the top block sums two separately accumulated dot products
-        return top + 1
+        counts = self.step.row_nnz + self.control.row_nnz
+        return int(counts.max()) if counts.size else 0
 
 
 def aux_plan(aux, tau: float) -> expm.ExpmPlan:
@@ -196,12 +214,6 @@ def aux_plan(aux, tau: float) -> expm.ExpmPlan:
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
 
 
-def _embedded_generator(ctx: StepContext, channel: int, gen: Matrix):
-    if 2 * ctx.dim <= _MATERIALIZE_DIM_LIMIT:
-        return aux_embed(ctx.h_step, ctx.h_controls[channel], ctx.dt)
-    return BlockDerivativeOperator(gen, ctx.h_controls[channel], ctx.dt)
-
-
 def derivative_action_aux(
     ctx: StepContext, channel: int, psi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,18 +223,11 @@ def derivative_action_aux(
     generator to the stacked vector ``(0, psi)`` yields the derivative in
     the top block and the propagated state in the bottom block.
     """
-    if not 0 <= channel < len(ctx.h_controls):
-        raise IndexError(f"control channel {channel} out of range")
-    d = ctx.dim
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (d,):
+    if psi.shape != (ctx.dim,):
         raise ValueError("state dimension mismatch")
-    aux = _embedded_generator(ctx, channel, _generator(ctx))
-    plan = aux_plan(aux, ctx.tau)
-    stacked = np.zeros(2 * d, dtype=np.complex128)
-    stacked[d:] = psi
-    result = expm.apply(aux, stacked, plan, validate=False)
-    return result[:d].copy(), result[d:].copy()
+    result = StepEvaluator(ctx)._embedded_action(channel, psi)
+    return result[: ctx.dim].copy(), result[ctx.dim :].copy()
 
 
 def diag_prepare(ctx: StepContext) -> DiagFactorization:
@@ -278,28 +283,43 @@ def derivative_action_diag(
 class StepEvaluator:
     """Caches per-step planning work across forward, adjoint and derivative calls.
 
-    With the scaling-and-squaring backend this holds the generator and its
-    plan plus lazily built block embeddings per control channel; with the
-    diagonalization backend it holds the eigenfactorization.  Nothing here
-    scales with the number of time steps.
+    With the scaling-and-squaring backend this holds the generator, its
+    negation and its plan, plus lazily built block embeddings per control
+    channel; with the diagonalization backend it holds the
+    eigenfactorization.  ``controls`` are the scaled control generators
+    of ``ctx`` (see :func:`scale_controls`), shared by every step with the
+    same ``dt``; they are built here when not given.  Nothing here scales
+    with the number of time steps.
     """
 
-    def __init__(self, ctx: StepContext):
+    def __init__(self, ctx: StepContext, controls: tuple[ScaledGenerator, ...] | None = None):
         self.ctx = ctx
+        self._controls = controls
         self._fact: DiagFactorization | None = None
         self._gen: Matrix | None = None
+        self._neg_gen: Matrix | None = None
         self._plan: expm.ExpmPlan | None = None
-        self._aux: dict[int, tuple[object, expm.ExpmPlan]] = {}
+        self._step_sums: ScaledGenerator | None = None
+        self._aux: dict[int, tuple[BlockDerivativeOperator, expm.ExpmPlan]] = {}
 
     def _factorization(self) -> DiagFactorization:
         if self._fact is None:
             self._fact = diag_prepare(self.ctx)
         return self._fact
 
+    def _control(self, channel: int) -> ScaledGenerator:
+        if not 0 <= channel < len(self.ctx.h_controls):
+            raise IndexError(f"control channel {channel} out of range")
+        if self._controls is None:
+            self._controls = scale_controls(self.ctx.h_controls, self.ctx.dt)
+        return self._controls[channel]
+
     def _generator_plan(self) -> tuple[Matrix, expm.ExpmPlan]:
         if self._gen is None:
             self._gen = _generator(self.ctx)
-            self._plan = _plan_for(self.ctx, self._gen)
+            self._plan = expm.make_plan(
+                self._gen.one_norm(), self._gen.max_row_nnz(), self.ctx.tau
+            )
         return self._gen, self._plan
 
     def forward(self, psi: np.ndarray) -> np.ndarray:
@@ -309,23 +329,31 @@ class StepEvaluator:
         return expm.apply(gen, psi, plan, validate=False)
 
     def adjoint(self, psi: np.ndarray) -> np.ndarray:
+        """``U^dagger psi``; the negated generator has the same norm, so the plan is shared."""
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return _diag_propagate(self._factorization(), psi, adjoint=True)
         gen, plan = self._generator_plan()
-        return expm.apply(gen.scaled(-1.0), psi, plan, validate=False)
+        if self._neg_gen is None:
+            self._neg_gen = gen.scaled(-1.0)
+        return expm.apply(self._neg_gen, psi, plan, validate=False)
 
-    def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
-        """``(dU/da_channel) psi`` for the backend of this step."""
-        if self.ctx.backend is Backend.DIAGONALIZATION:
-            da = self.ctx.h_controls[channel].scaled(-1j * self.ctx.dt)
-            return derivative_action_diag(self._factorization(), da, psi)
+    def _embedded_action(self, channel: int, psi: np.ndarray) -> np.ndarray:
+        """``exp(aux) (0, psi)``: the derivative on top, ``U psi`` below."""
         if channel not in self._aux:
-            gen, _ = self._generator_plan()
-            aux = _embedded_generator(self.ctx, channel, gen)
+            control = self._control(channel)
+            if self._step_sums is None:
+                self._step_sums = ScaledGenerator(self._generator_plan()[0])
+            aux = BlockDerivativeOperator(self._step_sums, control)
             self._aux[channel] = (aux, aux_plan(aux, self.ctx.tau))
         aux, plan = self._aux[channel]
         d = self.ctx.dim
         stacked = np.zeros(2 * d, dtype=np.complex128)
         stacked[d:] = psi
-        result = expm.apply(aux, stacked, plan, validate=False)
-        return result[:d].copy()
+        return expm.apply(aux, stacked, plan, validate=False)
+
+    def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
+        """``(dU/da_channel) psi`` for the backend of this step."""
+        if self.ctx.backend is Backend.DIAGONALIZATION:
+            da = self._control(channel).matrix
+            return derivative_action_diag(self._factorization(), da, psi)
+        return self._embedded_action(channel, psi)[: self.ctx.dim].copy()

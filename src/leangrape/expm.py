@@ -19,6 +19,13 @@ errors of complex arithmetic (``u' = 2 sqrt(2) u / (1 - 2u)`` for unit
 roundoff ``u``) and ``sigma'`` is the largest per-row count of stored
 matrix elements, which limits how many rounding errors a single dot
 product can pick up.
+
+The ``gamma_n`` bound on an ``n``-term sum holds for any summation order
+(sequential, pairwise, blocked BLAS), so swapping the product kernel
+leaves the certificate and ``sigma'`` unchanged.  A sum assembled from
+two partial sums of ``n_1`` and ``n_2`` terms plus one addition has depth
+``max(n_1, n_2) + 1 <= n_1 + n_2``, so it is also covered by the count of
+its stored elements.
 """
 
 from __future__ import annotations

@@ -5,11 +5,15 @@ products, so compressed sparse row storage is the native format.  Matrices
 are immutable after construction; exact zeros are dropped at construction
 time so that the stored-element count is an honest measure of memory and
 of per-row work in the rounding-error model.
+
+CSR products run on scipy's compiled ``csr_matvec`` kernel, which
+accumulates each row as one running sum into the output vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -20,11 +24,8 @@ __all__ = [
     "build_csr",
     "from_dense",
     "identity_csr",
-    "matvec",
-    "one_norm",
-    "inf_norm",
-    "max_row_nnz",
     "linear_combine",
+    "FixedPatternSum",
     "aux_embed",
     "is_hermitian",
     "is_anti_hermitian",
@@ -37,6 +38,18 @@ __all__ = [
 
 class SparseMatrixError(ValueError):
     """Raised on malformed construction input or shape mismatch."""
+
+
+@cache
+def _sparsetools():
+    """scipy's compiled sparse kernels, imported at the first CSR product.
+
+    Loading ``scipy.sparse`` adds hundreds of modules to the process;
+    dense-only runs never need it.
+    """
+    from scipy.sparse import _sparsetools
+
+    return _sparsetools
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,24 +80,41 @@ class CsrMatrix:
         return (self.n_rows, self.n_cols)
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if v.shape != (self.n_cols,):
-            raise SparseMatrixError(
-                f"matvec dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
-                f"vector has shape {v.shape}"
-            )
+        """``A v``, written into ``out`` when given; ``out`` must not overlap ``v``."""
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
-        if self.nnz == 0:
-            out[:] = 0.0
-            return out
-        products = self.values * v[self.col_indices]
-        starts = self.row_offsets[:-1]
-        # reduceat misbehaves on empty segments: it returns products[start]
-        # instead of 0 and cannot take start == len(products).
-        np.add.reduceat(products, np.minimum(starts, products.size - 1), out=out)
-        empty = starts == self.row_offsets[1:]
-        if empty.any():
-            out[empty] = 0.0
+        self._check_operands(v, out)
+        out.fill(0.0)
+        return self._accumulate(v, out)
+
+    def matvec_add(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Accumulate ``out += A v`` in place and return ``out``.
+
+        Row ``i`` continues the running sum that starts at ``out[i]``, so
+        every output entry is one sequential sum of its prior value and
+        the row's products.
+        """
+        self._check_operands(v, out)
+        return self._accumulate(v, out)
+
+    def _check_operands(self, v: np.ndarray, out: np.ndarray) -> None:
+        # the kernel trusts both lengths, and it reads v while it writes out
+        if v.shape != (self.n_cols,) or out.shape != (self.n_rows,):
+            raise SparseMatrixError(
+                f"matvec dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
+                f"vector has shape {v.shape}, out has shape {out.shape}"
+            )
+        # two arrays that each own their data overlap only if they are one array
+        if v is out or (
+            (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
+        ):
+            raise SparseMatrixError("out must not overlap the input vector")
+
+    def _accumulate(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # raises ValueError itself when out is not a writeable complex128 array
+        _sparsetools().csr_matvec(
+            self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, v, out
+        )
         return out
 
     def col_abs_sums(self) -> np.ndarray:
@@ -294,22 +324,6 @@ def identity_csr(n: int) -> CsrMatrix:
     return build_csr_arrays(idx, idx, np.ones(n, dtype=np.complex128), n, n)
 
 
-def matvec(m: Matrix, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return m.matvec(np.asarray(v, dtype=np.complex128), out=out)
-
-
-def one_norm(m: Matrix) -> float:
-    return m.one_norm()
-
-
-def inf_norm(m: Matrix) -> float:
-    return m.inf_norm()
-
-
-def max_row_nnz(m: Matrix) -> int:
-    return m.max_row_nnz()
-
-
 def linear_combine(coeffs, mats) -> Matrix:
     """Weighted sum ``sum_i coeffs[i] * mats[i]`` of equally shaped matrices."""
     mats = list(mats)
@@ -349,6 +363,51 @@ def linear_combine(coeffs, mats) -> Matrix:
     )
 
 
+class FixedPatternSum:
+    """Weighted sums ``sum_i c_i M_i`` of fixed CSR matrices on their union pattern.
+
+    The union sparsity pattern and a sparse ``(nnz_union x n_terms)``
+    coefficient matrix holding every stored value are built once; each
+    sum is then one product ``coef @ c`` on that pattern.  Within a
+    position the terms are added in matrix order, as in
+    :func:`linear_combine`, and entries that come out exactly zero are
+    dropped, so the result carries the same stored elements.
+    """
+
+    def __init__(self, mats):
+        mats = list(mats)
+        if not mats:
+            raise SparseMatrixError("FixedPatternSum of no matrices")
+        self.shape = mats[0].shape
+        if any(m.shape != self.shape for m in mats):
+            raise SparseMatrixError("shape mismatch in FixedPatternSum")
+        n_rows, n_cols = self.shape
+        triplets = [m.triplets() for m in mats]
+        keys = np.concatenate([r * np.int64(n_cols) + c for r, c, _ in triplets])
+        terms = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
+        union, position = np.unique(keys, return_inverse=True)
+        counts = np.bincount(union // n_cols, minlength=n_rows)
+        self.row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(counts, out=self.row_offsets[1:])
+        self.col_indices = union % n_cols
+        self.coef = build_csr_arrays(
+            position, terms, np.concatenate([v for _, _, v in triplets]),
+            union.size, len(mats),
+        )
+
+    def combine(self, coeffs: np.ndarray) -> CsrMatrix:
+        """``sum_i coeffs[i] * M_i`` as a CSR matrix without stored zeros."""
+        values = self.coef.matvec(np.asarray(coeffs, dtype=np.complex128))
+        n_rows, n_cols = self.shape
+        keep = values != 0
+        if keep.all():
+            return CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
+        rows = np.repeat(np.arange(n_rows), np.diff(self.row_offsets))
+        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=offsets[1:])
+        return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])
+
+
 def aux_embed(h_step: Matrix, h_control: Matrix, dt: float) -> Matrix:
     """Block embedding whose exponential action yields propagator derivatives.
 
@@ -356,7 +415,10 @@ def aux_embed(h_step: Matrix, h_control: Matrix, dt: float) -> Matrix:
     [0, -i*h_step*dt]]``.  Applying the exponential of this matrix to a
     stacked vector ``(0, psi)`` produces the derivative of the short-time
     propagator with respect to the control amplitude in the top block and
-    the propagated state in the bottom block.
+    the propagated state in the bottom block.  Propagation applies this
+    matrix without forming it
+    (:class:`leangrape.derivatives.BlockDerivativeOperator`); the
+    materialized form is the reference it is tested against.
     """
     if h_step.shape != h_control.shape or h_step.n_rows != h_step.n_cols:
         raise SparseMatrixError("aux_embed expects two square matrices of equal dimension")

@@ -27,6 +27,21 @@ def random_sparse_dense_pair(rng, dim, density=0.2):
     return sparse.from_dense(dense), dense
 
 
+class CountingOperator:
+    """Delegates to ``op`` and counts its matrix-vector products."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+    def matvec(self, v, out=None):
+        self.calls += 1
+        return self.op.matvec(v, out)
+
+
 def expm_action_oracle(a_dense, psi):
     """Dense-diagonalization evaluation of exp(A) @ psi for anti-Hermitian A."""
     h = 1j * a_dense  # Hermitian

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from leangrape import costs, sparse
+from leangrape import costs, expm, sparse
 from leangrape.costs import CostKind, CostTerm
 from leangrape.derivatives import Backend
 
-from conftest import random_hermitian, random_state
+from conftest import CountingOperator, random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], complex)
 
@@ -392,3 +392,70 @@ class TestInvariantsAndInstrumentation:
         r2 = costs.c1_state_grad(problem, field, psi0, phi)
         assert r1.cost == r2.cost
         assert np.array_equal(r1.grad, r2.grad)
+
+
+class TestStepAssembly:
+    """The fixed-pattern step Hamiltonian against a fresh ``linear_combine``."""
+
+    @staticmethod
+    def assert_same_step(problem, field, n):
+        got = problem.step_evaluator(field, n).ctx.h_step
+        want = sparse.linear_combine(
+            [1.0, *field.amplitudes[n]], [problem.h_static, *problem.h_controls]
+        )
+        assert isinstance(got, sparse.CsrMatrix)
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert got.max_row_nnz() == want.max_row_nnz()
+        scale = max(np.abs(want.values).max(initial=0.0), 1e-300)
+        assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-15 * scale
+        gen, ref = got.scaled(-1j * field.dt), want.scaled(-1j * field.dt)
+        plan = expm.make_plan(gen.one_norm(), gen.max_row_nnz(), problem.tau)
+        assert plan == expm.make_plan(ref.one_norm(), ref.max_row_nnz(), problem.tau)
+        return got
+
+    def test_random_amplitudes(self, rng):
+        problem = make_problem(rng, 12, 3, tau=1e-10)
+        field = costs.ControlField(4, 3, 0.2, rng.normal(size=(4, 3)))
+        for n in range(4):
+            self.assert_same_step(problem, field, n)
+
+    def test_zero_amplitudes_and_cancellation(self):
+        hs = sparse.from_dense(np.diag([1.0, 2.0, 0.0]).astype(complex))
+        h1 = sparse.from_dense(np.array([[1, 1, 0], [1, 0, 0], [0, 0, 0]], complex))
+        h2 = sparse.from_dense(np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 3]], complex))
+        problem = costs.ControlProblem(hs, (h1, h2), tau=1e-10)
+        amps = np.array(
+            [
+                [-1.0, 0.5],  # (0, 0) cancels: 1 - 1
+                [0.3, 0.0],  # the second channel is exactly off
+                [0.0, 0.0],  # both channels off
+                [2.5, -1.5],  # nothing vanishes
+            ]
+        )
+        field = costs.ControlField(4, 2, 0.1, amps)
+        nnz = [self.assert_same_step(problem, field, n).nnz for n in range(4)]
+        assert nnz == [6, 4, 2, 7]
+
+
+class TestCountedMatvecs:
+    def test_one_gradient_runs_the_planned_products(self, rng, monkeypatch):
+        real_apply = expm.apply
+        planned, counted = [], []
+
+        def counting_apply(a, psi, plan, **kwargs):
+            op = CountingOperator(a)
+            out = real_apply(op, psi, plan, **kwargs)
+            planned.append(plan.matvecs)
+            counted.append(op.calls)
+            return out
+
+        monkeypatch.setattr(expm, "apply", counting_apply)
+        d, n, k = 6, 3, 2
+        problem = make_problem(rng, d, k, tau=1e-10)
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        costs.c1_state_grad(problem, field, random_state(rng, d), random_state(rng, d))
+        # n forward, 2n - 1 adjoint and n * k derivative applications
+        assert len(planned) == n + (2 * n - 1) + n * k
+        assert counted == planned
+        assert sum(counted) > len(counted)

@@ -8,6 +8,7 @@ from leangrape import sparse
 from leangrape.derivatives import (
     Backend,
     BlockDerivativeOperator,
+    ScaledGenerator,
     StepContext,
     derivative_action_aux,
     derivative_action_diag,
@@ -128,15 +129,32 @@ class TestAuxDerivative:
         d, dt = 9, 0.37
         h = sparse.from_dense(random_hermitian(rng, d))
         hc = sparse.from_dense(random_hermitian(rng, d))
-        gen = h.scaled(-1j * dt)
-        op = BlockDerivativeOperator(gen, hc, dt)
+        op = BlockDerivativeOperator(
+            ScaledGenerator(h.scaled(-1j * dt)), ScaledGenerator(hc.scaled(-1j * dt))
+        )
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
-        assert np.linalg.norm(op.matvec(v) - sparse.matvec(aux, v)) <= 1e-13 * np.linalg.norm(v)
+        assert np.linalg.norm(op.matvec(v) - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
         assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
         assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
-        # one extra unit covers the separate addition of the two block products
-        assert op.max_row_nnz() == aux.max_row_nnz() + 1
+        # each top-block row is one running sum over both blocks' elements
+        assert op.max_row_nnz() == aux.max_row_nnz()
+
+    def test_dense_block_operator_matches_materialized_embedding(self, rng):
+        d, dt = 7, 0.29
+        h = sparse.DenseMatrix(random_hermitian(rng, d))
+        hc = sparse.DenseMatrix(random_hermitian(rng, d))
+        op = BlockDerivativeOperator(
+            ScaledGenerator(h.scaled(-1j * dt)), ScaledGenerator(hc.scaled(-1j * dt))
+        )
+        aux = sparse.aux_embed(h, hc, dt)
+        v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
+        out = np.full(2 * d, np.nan + 0j)
+        assert op.matvec(v, out=out) is out
+        assert np.linalg.norm(out - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
+        assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
+        assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
+        assert op.max_row_nnz() == aux.max_row_nnz() == 2 * d
 
 
 class TestDiagPrepare:

@@ -5,7 +5,7 @@ import pytest
 
 from leangrape import expm, sparse
 
-from conftest import expm_action_oracle, random_anti_hermitian, random_state
+from conftest import CountingOperator, expm_action_oracle, random_anti_hermitian, random_state
 
 
 def csr_from(dense):
@@ -19,6 +19,15 @@ class TestApply:
         plan = expm.make_plan(0.0, 0, 1e-10)
         out = expm.apply(a, psi, plan)
         assert np.allclose(out, psi, atol=1e-14)
+
+    def test_counted_matvecs_equal_plan(self, rng):
+        a = csr_from(random_anti_hermitian(rng, 12, scale=3.0))
+        plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-10)
+        counting = CountingOperator(a)
+        out = expm.apply(counting, random_state(rng, 12), plan, validate=False)
+        assert plan.matvecs > 1
+        assert counting.calls == plan.matvecs
+        assert np.isfinite(out).all()
 
     def test_half_pi_sigma_x_rotation(self):
         a = sparse.build_csr([(0, 1, -1j * np.pi / 2), (1, 0, -1j * np.pi / 2)], 2, 2)

@@ -82,7 +82,7 @@ class TestQubitChain:
 
     def test_static_is_diagonal(self):
         h, _ = models.build_qubit_chain(QubitChainParams(n_qubits=4))
-        assert sparse.max_row_nnz(h) == 1
+        assert h.max_row_nnz() == 1
         rows, cols, _ = h.triplets()
         assert np.array_equal(rows, cols)
 
@@ -176,14 +176,14 @@ class TestScalingInvariants:
         for d_c in (50, 100, 200, 400):
             h, ctrls = models.build_transmon_cavity(TransmonCavityParams(d_cavity=d_c))
             combined = sparse.linear_combine([1.0, 1.0, 1.0], [h, *ctrls])
-            h1_sigmas.add(sparse.max_row_nnz(combined))
+            h1_sigmas.add(combined.max_row_nnz())
         assert len(h1_sigmas) == 1
 
         h2_sigmas = set()
         for d_e in (4, 6, 8, 10):
             h, ctrls = models.build_three_transmons(ThreeTransmonParams(d_each=d_e))
             combined = sparse.linear_combine([1.0] * 4, [h, *ctrls])
-            h2_sigmas.add(sparse.max_row_nnz(combined))
+            h2_sigmas.add(combined.max_row_nnz())
         assert len(h2_sigmas) == 1
 
     def test_norm_scaling_exponents(self):

@@ -56,63 +56,116 @@ class TestMatvec:
     def test_identity(self, rng):
         ident = sparse.identity_csr(5)
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        assert np.allclose(sparse.matvec(ident, v), v)
+        assert np.allclose(ident.matvec(v), v)
 
     def test_sigma_x_flips(self):
-        out = sparse.matvec(sigma_x(), np.array([1.0, 0.0], complex))
+        out = sigma_x().matvec(np.array([1.0, 0.0], complex))
         assert np.allclose(out, [0.0, 1.0])
 
     def test_against_dense_oracle(self, rng):
         m, dense = random_sparse_dense_pair(rng, 32)
         v = rng.normal(size=32) + 1j * rng.normal(size=32)
-        got = sparse.matvec(m, v)
+        got = m.matvec(v)
         want = dense @ v
         bound = 1e-14 * m.one_norm() * np.linalg.norm(v)
         assert np.abs(got - want).max() <= bound
 
     def test_empty_rows(self):
         m = sparse.build_csr([(2, 0, 3.0)], 4, 3)
-        out = sparse.matvec(m, np.array([1.0, 0, 0], complex))
+        out = m.matvec(np.array([1.0, 0, 0], complex))
         assert np.allclose(out, [0, 0, 3.0, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(sparse.SparseMatrixError):
-            sparse.matvec(sigma_x(), np.zeros(3, complex))
+            sigma_x().matvec(np.zeros(3, complex))
+
+    @pytest.mark.parametrize(
+        "entries, shape",
+        [
+            ([(0, 1, 2.0 - 1j), (3, 0, 0.5j), (3, 2, -4.0)], (5, 3)),  # empty rows 1, 2, 4
+            ([], (4, 6)),  # all-zero matrix
+        ],
+        ids=["empty_rows", "all_zero"],
+    )
+    def test_against_scipy_oracle(self, rng, entries, shape):
+        from scipy.sparse import csr_array
+
+        m = sparse.build_csr(entries, *shape)
+        oracle = csr_array((m.values, m.col_indices, m.row_offsets), shape=shape)
+        v = rng.normal(size=shape[1]) + 1j * rng.normal(size=shape[1])
+        assert np.array_equal(m.matvec(v), oracle @ v)
+        out = np.full(shape[0], np.nan + 0j)
+        assert m.matvec(v, out=out) is out
+        assert np.array_equal(out, oracle @ v)
+
+    def test_float64_input_against_scipy_oracle(self, rng):
+        from scipy.sparse import csr_array
+
+        m, _ = random_sparse_dense_pair(rng, 16)
+        oracle = csr_array((m.values, m.col_indices, m.row_offsets), shape=m.shape)
+        v = rng.normal(size=16)
+        assert np.array_equal(m.matvec(v), oracle @ v.astype(complex))
+
+    def test_matvec_add_accumulates(self, rng):
+        m, dense = random_sparse_dense_pair(rng, 12)
+        v = rng.normal(size=12) + 1j * rng.normal(size=12)
+        out = rng.normal(size=12) + 1j * rng.normal(size=12)
+        want = out + dense @ v
+        assert m.matvec_add(v, out) is out
+        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_overlapping_out_rejected(self):
+        m = sparse.identity_csr(4)
+        buf = np.arange(8, dtype=complex)
+        for out in (buf[:4], buf[2:6]):
+            with pytest.raises(sparse.SparseMatrixError, match="overlap"):
+                m.matvec(buf[:4], out=out)
+            with pytest.raises(sparse.SparseMatrixError, match="overlap"):
+                m.matvec_add(buf[:4], out)
+        assert np.array_equal(buf, np.arange(8))
+        m.matvec(buf[:4], out=buf[4:])  # adjacent halves of one buffer do not overlap
+        assert np.array_equal(buf[4:], buf[:4])
+
+    def test_out_of_wrong_dtype_or_length_rejected(self):
+        with pytest.raises(ValueError):
+            sigma_x().matvec(np.ones(2, complex), out=np.zeros(2))
+        with pytest.raises(sparse.SparseMatrixError):
+            sigma_x().matvec(np.ones(2, complex), out=np.zeros(3, complex))
 
 
 class TestNorms:
     def test_one_norm_identity(self):
-        assert sparse.one_norm(sparse.identity_csr(4)) == 1.0
+        assert sparse.identity_csr(4).one_norm() == 1.0
 
     def test_one_norm_scaled_sigma_x(self):
         a = sigma_x().scaled(-1j * 1.0)
-        assert sparse.one_norm(a) == pytest.approx(1.0, abs=0)
+        assert a.one_norm() == pytest.approx(1.0, abs=0)
 
     def test_one_norm_h1_vs_dense(self):
         a = h1_fixture().scaled(-1j * 0.1)
         dense = a.to_dense()
         want = np.abs(dense).sum(axis=0).max()
-        assert sparse.one_norm(a) == pytest.approx(want, rel=1e-14)
+        assert a.one_norm() == pytest.approx(want, rel=1e-14)
 
     def test_one_norm_scaling_commutes(self, rng):
         m, _ = random_sparse_dense_pair(rng, 24)
-        base = sparse.one_norm(m)
+        base = m.one_norm()
         for s in (1, 2, 7, 100, 1000):
-            assert sparse.one_norm(m.scaled(1.0 / s)) == pytest.approx(base / s, rel=4e-16)
+            assert m.scaled(1.0 / s).one_norm() == pytest.approx(base / s, rel=4e-16)
 
     def test_max_row_nnz(self):
         diag = sparse.identity_csr(6)
-        assert sparse.max_row_nnz(diag) == 1
+        assert diag.max_row_nnz() == 1
         sx_kron_i = sparse.build_csr(
             [(0, 2, 1.0), (1, 3, 1.0), (2, 0, 1.0), (3, 1, 1.0)], 4, 4
         )
-        assert sparse.max_row_nnz(sx_kron_i) == 1
+        assert sx_kron_i.max_row_nnz() == 1
 
     def test_max_row_nnz_h1_vs_dense(self):
         h = h1_fixture()
         dense = h.to_dense()
         want = int((np.abs(dense) > 0).sum(axis=1).max())
-        assert sparse.max_row_nnz(h) == want
+        assert h.max_row_nnz() == want
 
 
 class TestLinearCombine:
@@ -144,8 +197,8 @@ class TestLinearCombine:
         v = rng.normal(size=64) + 1j * rng.normal(size=64)
         a, b = 0.7 - 0.2j, -1.3 + 0.9j
         combined = sparse.linear_combine([a, b], [m1, m2])
-        lhs = sparse.matvec(combined, v)
-        rhs = a * sparse.matvec(m1, v) + b * sparse.matvec(m2, v)
+        lhs = combined.matvec(v)
+        rhs = a * m1.matvec(v) + b * m2.matvec(v)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
@@ -184,14 +237,14 @@ class TestAuxEmbed:
                 [np.zeros((12, 12)), -0.3j * h1.to_dense()],
             ]
         )
-        assert sparse.one_norm(aux) == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
+        assert aux.one_norm() == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
 
     def test_one_norm_subadditive_in_blocks(self, rng):
         m1, d1 = random_sparse_dense_pair(rng, 10)
         h = sparse.from_dense(d1 + d1.conj().T)
         aux = sparse.aux_embed(h, h, 0.7)
-        bound = sparse.one_norm(h.scaled(-0.7j)) + sparse.one_norm(h.scaled(-0.7j))
-        assert sparse.one_norm(aux) <= bound + 1e-14
+        bound = h.scaled(-0.7j).one_norm() + h.scaled(-0.7j).one_norm()
+        assert aux.one_norm() <= bound + 1e-14
 
 
 class TestHermiticity:
@@ -234,7 +287,7 @@ class TestDenseMatrix:
         m, dense_arr = random_sparse_dense_pair(rng, 20)
         d = sparse.DenseMatrix(dense_arr)
         v = rng.normal(size=20) + 1j * rng.normal(size=20)
-        assert np.allclose(d.matvec(v), sparse.matvec(m, v))
+        assert np.allclose(d.matvec(v), m.matvec(v))
         assert d.one_norm() == pytest.approx(m.one_norm(), rel=1e-14)
         assert d.inf_norm() == pytest.approx(m.inf_norm(), rel=1e-14)
         assert d.max_row_nnz() == 20
