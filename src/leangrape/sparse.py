@@ -292,12 +292,15 @@ def build_csr_arrays(rows, cols, vals, n_rows: int, n_cols: int) -> CsrMatrix:
     uniq = uniq[keep]
     summed = summed[keep]
 
-    out_rows = uniq // n_cols
-    out_cols = uniq % n_cols
-    counts = np.bincount(out_rows, minlength=n_rows)
+    offsets = _row_offsets(uniq // n_cols, n_rows)
+    return CsrMatrix(n_rows, n_cols, offsets, (uniq % n_cols).astype(np.int64), summed)
+
+
+def _row_offsets(rows: np.ndarray, n_rows: int) -> np.ndarray:
+    """CSR row offsets of elements sorted by row, given each element's row."""
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return CsrMatrix(n_rows, n_cols, offsets, out_cols.astype(np.int64), summed)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+    return offsets
 
 
 def build_csr(triplets, n_rows: int, n_cols: int) -> CsrMatrix:
@@ -386,9 +389,8 @@ class FixedPatternSum:
         keys = np.concatenate([r * np.int64(n_cols) + c for r, c, _ in triplets])
         terms = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
         union, position = np.unique(keys, return_inverse=True)
-        counts = np.bincount(union // n_cols, minlength=n_rows)
-        self.row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.row_offsets[1:])
+        self.rows = union // n_cols
+        self.row_offsets = _row_offsets(self.rows, n_rows)
         self.col_indices = union % n_cols
         self.coef = build_csr_arrays(
             position, terms, np.concatenate([v for _, _, v in triplets]),
@@ -402,9 +404,7 @@ class FixedPatternSum:
         keep = values != 0
         if keep.all():
             return CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
-        rows = np.repeat(np.arange(n_rows), np.diff(self.row_offsets))
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[keep], minlength=n_rows), out=offsets[1:])
+        offsets = _row_offsets(self.rows[keep], n_rows)
         return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])
 
 
