@@ -194,6 +194,16 @@ def _convert(key: str, raw: str, spec: _Spec):
     return value
 
 
+def _parse_value(key: str, raw: str, subcommand: str, where: str):
+    """Typed value of ``key`` for ``subcommand``; ``where`` locates it in errors."""
+    spec = _SCHEMA.get(key)
+    if spec is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if subcommand not in spec.subcommands:
+        raise ConfigError(f"{where}: key {key!r} does not apply to subcommand {subcommand!r}")
+    return _convert(key, raw, spec)
+
+
 def parse_config(text: str, subcommand: str) -> RunConfig:
     """Parse and fully validate a flat ``key = value`` configuration.
 
@@ -213,14 +223,7 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
         raw = raw.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        spec = _SCHEMA.get(key)
-        if spec is None:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if subcommand not in spec.subcommands:
-            raise ConfigError(
-                f"line {lineno}: key {key!r} does not apply to subcommand {subcommand!r}"
-            )
-        values[key] = _convert(key, raw, spec)
+        values[key] = _parse_value(key, raw, subcommand, f"line {lineno}")
 
     for key, spec in _SCHEMA.items():
         if subcommand in spec.required and key not in values:
@@ -383,7 +386,6 @@ def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
         grow=float(cfg.get("optimizer.grow")),
         stop_cost=float(cfg.get("optimizer.stop_cost")),
         stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
-        seed=seed,
     )
     trace = optimizer.grape_optimize(problem, terms, field, opt_cfg)
 
@@ -522,20 +524,43 @@ def _write(out_dir: str, name: str, content: str) -> None:
 
 
 class _OutputLock:
-    """One run at a time per output directory."""
+    """One run at a time per output directory.
+
+    The lockfile holds the PID of the run that owns it.  A lockfile naming
+    a process that no longer exists is left by a crashed run: it is removed
+    and the lock is tried once more.  An empty or unreadable lockfile blocks.
+    """
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, ".leangrape.lock")
         self.fd: int | None = None
 
     def __enter__(self):
-        try:
-            self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run: {self.path}"
-            ) from None
+        for retry in (False, True):
+            try:
+                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if retry or not self._owner_is_gone():
+                    raise RuntimeError(
+                        f"output directory is locked by another run: {self.path}"
+                    ) from None
+                os.unlink(self.path)
+        os.write(self.fd, f"{os.getpid()}\n".encode("ascii"))
         return self
+
+    def _owner_is_gone(self) -> bool:
+        """True only when the lockfile names a PID that no process holds."""
+        try:
+            with open(self.path, encoding="ascii") as fh:
+                pid = int(fh.read())
+            if pid > 0:
+                os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError):
+            pass
+        return False
 
     def __exit__(self, *exc):
         if self.fd is not None:
@@ -554,8 +579,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to key = value config file")
         p.add_argument("--out", default=None, help="output directory for artifacts")
-        p.add_argument("--seed", type=int, default=None, help="override seed")
-        p.add_argument("--tau", type=float, default=None, help="override tolerance")
+        p.add_argument("--seed", default=None, help="override seed")
+        p.add_argument("--tau", default=None, help="override tolerance")
     return parser
 
 
@@ -584,12 +609,12 @@ def run(cfg: RunConfig, out_dir: str | None) -> int:
     return runner(cfg, out_dir)
 
 
-def _apply_overrides(cfg: RunConfig, seed: int | None, tau: float | None) -> RunConfig:
+def _apply_overrides(cfg: RunConfig, overrides: dict[str, str | None]) -> RunConfig:
+    """``cfg`` with the given command-line values, validated like config keys."""
     values = dict(cfg.values)
-    if seed is not None:
-        values["seed"] = seed
-    if tau is not None:
-        values["tau"] = tau
+    for key, raw in overrides.items():
+        if raw is not None:
+            values[key] = _parse_value(key, raw, cfg.subcommand, f"--{key}")
     return RunConfig(cfg.subcommand, tuple(sorted(values.items())))
 
 
@@ -604,7 +629,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text, subcommand)
-        cfg = _apply_overrides(cfg, args.seed, args.tau)
+        cfg = _apply_overrides(cfg, {"seed": args.seed, "tau": args.tau})
         return run(cfg, args.out)
     except (ConfigError, PlanningError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ not metered.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -178,6 +179,8 @@ class CostTerm:
     def __post_init__(self):
         if self.weight < 0.0:
             raise ValueError("cost weights must be non-negative")
+        if self.target_state is not None:
+            _check_state(np.asarray(self.target_state, dtype=np.complex128), "target_state")
         if self.kind in (CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY):
             if self.target_state is None:
                 raise ValueError(f"{self.kind.value} requires target_state")
@@ -226,52 +229,37 @@ class VectorMeter:
         self.live -= max(1, round(vec.size / self.dim))
 
 
+def _check_state(psi: np.ndarray, name: str) -> None:
+    """Refuse states for which a certified cost means nothing."""
+    if not np.isfinite(psi).all():
+        raise ValueError(f"{name} has non-finite entries")
+    norm = np.linalg.norm(psi)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"{name} is not normalized (norm {norm:.12g})")
+
+
 def _as_state(psi: np.ndarray, dim: int, name: str) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape != (dim,):
         raise ValueError(f"{name} has shape {psi.shape}, expected ({dim},)")
+    _check_state(psi, name)
     return psi
 
 
-def forward_propagate(
-    problem: ControlProblem, a: ControlField, psi0: np.ndarray
-) -> np.ndarray:
-    """Propagate ``psi0`` through all steps; only O(1) vectors are live."""
-    _check_field(problem, a)
-    psi = _as_state(psi0, problem.dim, "psi0").copy()
-    for n in range(a.n_steps):
-        psi = problem.step_evaluator(a, n).forward(psi)
-    return psi
+def _step_evaluators(problem: ControlProblem, a: ControlField) -> Callable[[int], StepEvaluator]:
+    """``n -> problem.step_evaluator(a, n)``, reusing the last evaluator when ``n`` repeats.
 
-
-def _check_field(problem: ControlProblem, a: ControlField) -> None:
+    Consecutive sweeps meet at a repeated step: a forward sweep ends where
+    its backward sweep starts, a backward sweep ends where the next basis
+    state's forward sweep starts, and with a single step every visit is
+    step 0 (a one-step gate gradient then builds one evaluator, not 3d).
+    Only one step's operators are alive at a time.
+    """
     if a.n_channels != problem.n_channels:
         raise ValueError(
             f"field has {a.n_channels} channels, problem has {problem.n_channels}"
         )
-
-
-class _EvaluatorMemo:
-    """Most-recently-used step evaluator, capacity one.
-
-    Revisits of the same step index (the per-basis-state loops of the
-    gate costs, which traverse every step once per state) reuse the
-    constructed generator, plan and derivative embeddings.  Only one
-    step's operators are alive at a time, so the memory contract holds
-    for any number of steps.
-    """
-
-    def __init__(self, problem: ControlProblem, a: ControlField):
-        self._problem = problem
-        self._field = a
-        self._step = -1
-        self._evaluator: StepEvaluator | None = None
-
-    def get(self, n: int) -> StepEvaluator:
-        if n != self._step:
-            self._evaluator = self._problem.step_evaluator(self._field, n)
-            self._step = n
-        return self._evaluator
+    return lru_cache(maxsize=1)(partial(problem.step_evaluator, a))
 
 
 # ---------------------------------------------------------------------------
@@ -285,97 +273,111 @@ class _EvaluatorMemo:
 # The fused implementation below evaluates any subset in a single pass.
 
 
-@dataclass
-class _StateTermSpec:
-    kind: CostKind
-    weight: float
-    target: np.ndarray | None = None
-    penalty: Matrix | None = None
+def _state_forward(
+    step: Callable[[int], StepEvaluator],
+    a: ControlField,
+    psi0: np.ndarray,
+    terms: list[CostTerm],
+    meter: VectorMeter,
+) -> tuple[np.ndarray, float, dict[int, complex]]:
+    """Forward sweep of the state costs from a validated ``psi0``.
+
+    Returns the final state (still held on ``meter``), the weighted cost of
+    ``terms`` and, per final-infidelity term, the overlap ``<psi_N|phi_T>``.
+    With no terms this is plain propagation.
+    """
+    n_steps = a.n_steps
+    penalty_sums = {}
+    overlap_sums = {}
+    psi = meter.grab(psi0.copy())
+    for n in range(n_steps):
+        nxt = meter.grab(step(n).forward(psi))
+        meter.release(psi)
+        psi = nxt
+        for i, term in enumerate(terms):
+            if term.kind is CostKind.STATE_PENALTY:
+                w = meter.grab(term.penalty_op.matvec(psi))
+                penalty_sums[i] = penalty_sums.get(i, 0.0) + np.vdot(psi, w).real
+                meter.release(w)
+            elif term.kind is CostKind.STATE_RUNNING_INFIDELITY:
+                o = np.vdot(term.target_state, psi)
+                overlap_sums[i] = overlap_sums.get(i, 0.0) + abs(o) ** 2
+
+    cost = 0.0
+    final_overlaps = {}
+    for i, term in enumerate(terms):
+        if term.kind is CostKind.STATE_INFIDELITY:
+            z = np.vdot(psi, term.target_state)  # <psi_N | phi_T>
+            final_overlaps[i] = z
+            cost += term.weight * (1.0 - abs(z) ** 2)
+        elif term.kind is CostKind.STATE_PENALTY:
+            cost += term.weight * penalty_sums[i] / n_steps
+        else:
+            cost += term.weight * (1.0 - overlap_sums[i] / n_steps)
+    return psi, cost, final_overlaps
+
+
+def forward_propagate(
+    problem: ControlProblem, a: ControlField, psi0: np.ndarray
+) -> np.ndarray:
+    """Propagate ``psi0`` through all steps; only O(1) vectors are live."""
+    psi0 = _as_state(psi0, problem.dim, "psi0")
+    step = _step_evaluators(problem, a)
+    return _state_forward(step, a, psi0, [], VectorMeter(problem.dim))[0]
 
 
 def _state_pass(
     problem: ControlProblem,
     a: ControlField,
     psi0: np.ndarray,
-    specs: list[_StateTermSpec],
+    terms: list[CostTerm],
 ) -> GradientResult:
-    _check_field(problem, a)
-    d = problem.dim
     n_steps, n_channels = a.n_steps, a.n_channels
-    psi0 = _as_state(psi0, d, "psi0")
-    meter = VectorMeter(d)
-    evaluators = _EvaluatorMemo(problem, a)
-
-    # ---- forward sweep: final state plus running scalars
-    penalty_sums = {}
-    overlap_sums = {}
-    psi = meter.grab(psi0.copy())
-    for n in range(n_steps):
-        nxt = meter.grab(evaluators.get(n).forward(psi))
-        meter.release(psi)
-        psi = nxt
-        for i, spec in enumerate(specs):
-            if spec.kind is CostKind.STATE_PENALTY:
-                w = meter.grab(spec.penalty.matvec(psi))
-                penalty_sums[i] = penalty_sums.get(i, 0.0) + np.vdot(psi, w).real
-                meter.release(w)
-            elif spec.kind is CostKind.STATE_RUNNING_INFIDELITY:
-                o = np.vdot(spec.target, psi)
-                overlap_sums[i] = overlap_sums.get(i, 0.0) + abs(o) ** 2
-
-    cost = 0.0
-    final_overlaps = {}
-    for i, spec in enumerate(specs):
-        if spec.kind is CostKind.STATE_INFIDELITY:
-            z = np.vdot(psi, spec.target)  # <psi_N | phi_T>
-            final_overlaps[i] = z
-            cost += spec.weight * (1.0 - abs(z) ** 2)
-        elif spec.kind is CostKind.STATE_PENALTY:
-            cost += spec.weight * penalty_sums[i] / n_steps
-        else:
-            cost += spec.weight * (1.0 - overlap_sums[i] / n_steps)
+    step = _step_evaluators(problem, a)
+    meter = VectorMeter(problem.dim)
+    psi, cost, final_overlaps = _state_forward(step, a, psi0, terms, meter)
 
     # ---- backward sweep: adjoint-propagate psi_N and all co-states
     costates: dict[int, np.ndarray] = {}
-    for i, spec in enumerate(specs):
-        if spec.kind is CostKind.STATE_INFIDELITY:
-            costates[i] = meter.grab(np.asarray(spec.target, np.complex128).copy())
-        elif spec.kind is CostKind.STATE_PENALTY:
-            costates[i] = meter.grab(spec.penalty.matvec(psi))
+    for i, term in enumerate(terms):
+        if term.kind is CostKind.STATE_INFIDELITY:
+            costates[i] = meter.grab(np.asarray(term.target_state, np.complex128).copy())
+        elif term.kind is CostKind.STATE_PENALTY:
+            costates[i] = meter.grab(term.penalty_op.matvec(psi))
         else:
             costates[i] = meter.grab(
-                np.asarray(spec.target, np.complex128) * np.vdot(spec.target, psi)
+                np.asarray(term.target_state, np.complex128) * np.vdot(term.target_state, psi)
             )
 
     grad = np.zeros((n_steps, n_channels))
     for n in range(n_steps - 1, -1, -1):
-        ev = evaluators.get(n)
+        ev = step(n)
         prev = meter.grab(ev.adjoint(psi))  # psi_{n-1}
         meter.release(psi)
         psi = prev
         for k in range(n_channels):
             du_psi = meter.grab(ev.control_derivative(k, psi))
-            for i, spec in enumerate(specs):
+            for i, term in enumerate(terms):
                 inner = np.vdot(costates[i], du_psi)
-                if spec.kind is CostKind.STATE_INFIDELITY:
+                if term.kind is CostKind.STATE_INFIDELITY:
                     contrib = -2.0 * (inner * final_overlaps[i]).real
-                elif spec.kind is CostKind.STATE_PENALTY:
+                elif term.kind is CostKind.STATE_PENALTY:
                     contrib = 2.0 / n_steps * inner.real
                 else:
                     contrib = -2.0 / n_steps * inner.real
-                grad[n, k] += spec.weight * contrib
+                grad[n, k] += term.weight * contrib
             meter.release(du_psi)
         if n > 0:
-            for i, spec in enumerate(specs):
+            for i, term in enumerate(terms):
                 moved = meter.grab(ev.adjoint(costates[i]))
                 meter.release(costates[i])
-                if spec.kind is CostKind.STATE_PENALTY:
-                    drive = meter.grab(spec.penalty.matvec(psi))
+                if term.kind is CostKind.STATE_PENALTY:
+                    drive = meter.grab(term.penalty_op.matvec(psi))
                     moved += drive
                     meter.release(drive)
-                elif spec.kind is CostKind.STATE_RUNNING_INFIDELITY:
-                    moved += np.asarray(spec.target, np.complex128) * np.vdot(
-                        spec.target, psi
+                elif term.kind is CostKind.STATE_RUNNING_INFIDELITY:
+                    moved += np.asarray(term.target_state, np.complex128) * np.vdot(
+                        term.target_state, psi
                     )
                 costates[i] = moved
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
@@ -385,50 +387,89 @@ def c1_state_grad(
     problem: ControlProblem, a: ControlField, psi0: np.ndarray, phi_target: np.ndarray
 ) -> GradientResult:
     """Final-state transfer infidelity ``1 - |<phi_T|psi_N>|^2`` and its gradient."""
-    spec = _StateTermSpec(CostKind.STATE_INFIDELITY, 1.0, target=_as_state(phi_target, problem.dim, "phi_target"))
-    return _state_pass(problem, a, psi0, [spec])
+    d = problem.dim
+    term = CostTerm(CostKind.STATE_INFIDELITY, target_state=_as_state(phi_target, d, "phi_target"))
+    return _state_pass(problem, a, _as_state(psi0, d, "psi0"), [term])
 
 
 def c2_state_grad(
     problem: ControlProblem, a: ControlField, psi0: np.ndarray, penalty_op: Matrix
 ) -> GradientResult:
     """Running expectation penalty ``(1/N) sum_n <psi_n|Omega|psi_n>`` and gradient."""
-    if not is_hermitian(penalty_op, 1e-12 * max(1.0, penalty_op.one_norm())):
-        raise ValueError("penalty operator must be Hermitian")
-    spec = _StateTermSpec(CostKind.STATE_PENALTY, 1.0, penalty=penalty_op)
-    return _state_pass(problem, a, psi0, [spec])
+    term = CostTerm(CostKind.STATE_PENALTY, penalty_op=penalty_op)
+    return _state_pass(problem, a, _as_state(psi0, problem.dim, "psi0"), [term])
 
 
 def c3_state_grad(
     problem: ControlProblem, a: ControlField, psi0: np.ndarray, phi_target: np.ndarray
 ) -> GradientResult:
     """Running transfer infidelity ``1 - (1/N) sum_n |<phi_T|psi_n>|^2`` and gradient."""
-    spec = _StateTermSpec(
-        CostKind.STATE_RUNNING_INFIDELITY,
-        1.0,
-        target=_as_state(phi_target, problem.dim, "phi_target"),
+    d = problem.dim
+    term = CostTerm(
+        CostKind.STATE_RUNNING_INFIDELITY, target_state=_as_state(phi_target, d, "phi_target")
     )
-    return _state_pass(problem, a, psi0, [spec])
+    return _state_pass(problem, a, _as_state(psi0, d, "psi0"), [term])
 
 
 # ---------------------------------------------------------------------------
 # gate costs
 
 
-def _gate_basis(problem: ControlProblem, basis) -> list[np.ndarray]:
+def _gate_inputs(
+    problem: ControlProblem, u_target: np.ndarray, basis
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Checked target gate and the basis states (computational when omitted)."""
     d = problem.dim
+    u_target = np.asarray(u_target, dtype=np.complex128)
+    if u_target.shape != (d, d):
+        raise ValueError("target gate dimension mismatch")
     if basis is None:
         basis = problem.basis
     if basis is None:
         eye = np.eye(d, dtype=np.complex128)
-        return [eye[:, h] for h in range(d)]
+        return u_target, [eye[:, h] for h in range(d)]
     states = [_as_state(b, d, f"basis[{i}]") for i, b in enumerate(basis)]
     if len(states) != d:
         raise ValueError(f"basis must contain {d} states, got {len(states)}")
     gram = np.array([[np.vdot(x, y) for y in states] for x in states])
     if np.abs(gram - np.eye(d)).max() > 1e-10:
         raise ValueError("gate basis is not orthonormal")
-    return states
+    return u_target, states
+
+
+def _gate_forward(
+    step: Callable[[int], StepEvaluator],
+    a: ControlField,
+    u_target: np.ndarray,
+    states: list[np.ndarray],
+    running: bool,
+    meter: VectorMeter,
+) -> tuple[np.ndarray, float]:
+    """Forward-propagate every basis state; return the trace factors and the cost.
+
+    ``traces[n]`` is ``tr(U_T^+ U_{n,1})``, accumulated at every step for the
+    running cost and at the last step only otherwise.
+    """
+    d = len(states)
+    n_steps = a.n_steps
+    traces = np.zeros(n_steps, dtype=np.complex128)
+    for h in range(d):
+        target_image = meter.grab(u_target @ states[h])  # U_T |psi_0^h>
+        psi = meter.grab(states[h].copy())
+        for n in range(n_steps):
+            nxt = meter.grab(step(n).forward(psi))
+            meter.release(psi)
+            psi = nxt
+            if running or n == n_steps - 1:
+                traces[n] += np.vdot(target_image, psi)
+        meter.release(psi)
+        meter.release(target_image)
+
+    if running:
+        cost = 1.0 - float(np.sum(np.abs(traces) ** 2)) / (n_steps * d * d)
+    else:
+        cost = 1.0 - abs(traces[-1]) ** 2 / (d * d)
+    return traces, cost
 
 
 def _gate_pass(
@@ -447,50 +488,24 @@ def _gate_pass(
     per pass; only N scalars (running cost) and the gradient accumulator
     persist.
     """
-    _check_field(problem, a)
+    u_target, states = _gate_inputs(problem, u_target, basis)
     d = problem.dim
-    u_target = np.asarray(u_target, dtype=np.complex128)
-    if u_target.shape != (d, d):
-        raise ValueError("target gate dimension mismatch")
     n_steps, n_channels = a.n_steps, a.n_channels
-    states = _gate_basis(problem, basis)
+    step = _step_evaluators(problem, a)
     meter = VectorMeter(d)
-    evaluators = _EvaluatorMemo(problem, a)
-
-    # sweep 1: running traces tr(U_T^+ U_{n,1}) (only the final one if not running)
-    traces = np.zeros(n_steps, dtype=np.complex128)
-    for h in range(d):
-        target_image = meter.grab(u_target @ states[h])  # U_T |psi_0^h>
-        psi = meter.grab(states[h].copy())
-        for n in range(n_steps):
-            nxt = meter.grab(evaluators.get(n).forward(psi))
-            meter.release(psi)
-            psi = nxt
-            if running or n == n_steps - 1:
-                traces[n] += np.vdot(target_image, psi)
-        meter.release(psi)
-        meter.release(target_image)
-
-    if running:
-        cost = 1.0 - float(np.sum(np.abs(traces) ** 2)) / (n_steps * d * d)
-    else:
-        cost = 1.0 - abs(traces[-1]) ** 2 / (d * d)
+    traces, cost = _gate_forward(step, a, u_target, states, running, meter)
 
     # sweep 2: forward again, then backward with derivative products
     accum = np.zeros((n_steps, n_channels), dtype=np.complex128)
     for h in range(d):
         target_image = meter.grab(u_target @ states[h])
-        psi = meter.grab(states[h].copy())
-        for n in range(n_steps):
-            nxt = meter.grab(evaluators.get(n).forward(psi))
-            meter.release(psi)
-            psi = nxt
+        psi = _state_forward(step, a, states[h], [], meter)[0]
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:
             costate = meter.grab(target_image.copy())
         for n in range(n_steps - 1, -1, -1):
-            ev = evaluators.get(n)
+            ev = step(n)
             prev = meter.grab(ev.adjoint(psi))
             meter.release(psi)
             psi = prev
@@ -531,36 +546,37 @@ def c3_gate_grad(
 
 # ---------------------------------------------------------------------------
 # composite costs
+#
+# State-transfer terms are fused into one state pass (they share the
+# trajectory); each gate term runs its own basis sweep.  The cost-only and
+# gradient entry points split the terms the same way and share the sweeps.
 
 
-def _term_spec(term: CostTerm) -> _StateTermSpec:
-    return _StateTermSpec(
-        term.kind, term.weight, target=term.target_state, penalty=term.penalty_op
-    )
+def _split_terms(
+    problem: ControlProblem, terms: list[CostTerm]
+) -> tuple[np.ndarray | None, list[CostTerm], list[CostTerm]]:
+    """Checked initial state with the state terms, and the gate terms."""
+    if not terms:
+        raise ValueError("composite cost needs at least one term")
+    state_terms = [t for t in terms if t.kind in _STATE_KINDS]
+    psi0 = None
+    if state_terms:
+        if problem.initial_state is None:
+            raise ValueError("state-transfer terms require problem.initial_state")
+        psi0 = _as_state(problem.initial_state, problem.dim, "initial_state")
+    return psi0, state_terms, [t for t in terms if t.kind not in _STATE_KINDS]
 
 
 def composite_grad(
     problem: ControlProblem, a: ControlField, terms: list[CostTerm]
 ) -> GradientResult:
-    """Weighted sum of cost terms and gradients.
-
-    State-transfer terms are fused into a single forward-backward pass
-    (they share the trajectory); each gate term runs its own basis sweep.
-    """
-    if not terms:
-        raise ValueError("composite cost needs at least one term")
-    state_terms = [t for t in terms if t.kind in _STATE_KINDS]
-    gate_terms = [t for t in terms if t.kind not in _STATE_KINDS]
-
+    """Weighted sum of cost terms and gradients."""
+    psi0, state_terms, gate_terms = _split_terms(problem, terms)
     total_cost = 0.0
     total_grad = np.zeros((a.n_steps, a.n_channels))
     peak = 0
     if state_terms:
-        if problem.initial_state is None:
-            raise ValueError("state-transfer terms require problem.initial_state")
-        result = _state_pass(
-            problem, a, problem.initial_state, [_term_spec(t) for t in state_terms]
-        )
+        result = _state_pass(problem, a, psi0, state_terms)
         total_cost += result.cost
         total_grad += result.grad
         peak = max(peak, result.live_vector_peak)
@@ -574,51 +590,15 @@ def composite_grad(
 
 
 def composite_cost(problem: ControlProblem, a: ControlField, terms: list[CostTerm]) -> float:
-    """Weighted cost only (forward passes, no gradient); used by line searches."""
-    if not terms:
-        raise ValueError("composite cost needs at least one term")
+    """Weighted cost only (forward sweeps, no gradient); used by line searches."""
+    psi0, state_terms, gate_terms = _split_terms(problem, terms)
+    step = _step_evaluators(problem, a)
+    meter = VectorMeter(problem.dim)
     total = 0.0
-    state_terms = [t for t in terms if t.kind in _STATE_KINDS]
-    gate_terms = [t for t in terms if t.kind not in _STATE_KINDS]
-
     if state_terms:
-        if problem.initial_state is None:
-            raise ValueError("state-transfer terms require problem.initial_state")
-        psi = _as_state(problem.initial_state, problem.dim, "initial_state").copy()
-        n_steps = a.n_steps
-        penalty_sums = {i: 0.0 for i, t in enumerate(state_terms) if t.kind is CostKind.STATE_PENALTY}
-        overlap_sums = {i: 0.0 for i, t in enumerate(state_terms) if t.kind is CostKind.STATE_RUNNING_INFIDELITY}
-        for n in range(n_steps):
-            psi = problem.step_evaluator(a, n).forward(psi)
-            for i, t in enumerate(state_terms):
-                if t.kind is CostKind.STATE_PENALTY:
-                    penalty_sums[i] += np.vdot(psi, t.penalty_op.matvec(psi)).real
-                elif t.kind is CostKind.STATE_RUNNING_INFIDELITY:
-                    overlap_sums[i] += abs(np.vdot(t.target_state, psi)) ** 2
-        for i, t in enumerate(state_terms):
-            if t.kind is CostKind.STATE_INFIDELITY:
-                total += t.weight * (1.0 - abs(np.vdot(psi, t.target_state)) ** 2)
-            elif t.kind is CostKind.STATE_PENALTY:
-                total += t.weight * penalty_sums[i] / n_steps
-            else:
-                total += t.weight * (1.0 - overlap_sums[i] / n_steps)
-
+        total += _state_forward(step, a, psi0, state_terms, meter)[1]
     for term in gate_terms:
+        u_target, states = _gate_inputs(problem, term.target_gate, None)
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
-        d = problem.dim
-        u_target = np.asarray(term.target_gate, np.complex128)
-        traces = np.zeros(a.n_steps, dtype=np.complex128)
-        states = _gate_basis(problem, None)
-        evaluators = _EvaluatorMemo(problem, a)
-        for h in range(d):
-            target_image = u_target @ states[h]
-            psi = states[h].copy()
-            for n in range(a.n_steps):
-                psi = evaluators.get(n).forward(psi)
-                if running or n == a.n_steps - 1:
-                    traces[n] += np.vdot(target_image, psi)
-        if running:
-            total += term.weight * (1.0 - float(np.sum(np.abs(traces) ** 2)) / (a.n_steps * d * d))
-        else:
-            total += term.weight * (1.0 - abs(traces[-1]) ** 2 / (d * d))
+        total += term.weight * _gate_forward(step, a, u_target, states, running, meter)[1]
     return float(total)

@@ -18,7 +18,6 @@ import numpy as np
 from .costs import ControlField, ControlProblem, CostTerm, composite_cost, composite_grad
 
 __all__ = [
-    "EtaSchedule",
     "OptimizerConfig",
     "IterationRecord",
     "OptimizationTrace",
@@ -31,20 +30,16 @@ logger = logging.getLogger(__name__)
 #: ``backtracking`` shrinks on cost increase and regrows on acceptance.
 ETA_SCHEDULES = ("constant", "backtracking")
 
-# Backwards-friendly alias used in type hints.
-EtaSchedule = str
-
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 100
     eta0: float = 0.1
-    eta_schedule: EtaSchedule = "backtracking"
+    eta_schedule: str = "backtracking"
     shrink: float = 0.5
     grow: float = 1.1
     stop_cost: float = 0.0
     stop_grad_norm: float = 0.0
-    seed: int = 0
     max_backtracks: int = 60
 
     def __post_init__(self):

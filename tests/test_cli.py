@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -126,6 +128,36 @@ class TestOptimizeCommand:
         rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 1
 
+    def test_stale_lockfile_of_exited_process_is_reclaimed(self, tmp_path):
+        cfg_path = tmp_path / "rabi.cfg"
+        cfg_path.write_text(RABI_CFG)
+        out = tmp_path / "run"
+        out.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        (out / ".leangrape.lock").write_text(f"{child.pid}\n")
+        rc = cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 0
+        assert not (out / ".leangrape.lock").exists()
+
+    def test_lockfile_of_live_process_blocks(self, tmp_path):
+        cfg_path = tmp_path / "rabi.cfg"
+        cfg_path.write_text(RABI_CFG)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / ".leangrape.lock").write_text(f"{os.getpid()}\n")
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
+
+    def test_lockfile_holds_owner_pid(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setitem(
+            cli._RUNNERS,
+            "optimize",
+            lambda cfg, out_dir: seen.append((tmp_path / "run" / ".leangrape.lock").read_text()),
+        )
+        cli.run(parse_config(RABI_CFG, "optimize"), str(tmp_path / "run"))
+        assert seen == [f"{os.getpid()}\n"]
+
     def test_lock_released_after_run(self, tmp_path):
         cfg_path = tmp_path / "rabi.cfg"
         cfg_path.write_text(RABI_CFG)
@@ -133,6 +165,45 @@ class TestOptimizeCommand:
         assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert not (out / ".leangrape.lock").exists()
         assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+class TestOverrides:
+    """``--seed`` and ``--tau`` are checked like the keys of a config file."""
+
+    ADVISE_CFG = (
+        "advise.d = 4096\nadvise.n = 1000\nadvise.kappa = sub_quadratic\n"
+        "advise.mu = sublinear\nadvise.task = state_transfer\n"
+        "advise.memory_ok = false\nadvise.gradients_available = true\n"
+    )
+
+    def test_tau_on_advise_refused(self, tmp_path, capsys):
+        cfg = parse_config(self.ADVISE_CFG, "advise")
+        with pytest.raises(ConfigError, match="tau"):
+            cli._apply_overrides(cfg, {"seed": None, "tau": "1e-4"})
+        cfg_path = tmp_path / "advise.cfg"
+        cfg_path.write_text(self.ADVISE_CFG)
+        assert cli.main(["advise", "--config", str(cfg_path), "--tau", "1e-4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no payload, so no config hash either
+        assert "'tau' does not apply to subcommand 'advise'" in captured.err
+
+    def test_seed_on_expm_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "expm.cfg"
+        cfg_path.write_text("expm.matrix = a.mat\nexpm.vector = b.vec\n")
+        assert cli.main(["expm", "--config", str(cfg_path), "--seed", "3"]) == 1
+        assert "'seed' does not apply to subcommand 'expm'" in capsys.readouterr().err
+
+    def test_negative_tau_refused_before_model_build(self, tmp_path, capsys, monkeypatch):
+        def no_build(cfg):
+            raise AssertionError("model built before the override was validated")
+
+        monkeypatch.setattr(cli, "_model_params", no_build)
+        cfg_path = tmp_path / "rabi.cfg"
+        cfg_path.write_text(RABI_CFG)
+        out = tmp_path / "run"
+        argv = ["optimize", "--config", str(cfg_path), "--out", str(out), "--tau", "-1"]
+        assert cli.main(argv) == 1
+        assert "tau: must be positive" in capsys.readouterr().err
 
 
 class TestAdviseCommand:

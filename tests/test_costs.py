@@ -306,15 +306,25 @@ class TestComposite:
         assert fused.cost == pytest.approx(w1 * r1.cost + w2 * r2.cost, abs=1e-12)
         assert np.abs(fused.grad - (w1 * r1.grad + w2 * r2.grad)).max() <= 1e-12
 
-    def test_composite_cost_matches_grad_cost(self, rng):
-        d, n, k = 5, 3, 2
+    @pytest.mark.parametrize(
+        "kinds",
+        [(kind,) for kind in CostKind] + [tuple(CostKind)],
+        ids=[kind.value for kind in CostKind] + ["mixed"],
+    )
+    def test_composite_cost_matches_grad_cost(self, rng, kinds):
+        # the line search and the gradient must see the very same number
+        d, n, k = 5, 5, 2
         psi0, phi = random_state(rng, d), random_state(rng, d)
+        omega = sparse.from_dense(random_hermitian(rng, d))
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         problem = make_problem(rng, d, k, psi0=psi0)
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
-        terms = [CostTerm(CostKind.STATE_INFIDELITY, 1.0, target_state=phi)]
-        assert costs.composite_cost(problem, field, terms) == pytest.approx(
-            costs.composite_grad(problem, field, terms).cost, abs=1e-13
-        )
+        terms = [
+            CostTerm(kind, 0.3 + 0.2 * i, target_state=phi, target_gate=u_target, penalty_op=omega)
+            for i, kind in enumerate(kinds)
+        ]
+        cost = costs.composite_cost(problem, field, terms)
+        assert cost == costs.composite_grad(problem, field, terms).cost
 
     def test_requires_terms(self, rng):
         problem = make_problem(rng, 3, 1)
@@ -339,6 +349,43 @@ class TestCostTermValidation:
     def test_negative_weight(self, rng):
         with pytest.raises(ValueError, match="weight"):
             CostTerm(CostKind.STATE_INFIDELITY, -0.5, target_state=random_state(rng, 3))
+
+
+class TestStateValidation:
+    """States that make a certified cost meaningless are refused by name."""
+
+    @staticmethod
+    def rabi_problem(initial_state=None):
+        return costs.ControlProblem(
+            sparse.build_csr([], 2, 2), (sparse.from_dense(SX),), initial_state=initial_state
+        )
+
+    def test_unnormalized_target_refused(self):
+        problem = self.rabi_problem()
+        field = costs.ControlField.constant(0.3, 2, 1, 0.5)
+        psi0 = np.array([1.0, 0.0], complex)
+        for grad in (costs.c1_state_grad, costs.c3_state_grad):
+            with pytest.raises(ValueError, match="phi_target"):
+                grad(problem, field, psi0, np.array([0.0, 3.0]))
+        with pytest.raises(ValueError, match="target_state"):
+            CostTerm(CostKind.STATE_INFIDELITY, target_state=np.array([0.0, 3.0]))
+
+    def test_non_finite_psi0_refused(self):
+        problem = self.rabi_problem()
+        field = costs.ControlField.constant(0.3, 2, 1, 0.5)
+        phi = np.array([0.0, 1.0], complex)
+        with pytest.raises(ValueError, match="psi0"):
+            costs.c1_state_grad(problem, field, np.array([np.nan, 1.0]), phi)
+        with pytest.raises(ValueError, match="psi0"):
+            costs.forward_propagate(problem, field, np.array([np.inf, 0.0]))
+
+    def test_unnormalized_initial_state_refused(self):
+        problem = self.rabi_problem(initial_state=np.array([1.0, 1.0], complex))
+        field = costs.ControlField.constant(0.3, 2, 1, 0.5)
+        terms = [CostTerm(CostKind.STATE_INFIDELITY, target_state=np.array([0.0, 1.0]))]
+        for evaluate in (costs.composite_cost, costs.composite_grad):
+            with pytest.raises(ValueError, match="initial_state"):
+                evaluate(problem, field, terms)
 
 
 class TestInvariantsAndInstrumentation:
