@@ -16,7 +16,7 @@ from .sparse import (
     is_hermitian,
 )
 from .expm import ExpmPlan, PlanningError, make_plan, apply, expm_multiply
-from .derivatives import Backend, StepContext, DiagFactorization
+from .derivatives import Backend, DiagFactorization
 from .costs import (
     ControlField,
     ControlProblem,
@@ -49,7 +49,6 @@ __all__ = [
     "apply",
     "expm_multiply",
     "Backend",
-    "StepContext",
     "DiagFactorization",
     "ControlField",
     "ControlProblem",

@@ -160,9 +160,7 @@ class ControlProblem:
             h_step = linear_combine(coeffs, [self.h_static, *self.h_controls])
         else:
             h_step = self._pattern.combine(coeffs)
-        ctx = StepContext(
-            h_step, self.h_controls, a.dt, self.backend, self.tau, validate=False
-        )
+        ctx = StepContext(h_step, a.dt, self.backend, self.tau)
         return StepEvaluator(ctx, self._scaled_controls(a.dt))
 
 

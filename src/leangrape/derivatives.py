@@ -9,6 +9,9 @@ Two interchangeable backends evaluate ``U psi``, ``U^dagger psi`` and
   derivative in its top block.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
   evaluates products and derivatives through the eigenbasis.
+
+Both sit behind :class:`StepEvaluator`, the one object that propagates
+or differentiates a step.
 """
 
 from __future__ import annotations
@@ -20,25 +23,18 @@ from enum import Enum
 import numpy as np
 
 from . import expm
-from .sparse import DenseMatrix, Matrix, is_hermitian
+from .sparse import DenseMatrix, Matrix
 
 __all__ = [
     "Backend",
-    "StepContext",
     "DiagFactorization",
     "ScaledGenerator",
     "scale_controls",
     "BlockDerivativeOperator",
-    "propagate",
-    "propagate_adjoint",
-    "derivative_action_aux",
     "diag_prepare",
     "derivative_action_diag",
     "StepEvaluator",
 ]
-
-#: Relative threshold below which an eigenvalue gap counts as degenerate.
-_DEGENERACY_RTOL = 1e-12
 
 
 class Backend(Enum):
@@ -48,31 +44,18 @@ class Backend(Enum):
 
 @dataclass(frozen=True)
 class StepContext:
-    """One time step: combined Hamiltonian, control operators, dt, engine choice.
+    """One time step: combined Hamiltonian, dt and engine choice.
 
     ``h_step`` already contains the control amplitudes of the step, i.e.
-    it is ``H_s + sum_k a_k h_k``.  ``validate=False`` skips the
-    Hermiticity check for callers that construct ``h_step`` from operators
-    validated once up front.
+    it is ``H_s + sum_k a_k h_k``; it is assembled by
+    :meth:`leangrape.costs.ControlProblem.step_evaluator` from operators
+    checked there.
     """
 
     h_step: Matrix
-    h_controls: tuple[Matrix, ...]
     dt: float
-    backend: Backend = Backend.SCALING_SQUARING
-    tau: float = 1e-8
-    validate: bool = True
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.validate:
-            tol = 1e-12 * max(1.0, self.h_step.one_norm())
-            if not is_hermitian(self.h_step, tol):
-                raise ValueError("step Hamiltonian is not Hermitian within tolerance")
-            for k, hc in enumerate(self.h_controls):
-                if not is_hermitian(hc, 1e-12 * max(1.0, hc.one_norm())):
-                    raise ValueError(f"control operator {k} is not Hermitian")
+    backend: Backend
+    tau: float
 
     @property
     def dim(self) -> int:
@@ -85,31 +68,18 @@ class DiagFactorization:
 
     ``eigvecs`` is unitary, ``eigvals`` holds the purely imaginary
     eigenvalues of ``A`` and ``exp_eigvals`` their elementwise
-    exponentials.  ``exp_diffs[i, j] = exp_eigvals[j] - exp_eigvals[i]``
-    and ``inv_gaps[i, j]`` is ``1 / (eigvals[j] - eigvals[i])`` with zeros
-    on the diagonal and on (near-)degenerate pairs.
+    exponentials.  ``kernel[i, j]`` is the divided difference of ``exp``
+    at ``eigvals[i]`` and ``eigvals[j]``; with ``eigvals = -i w`` it is
+    ``exp(-i (w_i + w_j) / 2) sinc((w_j - w_i) / 2)``, which is symmetric,
+    tends to ``exp_eigvals[i]`` as the two eigenvalues meet and needs no
+    degeneracy threshold.
     """
 
     dim: int
     eigvecs: np.ndarray = field(repr=False)
     eigvals: np.ndarray = field(repr=False)
     exp_eigvals: np.ndarray = field(repr=False)
-    exp_diffs: np.ndarray = field(repr=False)
-    inv_gaps: np.ndarray = field(repr=False)
-
-
-def _generator(ctx: StepContext) -> Matrix:
-    return ctx.h_step.scaled(-1j * ctx.dt)
-
-
-def propagate(ctx: StepContext, psi: np.ndarray) -> np.ndarray:
-    """Apply the short-time propagator ``exp(-i H dt)`` to ``psi``."""
-    return StepEvaluator(ctx).forward(psi)
-
-
-def propagate_adjoint(ctx: StepContext, psi: np.ndarray) -> np.ndarray:
-    """Apply the adjoint propagator ``exp(+i H dt)`` to ``psi``."""
-    return StepEvaluator(ctx).adjoint(psi)
+    kernel: np.ndarray = field(repr=False)
 
 
 class ScaledGenerator:
@@ -214,41 +184,18 @@ def aux_plan(aux, tau: float) -> expm.ExpmPlan:
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
 
 
-def derivative_action_aux(
-    ctx: StepContext, channel: int, psi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Derivative product ``(dU/da_k) psi`` via the block embedding.
-
-    Returns ``(dU_psi, U_psi)``: applying the exponential of the embedded
-    generator to the stacked vector ``(0, psi)`` yields the derivative in
-    the top block and the propagated state in the bottom block.
-    """
-    psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape != (ctx.dim,):
-        raise ValueError("state dimension mismatch")
-    result = StepEvaluator(ctx)._embedded_action(channel, psi)
-    return result[: ctx.dim].copy(), result[ctx.dim :].copy()
-
-
 def diag_prepare(ctx: StepContext) -> DiagFactorization:
     """Dense eigenfactorization of ``-i H dt`` for the current step."""
-    h_dense = ctx.h_step.to_dense()
-    w, vecs = np.linalg.eigh(h_dense * ctx.dt)
+    w, vecs = np.linalg.eigh(ctx.h_step.to_dense() * ctx.dt)
     eigvals = -1j * w.astype(np.complex128)
-    exp_eigvals = np.exp(eigvals)
-    exp_diffs = exp_eigvals[None, :] - exp_eigvals[:, None]
-    gaps = eigvals[None, :] - eigvals[:, None]
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    degenerate = np.abs(gaps) <= _DEGENERACY_RTOL * max(scale, 1e-300)
-    inv_gaps = np.zeros_like(gaps)
-    np.divide(1.0, gaps, out=inv_gaps, where=~degenerate)
+    half = np.exp(0.5 * eigvals)
+    gap = w[None, :] - w[:, None]
     return DiagFactorization(
         dim=ctx.dim,
         eigvecs=vecs,
         eigvals=eigvals,
-        exp_eigvals=exp_eigvals,
-        exp_diffs=exp_diffs,
-        inv_gaps=inv_gaps,
+        exp_eigvals=np.exp(eigvals),
+        kernel=np.outer(half, half) * np.sinc(gap / (2 * np.pi)),
     )
 
 
@@ -264,35 +211,34 @@ def derivative_action_diag(
     """Derivative product ``(d exp(A) / da) psi`` through the eigenbasis.
 
     With ``A = S D S^dagger`` the derivative is
-    ``S ((expD + E o F) o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is
-    the elementwise product; the full inner matrix is required, so this
-    path costs dense matrix products.  Degenerate eigenvalue pairs
-    contribute only through the diagonal ``expD`` term.
+    ``S (K o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is the
+    elementwise product and ``K`` the divided-difference kernel of
+    :class:`DiagFactorization`; the full inner matrix is required, so this
+    path costs dense matrix products.
     """
     dense = da_da if isinstance(da_da, np.ndarray) else da_da.to_dense()
     if dense.shape != (fact.dim, fact.dim):
         raise ValueError("derivative generator dimension mismatch")
     s = fact.eigvecs
-    inner = s.conj().T @ dense @ s
-    hadamard = fact.exp_diffs * fact.inv_gaps
-    hadamard = hadamard + np.diag(fact.exp_eigvals)
-    weighted = hadamard * inner
-    return s @ (weighted @ (s.conj().T @ psi))
+    s_h = s.conj().T
+    inner = s_h @ dense @ s
+    inner *= fact.kernel
+    return s @ (inner @ (s_h @ psi))
 
 
 class StepEvaluator:
-    """Caches per-step planning work across forward, adjoint and derivative calls.
+    """Propagates and differentiates one time step, caching its planning work.
 
+    Evaluators come from :meth:`leangrape.costs.ControlProblem.step_evaluator`.
     With the scaling-and-squaring backend this holds the generator, its
     negation and its plan, plus lazily built block embeddings per control
     channel; with the diagonalization backend it holds the
-    eigenfactorization.  ``controls`` are the scaled control generators
-    of ``ctx`` (see :func:`scale_controls`), shared by every step with the
-    same ``dt``; they are built here when not given.  Nothing here scales
-    with the number of time steps.
+    eigenfactorization.  ``controls`` are the problem's scaled control
+    generators (see :func:`scale_controls`), shared by every step with the
+    same ``dt``.  Nothing here scales with the number of time steps.
     """
 
-    def __init__(self, ctx: StepContext, controls: tuple[ScaledGenerator, ...] | None = None):
+    def __init__(self, ctx: StepContext, controls: tuple[ScaledGenerator, ...]):
         self.ctx = ctx
         self._controls = controls
         self._fact: DiagFactorization | None = None
@@ -307,16 +253,9 @@ class StepEvaluator:
             self._fact = diag_prepare(self.ctx)
         return self._fact
 
-    def _control(self, channel: int) -> ScaledGenerator:
-        if not 0 <= channel < len(self.ctx.h_controls):
-            raise IndexError(f"control channel {channel} out of range")
-        if self._controls is None:
-            self._controls = scale_controls(self.ctx.h_controls, self.ctx.dt)
-        return self._controls[channel]
-
     def _generator_plan(self) -> tuple[Matrix, expm.ExpmPlan]:
         if self._gen is None:
-            self._gen = _generator(self.ctx)
+            self._gen = self.ctx.h_step.scaled(-1j * self.ctx.dt)
             self._plan = expm.make_plan(
                 self._gen.one_norm(), self._gen.max_row_nnz(), self.ctx.tau
             )
@@ -337,10 +276,18 @@ class StepEvaluator:
             self._neg_gen = gen.scaled(-1.0)
         return expm.apply(self._neg_gen, psi, plan, validate=False)
 
-    def _embedded_action(self, channel: int, psi: np.ndarray) -> np.ndarray:
-        """``exp(aux) (0, psi)``: the derivative on top, ``U psi`` below."""
+    def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
+        """``(dU/da_channel) psi`` for the backend of this step.
+
+        On scaling and squaring the block embedding's exponential applied
+        to ``(0, psi)`` carries the derivative in its top block.
+        """
+        if not 0 <= channel < len(self._controls):
+            raise IndexError(f"control channel {channel} out of range")
+        control = self._controls[channel]
+        if self.ctx.backend is Backend.DIAGONALIZATION:
+            return derivative_action_diag(self._factorization(), control.matrix, psi)
         if channel not in self._aux:
-            control = self._control(channel)
             if self._step_sums is None:
                 self._step_sums = ScaledGenerator(self._generator_plan()[0])
             aux = BlockDerivativeOperator(self._step_sums, control)
@@ -349,11 +296,4 @@ class StepEvaluator:
         d = self.ctx.dim
         stacked = np.zeros(2 * d, dtype=np.complex128)
         stacked[d:] = psi
-        return expm.apply(aux, stacked, plan, validate=False)
-
-    def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
-        """``(dU/da_channel) psi`` for the backend of this step."""
-        if self.ctx.backend is Backend.DIAGONALIZATION:
-            da = self._control(channel).matrix
-            return derivative_action_diag(self._factorization(), da, psi)
-        return self._embedded_action(channel, psi)[: self.ctx.dim].copy()
+        return expm.apply(aux, stacked, plan, validate=False)[:d].copy()

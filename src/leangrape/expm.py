@@ -316,7 +316,6 @@ def apply(
     plan: ExpmPlan,
     *,
     validate: bool = True,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Evaluate ``exp(A) @ psi`` under a previously selected plan.
 
@@ -341,11 +340,6 @@ def apply(
         raise ValueError("generator is not anti-Hermitian within tolerance")
 
     current = np.array(psi, dtype=np.complex128, copy=True)
-    if out is not None:
-        if out.shape != psi.shape:
-            raise ValueError("out has the wrong shape")
-        np.copyto(out, current)
-        current = out
     term = np.empty_like(current)
     work = np.empty_like(current)
     s = plan.scaling

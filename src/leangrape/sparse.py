@@ -496,7 +496,8 @@ def load_matrix(path) -> CsrMatrix:
                 raise SparseMatrixError(f"{path}: malformed matrix entry on line {i + 2}")
             rows[i] = int(parts[0])
             cols[i] = int(parts[1])
-            vals[i] = complex(float(parts[2]), float(parts[3]))
+            vals[i] = _finite_entry(parts[2], parts[3], path, i + 2)
+        _refuse_extra_entries(fh, path, nnz)
     return build_csr_arrays(rows, cols, vals, n_rows, n_cols)
 
 
@@ -511,11 +512,31 @@ def save_vector(path, v: np.ndarray) -> None:
 
 def load_vector(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        dim = int(fh.readline().split()[0])
+        header = fh.readline().split()
+        if len(header) != 1:
+            raise SparseMatrixError(f"{path}: malformed vector header")
+        dim = int(header[0])
         out = np.empty(dim, np.complex128)
         for i in range(dim):
             parts = fh.readline().split()
             if len(parts) != 2:
                 raise SparseMatrixError(f"{path}: malformed vector entry on line {i + 2}")
-            out[i] = complex(float(parts[0]), float(parts[1]))
+            out[i] = _finite_entry(parts[0], parts[1], path, i + 2)
+        _refuse_extra_entries(fh, path, dim)
     return out
+
+
+def _finite_entry(real: str, imag: str, path, line_no: int) -> complex:
+    z = complex(float(real), float(imag))
+    if not np.isfinite(z):
+        raise SparseMatrixError(f"{path}: non-finite entry on line {line_no}")
+    return z
+
+
+def _refuse_extra_entries(fh, path, count: int) -> None:
+    """Refuse any non-blank line after the ``count`` entries the header announced."""
+    for line_no, line in enumerate(fh, start=count + 2):
+        if line.strip():
+            raise SparseMatrixError(
+                f"{path}: entry on line {line_no} beyond the header's count of {count}"
+            )

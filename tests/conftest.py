@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from leangrape import sparse
+from leangrape import costs, sparse
+from leangrape.derivatives import Backend
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -40,6 +41,19 @@ class CountingOperator:
     def matvec(self, v, out=None):
         self.calls += 1
         return self.op.matvec(v, out)
+
+
+def make_step(h_dense, hc_denses, dt, backend=Backend.SCALING_SQUARING, tau=1e-10):
+    """The step evaluator of ``H = h_dense`` driven by ``hc_denses``.
+
+    Built through ``ControlProblem.step_evaluator`` at zero amplitudes, so
+    the step Hamiltonian is ``h_dense`` itself; a step with no controls
+    gets one zero control.
+    """
+    d = h_dense.shape[0]
+    controls = tuple(sparse.from_dense(hc) for hc in hc_denses) or (sparse.build_csr([], d, d),)
+    problem = costs.ControlProblem(sparse.from_dense(h_dense), controls, backend, tau)
+    return problem.step_evaluator(costs.ControlField.constant(0.0, 1, len(controls), dt), 0)
 
 
 def expm_action_oracle(a_dense, psi):

@@ -25,9 +25,9 @@ import pytest
 from leangrape import bench, costs, expm, models, optimizer, sparse
 from leangrape.bench import KappaScaling, MuScaling, StrategyMethod, Task
 from leangrape.costs import CostKind, CostTerm, VectorMeter
-from leangrape.derivatives import Backend, derivative_action_aux, derivative_action_diag, diag_prepare, StepContext
+from leangrape.derivatives import Backend, derivative_action_diag, diag_prepare
 
-from conftest import expm_action_oracle, random_hermitian, random_state
+from conftest import expm_action_oracle, make_step, random_hermitian, random_state
 
 TAUS = (1e-4, 1e-8, 1e-12)
 
@@ -346,20 +346,19 @@ class TestCriterion7BackendEquivalence:
         for i in range(50):
             d = int(rng.integers(3, 33))
             if i == 0:
-                h0 = np.diag(np.repeat([1.0, 2.0], [2, d - 2])).astype(complex)  # degenerate
+                h0 = np.diag(np.repeat([1.0, 2.0], [2, d - 2])).astype(complex)
             else:
                 h0 = random_hermitian(rng, d)
             hc = random_hermitian(rng, d)
             a = float(rng.normal(scale=0.5))
+            if i == 0:
+                a = 0.0  # the step itself is degenerate
             dt = float(rng.uniform(0.05, 0.6))
             psi = random_state(rng, d)
-            ctx = StepContext(
-                sparse.from_dense(h0 + a * hc), (sparse.from_dense(hc),), dt,
-                Backend.SCALING_SQUARING, 1e-10,
-            )
-            du_aux, _ = derivative_action_aux(ctx, 0, psi)
+            step = make_step(h0 + a * hc, [hc], dt, Backend.SCALING_SQUARING, 1e-10)
+            du_aux = step.control_derivative(0, psi)
             du_diag = derivative_action_diag(
-                diag_prepare(ctx), -1j * dt * hc.astype(complex), psi
+                diag_prepare(step.ctx), -1j * dt * hc.astype(complex), psi
             )
             rel = np.linalg.norm(du_aux - du_diag) / max(np.linalg.norm(du_diag), 1e-300)
             worst = max(worst, rel)

@@ -222,7 +222,8 @@ class TestAdviseCommand:
 
 
 class TestExpmCommand:
-    def test_rotation_fixture(self, tmp_path, capsys):
+    @staticmethod
+    def rotation_config(tmp_path):
         a = sparse.build_csr(
             [(0, 1, -1j * np.pi / 2), (1, 0, -1j * np.pi / 2)], 2, 2
         )
@@ -234,6 +235,10 @@ class TestExpmCommand:
             f"expm.vector = {tmp_path / 'psi.vec'}\n"
             "tau = 1e-10\n"
         )
+        return cfg_path
+
+    def test_rotation_fixture(self, tmp_path, capsys):
+        cfg_path = self.rotation_config(tmp_path)
         rc = cli.main(["expm", "--config", str(cfg_path)])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip())
@@ -241,6 +246,45 @@ class TestExpmCommand:
         assert np.linalg.norm(result - np.array([0.0, -1j])) <= 1e-10
         assert payload["mu"] == payload["m"] * payload["s"]
         assert payload["bound"] <= payload["tau"]
+
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("psi.vec", "2\nnan 0\n0 0\n", 2),
+            ("rot.mat", "2 2 2\n0 1 0 -1.5\n1 0 0 inf\n", 3),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_non_finite_entry_refused(self, tmp_path, capsys, name, text, line):
+        cfg_path = self.rotation_config(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert cli.main(["expm", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{tmp_path / name}: non-finite entry on line {line}" in captured.err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("psi.vec", "2\n1 0\n0 0\n0 1\n"),
+            ("rot.mat", "2 2 2\n0 1 0 -1.5\n1 0 0 -1.5\n1 1 0 -1.5\n"),
+        ],
+        ids=["vector", "matrix"],
+    )
+    def test_entry_beyond_header_count_refused(self, tmp_path, capsys, name, text):
+        cfg_path = self.rotation_config(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert cli.main(["expm", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{tmp_path / name}: entry on line 4 beyond the header's count of 2" in captured.err
+
+    @pytest.mark.parametrize("header", ["", "2 2"], ids=["empty", "two_fields"])
+    def test_malformed_vector_header_refused(self, tmp_path, capsys, header):
+        cfg_path = self.rotation_config(tmp_path)
+        (tmp_path / "psi.vec").write_text(f"{header}\n1 0\n0 0\n")
+        assert cli.main(["expm", "--config", str(cfg_path)]) == 1
+        assert f"{tmp_path / 'psi.vec'}: malformed vector header" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         cfg_path = tmp_path / "expm.cfg"

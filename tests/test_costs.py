@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leangrape import costs, expm, sparse
+from leangrape import costs, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
 from leangrape.derivatives import Backend
 
@@ -106,6 +106,21 @@ class TestC1State:
         assert_fd_match(
             res, lambda f: costs.c1_state_grad(problem, f, psi0, phi).cost, field
         )
+
+
+    def test_backends_agree_on_degenerate_spectrum(self, rng):
+        # qubit_chain(3) at zero drive has repeated eigenvalues that its controls couple
+        h, ctrls = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        d = h.n_rows
+        psi0, phi = random_state(rng, d), random_state(rng, d)
+        field = costs.ControlField.constant(0.0, 5, len(ctrls), 0.1)
+        grads = [
+            costs.c1_state_grad(
+                costs.ControlProblem(h, tuple(ctrls), backend, 1e-12), field, psi0, phi
+            ).grad
+            for backend in BACKENDS
+        ]
+        assert np.linalg.norm(grads[1] - grads[0]) <= 1e-8 * np.linalg.norm(grads[0])
 
 
 class TestC2State:
