@@ -9,13 +9,19 @@ independent of the number of time steps.  Recovering ``psi_n`` by adjoint
 propagation doubles the propagation error (to at most ``2 N tau``
 accumulated) in exchange for that constant memory footprint.
 
+At each step the backward pass asks the step for all control overlaps
+``<lambda_i| dU/da_k |psi>`` at once
+(:meth:`leangrape.derivatives.StepEvaluator.control_overlaps`); it holds
+no derivative vector and no loop over channels.
+
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
-its :class:`GradientResult`.  Vectors of the doubled derivative-embedding
-dimension count as two.  The propagation engine itself adds a constant
-per-call scratch overhead (three work vectors, plus the stacked in/out
-pair for derivative embeddings) that does not grow with anything and is
-not metered.
+its :class:`GradientResult`.  The propagation engine itself adds a
+per-call scratch overhead that is not metered: three work vectors for a
+product, and for one overlaps call the start vector and three work
+arrays of a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense
+storage), held one block at a time.  It depends on neither the number
+of time steps nor the number of channels.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .derivatives import Backend, ScaledGenerator, StepContext, StepEvaluator, scale_controls
+from .derivatives import Backend, ScaledControls, StepContext, StepEvaluator
 from .sparse import DenseMatrix, FixedPatternSum, Matrix, is_hermitian, linear_combine
 
 __all__ = [
@@ -107,7 +113,9 @@ class ControlProblem:
     sparsity pattern of ``h_static`` and ``h_controls``, built on first
     use and kept on the instance; dense problems use
     :func:`leangrape.sparse.linear_combine`.  The scaled control
-    generators of the most recent ``dt`` are kept as well.
+    generators of the most recent ``dt`` are kept as well, with the
+    stacked controls of their channel blocks once a scaling-and-squaring
+    gradient has built them.
     """
 
     h_static: Matrix
@@ -144,10 +152,10 @@ class ControlProblem:
             return None
         return FixedPatternSum(ops)
 
-    def _scaled_controls(self, dt: float) -> tuple[ScaledGenerator, ...]:
+    def _scaled_controls(self, dt: float) -> ScaledControls:
         cached = self.__dict__.get("_controls_at")
         if cached is None or cached[0] != dt:
-            cached = (dt, scale_controls(self.h_controls, dt))
+            cached = (dt, ScaledControls(self.h_controls, dt, self._pattern is None))
             self.__dict__["_controls_at"] = cached
         return cached[1]
 
@@ -335,17 +343,15 @@ def _state_pass(
     meter = VectorMeter(problem.dim)
     psi, cost, final_overlaps = _state_forward(step, a, psi0, terms, meter)
 
-    # ---- backward sweep: adjoint-propagate psi_N and all co-states
-    costates: dict[int, np.ndarray] = {}
+    # ---- backward sweep: adjoint-propagate psi_N and all co-states (one per row)
+    costates = meter.grab(np.empty((len(terms), problem.dim), dtype=np.complex128))
     for i, term in enumerate(terms):
         if term.kind is CostKind.STATE_INFIDELITY:
-            costates[i] = meter.grab(np.asarray(term.target_state, np.complex128).copy())
+            costates[i] = term.target_state
         elif term.kind is CostKind.STATE_PENALTY:
-            costates[i] = meter.grab(term.penalty_op.matvec(psi))
+            term.penalty_op.matvec(psi, out=costates[i])
         else:
-            costates[i] = meter.grab(
-                np.asarray(term.target_state, np.complex128) * np.vdot(term.target_state, psi)
-            )
+            np.multiply(term.target_state, np.vdot(term.target_state, psi), out=costates[i])
 
     grad = np.zeros((n_steps, n_channels))
     for n in range(n_steps - 1, -1, -1):
@@ -353,31 +359,28 @@ def _state_pass(
         prev = meter.grab(ev.adjoint(psi))  # psi_{n-1}
         meter.release(psi)
         psi = prev
-        for k in range(n_channels):
-            du_psi = meter.grab(ev.control_derivative(k, psi))
-            for i, term in enumerate(terms):
-                inner = np.vdot(costates[i], du_psi)
-                if term.kind is CostKind.STATE_INFIDELITY:
-                    contrib = -2.0 * (inner * final_overlaps[i]).real
-                elif term.kind is CostKind.STATE_PENALTY:
-                    contrib = 2.0 / n_steps * inner.real
-                else:
-                    contrib = -2.0 / n_steps * inner.real
-                grad[n, k] += term.weight * contrib
-            meter.release(du_psi)
+        overlaps = ev.control_overlaps(costates, psi)
+        for i, term in enumerate(terms):
+            if term.kind is CostKind.STATE_INFIDELITY:
+                contrib = -2.0 * (overlaps[i] * final_overlaps[i]).real
+            elif term.kind is CostKind.STATE_PENALTY:
+                contrib = 2.0 / n_steps * overlaps[i].real
+            else:
+                contrib = -2.0 / n_steps * overlaps[i].real
+            grad[n] += term.weight * contrib
         if n > 0:
             for i, term in enumerate(terms):
                 moved = meter.grab(ev.adjoint(costates[i]))
-                meter.release(costates[i])
+                costates[i] = moved
+                meter.release(moved)
                 if term.kind is CostKind.STATE_PENALTY:
                     drive = meter.grab(term.penalty_op.matvec(psi))
-                    moved += drive
+                    costates[i] += drive
                     meter.release(drive)
                 elif term.kind is CostKind.STATE_RUNNING_INFIDELITY:
-                    moved += np.asarray(term.target_state, np.complex128) * np.vdot(
+                    costates[i] += np.asarray(term.target_state, np.complex128) * np.vdot(
                         term.target_state, psi
                     )
-                costates[i] = moved
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
 
 
@@ -507,10 +510,7 @@ def _gate_pass(
             prev = meter.grab(ev.adjoint(psi))
             meter.release(psi)
             psi = prev
-            for k in range(n_channels):
-                du_psi = meter.grab(ev.control_derivative(k, psi))
-                accum[n, k] += np.vdot(costate, du_psi)
-                meter.release(du_psi)
+            accum[n] += ev.control_overlaps(costate[None, :], psi)[0]
             if n > 0:
                 moved = meter.grab(ev.adjoint(costate))
                 meter.release(costate)

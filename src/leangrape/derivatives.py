@@ -1,17 +1,23 @@
 """Propagator-state products, adjoints, and control derivatives.
 
-Two interchangeable backends evaluate ``U psi``, ``U^dagger psi`` and
-``(dU/da) psi`` for the short-time propagator ``U = exp(-i H dt)``:
+Two interchangeable backends evaluate ``U psi``, ``U^dagger psi`` and the
+control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
+``U = exp(-i H dt)``:
 
 * ``SCALING_SQUARING`` works matrix-free through the certified engine in
-  :mod:`leangrape.expm`; derivatives use a block-upper-triangular
-  embedding of dimension ``2d`` whose exponential action carries the
-  derivative in its top block.
+  :mod:`leangrape.expm`.  Derivatives come from Van Loan's
+  block-upper-triangular embedding of dimension ``2d``, whose
+  exponential action carries the derivative in its top block.  On CSR
+  storage one :class:`BlockDerivativeOperator` fuses up to
+  :data:`CHANNEL_BLOCK` channels that share the embedding's bottom block,
+  and each channel still runs the arithmetic of its own embedding.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
-  evaluates products and derivatives through the eigenbasis.
+  evaluates products and overlaps through the eigenbasis.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
-or differentiates a step.
+or differentiates a step.  Its :meth:`~StepEvaluator.control_derivative`
+and :func:`derivative_action_diag` give one channel's derivative vector;
+they are the single-channel reference the overlaps are tested against.
 """
 
 from __future__ import annotations
@@ -19,22 +25,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from . import expm
-from .sparse import DenseMatrix, Matrix
+from .sparse import CsrMatrix, DenseMatrix, Matrix, build_csr_arrays
 
 __all__ = [
     "Backend",
     "DiagFactorization",
     "ScaledGenerator",
-    "scale_controls",
+    "ChannelBlock",
+    "ScaledControls",
+    "CHANNEL_BLOCK",
     "BlockDerivativeOperator",
     "diag_prepare",
     "derivative_action_diag",
     "StepEvaluator",
 ]
+
+
+#: Channels fused into one block embedding on CSR storage.  The block's
+#: work arrays hold ``CHANNEL_BLOCK + 1`` state vectors each.
+CHANNEL_BLOCK = 4
 
 
 class Backend(Enum):
@@ -98,78 +112,158 @@ class ScaledGenerator:
         self.row_nnz = matrix.row_nnz_counts()
 
 
-def scale_controls(h_controls, dt: float) -> tuple[ScaledGenerator, ...]:
-    """The control generators ``-i h_k dt`` of every channel."""
-    return tuple(ScaledGenerator(hc.scaled(-1j * dt)) for hc in h_controls)
+class ChannelBlock:
+    """Consecutive control channels whose derivatives one embedding carries.
+
+    When every control is CSR, ``stacked`` interleaves them for the
+    ``(d, w + 1)`` layout of :class:`BlockDerivativeOperator`: its row
+    ``i (w + 1) + 1 + t`` holds row ``i`` of channel ``t``'s control, with
+    column ``j`` moved to ``j (w + 1)``, where the block keeps ``y_j``.
+    Within a row the elements keep the control's order.  With a dense
+    control ``stacked`` is None.
+    """
+
+    __slots__ = ("controls", "stacked")
+
+    def __init__(self, controls: tuple[ScaledGenerator, ...]):
+        self.controls = controls
+        self.stacked: CsrMatrix | None = None
+        if all(isinstance(c.matrix, CsrMatrix) for c in controls):
+            w = len(controls)
+            n = controls[0].matrix.n_rows * (w + 1)
+            parts = [c.matrix.triplets() for c in controls]
+            self.stacked = build_csr_arrays(
+                np.concatenate([r * (w + 1) + 1 + t for t, (r, _, _) in enumerate(parts)]),
+                np.concatenate([k * (w + 1) for _, k, _ in parts]),
+                np.concatenate([v for _, _, v in parts]),
+                n, n,
+            )
+
+
+class ScaledControls:
+    """The control generators ``-i h_k dt`` of one ``dt`` and their channel blocks.
+
+    ``generators[k]`` is channel ``k``.  ``blocks`` groups consecutive
+    channels :data:`CHANNEL_BLOCK` at a time on CSR storage and one at a
+    time on dense storage (see :class:`BlockDerivativeOperator`); the last
+    block may be narrower.  It is built by the first scaling-and-squaring
+    overlaps that need it and shared by every step with this ``dt``.
+    """
+
+    def __init__(self, h_controls, dt: float, dense_storage: bool):
+        self.generators = tuple(ScaledGenerator(hc.scaled(-1j * dt)) for hc in h_controls)
+        self.width = 1 if dense_storage else CHANNEL_BLOCK
+
+    @cached_property
+    def blocks(self) -> tuple[ChannelBlock, ...]:
+        g, w = self.generators, self.width
+        return tuple(ChannelBlock(g[k : k + w]) for k in range(0, len(g), w))
 
 
 class BlockDerivativeOperator:
-    """Matrix-free action of the block-embedded derivative generator.
+    """Matrix-free Van Loan embedding of one :class:`ChannelBlock`'s derivatives.
 
-    Acts on stacked vectors ``(x, y)`` as ``(A x + A_c y, A y)`` with
-    ``A = -i H dt`` and ``A_c = -i h_c dt``, which is entrywise the
-    :func:`leangrape.sparse.aux_embed` matrix without allocating it.  On
-    CSR storage one stacked product is three state-dimension products:
-    ``A x`` into the top block, ``A_c y`` accumulated onto it, and
-    ``A y`` into the bottom block.  When either block is dense, the top
-    block row ``T = [A | A_c]`` is kept as one column-major ``d x 2d``
-    matrix whose left half serves as ``A``: a stacked product is then the
-    two dense products ``T v`` and ``A y`` on the same stored elements.
+    For one channel, with ``A = -i H dt`` and ``A_k = -i h_k dt``, the
+    embedding ``[[A, A_k], [0, A]]`` (the :func:`leangrape.sparse.aux_embed`
+    matrix) maps ``(x, y)`` to ``(A x + A_k y, A y)``, and its exponential
+    applied to ``(0, psi)`` is ``((dU/da_k) psi, U psi)``.  The channels of
+    a block share the bottom block ``y``.
 
-    Norms and the per-row element count are assembled exactly from the
-    blocks' column and row sums.  ``max_row_nnz`` is the largest
-    ``n_A + n_c`` of a top-block row, and either way that row is one sum
-    of its ``n_A + n_c`` products: a running sum on CSR storage, one
-    ``2d``-term dot product on dense storage.  (Two partial sums of
-    ``n_A`` and ``n_c`` terms plus one addition would have depth
-    ``max(n_A, n_c) + 1 <= n_A + n_c`` and be covered as well.)
+    CSR storage: the operator acts on a flattened C-ordered ``(d, w + 1)``
+    array ``[y | x_1 .. x_w]``.  One product is two kernel calls:
+    :meth:`~leangrape.sparse.CsrMatrix.matmat` multiplies ``A`` into all
+    ``w + 1`` columns, and the block's stacked control accumulates
+    ``A_k y`` onto column ``k``.  Top entry ``(i, k)`` is therefore one
+    running sum of the ``n_A + n_k`` products of row ``i`` of ``A`` and of
+    ``A_k``, in the order of the single-channel embedding, and column 0 is
+    that embedding's bottom block: every channel runs exactly the
+    arithmetic of its own ``2d`` embedding.
+
+    Dense storage: a block holds one channel and the operator acts on
+    ``(x, y)`` stacked as one ``2d`` vector.  The top block row
+    ``T = [A | A_k]`` is kept as one column-major ``d x 2d`` matrix whose
+    left half serves as ``A``: a product is the two dense products
+    ``T v`` and ``A y`` on the same stored elements.  Dense storage stays
+    at one channel because a fused block would turn these matrix-vector
+    products into matrix-matrix products, which are relatively cheaper as
+    ``d`` grows; that would bend the per-step runtime exponent that the
+    dense-storage scaling study measures for the paper's per-channel
+    algorithm.
+
+    ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the maxima over the
+    block's channels of each channel's ``2d`` embedding value, assembled
+    exactly from column and row sums; they are not norms of the block as
+    one matrix.  ``max_row_nnz`` is the largest ``n_A + n_k`` of a top
+    row, which on dense storage is one ``2d``-term dot product.  The
+    certified bound grows with the norm and with ``sigma'``, so a plan
+    for these maxima certifies every channel's own embedding.
     """
 
-    def __init__(self, step: ScaledGenerator, control: ScaledGenerator):
+    def __init__(self, step: ScaledGenerator, block: ChannelBlock):
         self.step = step
-        self.control = control
+        self.controls = block.controls
+        self.width = len(block.controls)
+        self._stacked = block.stacked
         d = step.matrix.n_rows
-        self.n_rows = self.n_cols = 2 * d
-        self.shape = (2 * d, 2 * d)
-        self.nnz = 2 * step.matrix.nnz + control.matrix.nnz
+        self.n_rows = self.n_cols = d * (self.width + 1)
+        self.shape = (self.n_rows, self.n_cols)
+        self.nnz = (self.width + 1) * step.matrix.nnz + sum(c.matrix.nnz for c in self.controls)
         self._dense_top: np.ndarray | None = None
-        if isinstance(step.matrix, DenseMatrix) or isinstance(control.matrix, DenseMatrix):
+        if isinstance(step.matrix, DenseMatrix) or self._stacked is None:
+            if self.width != 1:
+                raise ValueError("a dense derivative block holds one channel")
             top = np.empty((d, 2 * d), dtype=np.complex128, order="F")
-            for half, m in ((top[:, :d], step.matrix), (top[:, d:], control.matrix)):
+            for half, m in ((top[:, :d], step.matrix), (top[:, d:], self.controls[0].matrix)):
                 half[...] = m.array if isinstance(m, DenseMatrix) else m.to_dense()
             self._dense_top = top
 
-    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def stack(self, psi: np.ndarray) -> np.ndarray:
+        """The start vector: ``psi`` in the bottom block, zero derivatives."""
+        v = np.zeros(self.n_rows, dtype=np.complex128)
+        self.split(v)[1][...] = psi
+        return v
+
+    def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of ``v`` as the ``(d, w)`` top blocks ``[x_1 .. x_w]`` and the bottom ``y``."""
         d = self.step.matrix.n_rows
-        if v.shape != (2 * d,):
+        if self._dense_top is not None:
+            return v[:d, None], v[d:]
+        cols = v.reshape(d, self.width + 1)
+        return cols[:, 1:], cols[:, 0]
+
+    def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if v.shape != (self.n_rows,):
             raise ValueError("stacked vector dimension mismatch")
         if out is None:
-            out = np.empty(2 * d, dtype=np.complex128)
+            out = np.empty(self.n_rows, dtype=np.complex128)
+        d = self.step.matrix.n_rows
         if self._dense_top is not None:
             np.matmul(self._dense_top, v, out=out[:d])
             np.matmul(self._dense_top[:, :d], v[d:], out=out[d:])
             return out
-        gen = self.step.matrix
-        gen.matvec(v[:d], out=out[:d])
-        self.control.matrix.matvec_add(v[d:], out[:d])
-        gen.matvec(v[d:], out=out[d:])
+        shape = (d, self.width + 1)
+        self.step.matrix.matmat(v.reshape(shape), out=out.reshape(shape))
+        self._stacked.matvec_add(v, out)
         return out
 
     def one_norm(self) -> float:
         gen_cols = self.step.col_abs_sums
         if gen_cols.size == 0:
             return 0.0
-        return float(max(gen_cols.max(), (gen_cols + self.control.col_abs_sums).max()))
+        tops = [(gen_cols + c.col_abs_sums).max() for c in self.controls]
+        return float(max(gen_cols.max(), *tops))
 
     def inf_norm(self) -> float:
         gen_rows = self.step.row_abs_sums
         if gen_rows.size == 0:
             return 0.0
-        return float(max((gen_rows + self.control.row_abs_sums).max(), gen_rows.max()))
+        tops = [(gen_rows + c.row_abs_sums).max() for c in self.controls]
+        return float(max(gen_rows.max(), *tops))
 
     def max_row_nnz(self) -> int:
-        counts = self.step.row_nnz + self.control.row_nnz
-        return int(counts.max()) if counts.size else 0
+        if self.step.row_nnz.size == 0:
+            return 0
+        return int(max((self.step.row_nnz + c.row_nnz).max() for c in self.controls))
 
 
 def aux_plan(aux, tau: float) -> expm.ExpmPlan:
@@ -214,9 +308,15 @@ def derivative_action_diag(
     ``S (K o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is the
     elementwise product and ``K`` the divided-difference kernel of
     :class:`DiagFactorization`; the full inner matrix is required, so this
-    path costs dense matrix products.
+    path costs dense matrix products.  A dense control's array is used as
+    it is stored; a CSR control is densified.
     """
-    dense = da_da if isinstance(da_da, np.ndarray) else da_da.to_dense()
+    if isinstance(da_da, DenseMatrix):
+        dense = da_da.array
+    elif isinstance(da_da, np.ndarray):
+        dense = da_da
+    else:
+        dense = da_da.to_dense()
     if dense.shape != (fact.dim, fact.dim):
         raise ValueError("derivative generator dimension mismatch")
     s = fact.eigvecs
@@ -226,26 +326,34 @@ def derivative_action_diag(
     return s @ (inner @ (s_h @ psi))
 
 
+def _trace_product(w: np.ndarray, m: Matrix) -> complex:
+    """``tr(W M)``, reading only the stored elements of ``M``."""
+    if isinstance(m, DenseMatrix):
+        return complex(np.einsum("ij,ji->", w, m.array))
+    rows = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
+    return complex(np.dot(w[m.col_indices, rows], m.values))
+
+
 class StepEvaluator:
     """Propagates and differentiates one time step, caching its planning work.
 
     Evaluators come from :meth:`leangrape.costs.ControlProblem.step_evaluator`.
-    With the scaling-and-squaring backend this holds the generator, its
-    negation and its plan, plus lazily built block embeddings per control
-    channel; with the diagonalization backend it holds the
-    eigenfactorization.  ``controls`` are the problem's scaled control
-    generators (see :func:`scale_controls`), shared by every step with the
-    same ``dt``.  Nothing here scales with the number of time steps.
+    With the scaling-and-squaring backend this holds the generator and its
+    plan, plus lazily built block embeddings with their plans; with the
+    diagonalization backend it holds the eigenfactorization.  ``controls``
+    are the problem's scaled control generators (see
+    :class:`ScaledControls`), shared by every step with the same ``dt``.
+    Nothing here scales with the number of time steps.
     """
 
-    def __init__(self, ctx: StepContext, controls: tuple[ScaledGenerator, ...]):
+    def __init__(self, ctx: StepContext, controls: ScaledControls):
         self.ctx = ctx
         self._controls = controls
         self._fact: DiagFactorization | None = None
         self._gen: Matrix | None = None
-        self._neg_gen: Matrix | None = None
         self._plan: expm.ExpmPlan | None = None
-        self._step_sums: ScaledGenerator | None = None
+        self._sums: ScaledGenerator | None = None
+        self._blocks: list[tuple[BlockDerivativeOperator, expm.ExpmPlan]] | None = None
         self._aux: dict[int, tuple[BlockDerivativeOperator, expm.ExpmPlan]] = {}
 
     def _factorization(self) -> DiagFactorization:
@@ -261,6 +369,12 @@ class StepEvaluator:
             )
         return self._gen, self._plan
 
+    def _embedding(self, block: ChannelBlock) -> tuple[BlockDerivativeOperator, expm.ExpmPlan]:
+        if self._sums is None:
+            self._sums = ScaledGenerator(self._generator_plan()[0])
+        aux = BlockDerivativeOperator(self._sums, block)
+        return aux, aux_plan(aux, self.ctx.tau)
+
     def forward(self, psi: np.ndarray) -> np.ndarray:
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return _diag_propagate(self._factorization(), psi, adjoint=False)
@@ -268,32 +382,69 @@ class StepEvaluator:
         return expm.apply(gen, psi, plan, validate=False)
 
     def adjoint(self, psi: np.ndarray) -> np.ndarray:
-        """``U^dagger psi``; the negated generator has the same norm, so the plan is shared."""
+        """``U^dagger psi``: the negated generator's exponential, under the same plan."""
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return _diag_propagate(self._factorization(), psi, adjoint=True)
         gen, plan = self._generator_plan()
-        if self._neg_gen is None:
-            self._neg_gen = gen.scaled(-1.0)
-        return expm.apply(self._neg_gen, psi, plan, validate=False)
+        return expm.apply(gen, psi, plan, validate=False, negate=True)
+
+    def control_overlaps(self, costates: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """``<lambda_i| dU/da_k |psi>`` for the rows ``lambda_i`` of ``costates``.
+
+        Returns an ``(n_costates, n_channels)`` array.  On scaling and
+        squaring each :class:`ChannelBlock` runs one certified application
+        of its :class:`BlockDerivativeOperator` to ``(0, psi)``, planned by
+        :func:`aux_plan`.  On the diagonalization backend, with
+        ``l = S^H lambda``, ``p = S^H psi`` and the kernel ``K``, the
+        overlap is ``l^H (K o S^H A_k S) p = tr(W A_k)`` with
+        ``W = S G^T S^H`` and ``G = (conj(l) p^T) o K``: two products of
+        dense matrices per co-state whatever the number of channels, and
+        ``tr(W A_k)`` reads only the stored elements of ``A_k``.
+        """
+        costates = np.asarray(costates)
+        d = self.ctx.dim
+        if costates.ndim != 2 or costates.shape[1] != d:
+            raise ValueError(f"costates must have shape (n, {d}), got {costates.shape}")
+        conj = costates.conj()
+        out = np.empty((costates.shape[0], len(self._controls.generators)), dtype=np.complex128)
+        if self.ctx.backend is Backend.DIAGONALIZATION:
+            fact = self._factorization()
+            s = fact.eigvecs
+            s_h = s.conj().T
+            p = s_h @ psi
+            for i, conj_l in enumerate(conj @ s):
+                g = np.multiply.outer(conj_l, p)
+                g *= fact.kernel
+                w = s @ g.T @ s_h
+                for k, control in enumerate(self._controls.generators):
+                    out[i, k] = _trace_product(w, control.matrix)
+            return out
+        if self._blocks is None:
+            self._blocks = [self._embedding(b) for b in self._controls.blocks]
+        k = 0
+        for aux, plan in self._blocks:
+            # no view of a block's result outlives its product with the co-states
+            result = expm.apply(aux, aux.stack(psi), plan, validate=False)
+            out[:, k : k + aux.width] = conj @ aux.split(result)[0]
+            del result
+            k += aux.width
+        return out
 
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.
 
-        On scaling and squaring the block embedding's exponential applied
-        to ``(0, psi)`` carries the derivative in its top block.
+        The single-channel reference for :meth:`control_overlaps`: on
+        scaling and squaring the channel's own block embedding, applied to
+        ``(0, psi)``, carries the derivative in its top block.
         """
-        if not 0 <= channel < len(self._controls):
+        generators = self._controls.generators
+        if not 0 <= channel < len(generators):
             raise IndexError(f"control channel {channel} out of range")
-        control = self._controls[channel]
+        control = generators[channel]
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return derivative_action_diag(self._factorization(), control.matrix, psi)
         if channel not in self._aux:
-            if self._step_sums is None:
-                self._step_sums = ScaledGenerator(self._generator_plan()[0])
-            aux = BlockDerivativeOperator(self._step_sums, control)
-            self._aux[channel] = (aux, aux_plan(aux, self.ctx.tau))
+            self._aux[channel] = self._embedding(ChannelBlock((control,)))
         aux, plan = self._aux[channel]
-        d = self.ctx.dim
-        stacked = np.zeros(2 * d, dtype=np.complex128)
-        stacked[d:] = psi
-        return expm.apply(aux, stacked, plan, validate=False)[:d].copy()
+        x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False))
+        return x[:, 0].copy()

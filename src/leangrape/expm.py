@@ -316,8 +316,9 @@ def apply(
     plan: ExpmPlan,
     *,
     validate: bool = True,
+    negate: bool = False,
 ) -> np.ndarray:
-    """Evaluate ``exp(A) @ psi`` under a previously selected plan.
+    """Evaluate ``exp(A) @ psi``, or ``exp(-A) @ psi`` with ``negate``, under a plan.
 
     Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
     ``B = A / s`` accumulated into the current iterate, repeated
@@ -332,6 +333,11 @@ def apply(
     the certified bound holds.  Callers applying the block-embedded
     derivative generator disable it and certify through the generalized
     two-norm surrogate instead (see :mod:`leangrape.derivatives`).
+
+    ``negate`` folds the sign into the ``1 / (s j)`` scalar.  Negation is
+    exact in floating point, so the result equals ``apply`` on the
+    negated matrix bit for bit, and ``-A`` has the norm, and so the plan,
+    of ``A``.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if a.n_rows != a.n_cols or psi.shape != (a.n_cols,):
@@ -343,11 +349,12 @@ def apply(
     term = np.empty_like(current)
     work = np.empty_like(current)
     s = plan.scaling
+    sign = -1.0 if negate else 1.0
     for _ in range(s):
         np.copyto(term, current)
         for j in range(1, plan.order + 1):
             a.matvec(term, out=work)
-            np.multiply(work, 1.0 / (s * j), out=term)
+            np.multiply(work, sign / (s * j), out=term)
             current += term
     return current
 

@@ -7,7 +7,9 @@ time so that the stored-element count is an honest measure of memory and
 of per-row work in the rounding-error model.
 
 CSR products run on scipy's compiled ``csr_matvec`` kernel, which
-accumulates each row as one running sum into the output vector.
+accumulates each row as one running sum into the output vector; products
+with a block of vectors run on ``csr_matvecs``, which keeps the same
+running sum per column.
 """
 
 from __future__ import annotations
@@ -104,16 +106,38 @@ class CsrMatrix:
                 f"matvec dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
                 f"vector has shape {v.shape}, out has shape {out.shape}"
             )
-        # two arrays that each own their data overlap only if they are one array
-        if v is out or (
-            (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
-        ):
-            raise SparseMatrixError("out must not overlap the input vector")
+        _refuse_overlap(v, out)
 
     def _accumulate(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         # raises ValueError itself when out is not a writeable complex128 array
         _sparsetools().csr_matvec(
             self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, v, out
+        )
+        return out
+
+    def matmat(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``A X`` for an ``(n_cols, w)`` block, written into ``out`` when given.
+
+        Runs scipy's ``csr_matvecs``, which adds each row's products into
+        all ``w`` columns in stored order: column ``t`` of the result is
+        the running sum :meth:`matvec` computes for column ``t`` of ``X``.
+        ``out`` must be C-contiguous and must not overlap ``block``.
+        """
+        width = block.shape[1] if block.ndim == 2 else -1
+        if out is None:
+            out = np.empty((self.n_rows, max(width, 0)), dtype=np.complex128)
+        if block.shape != (self.n_cols, width) or out.shape != (self.n_rows, width):
+            raise SparseMatrixError(
+                f"matmat dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
+                f"block has shape {block.shape}, out has shape {out.shape}"
+            )
+        if not out.flags.c_contiguous:
+            raise SparseMatrixError("matmat writes a C-contiguous out block")
+        _refuse_overlap(block, out)
+        out.fill(0.0)
+        _sparsetools().csr_matvecs(
+            self.n_rows, self.n_cols, width, self.row_offsets, self.col_indices, self.values,
+            block.ravel(), out.ravel(),
         )
         return out
 
@@ -262,6 +286,15 @@ class DenseMatrix:
 
 
 Matrix = CsrMatrix | DenseMatrix
+
+
+def _refuse_overlap(v: np.ndarray, out: np.ndarray) -> None:
+    # the kernels read v while they write out;
+    # two arrays that each own their data overlap only if they are one array
+    if v is out or (
+        (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
+    ):
+        raise SparseMatrixError("out must not overlap the input vector")
 
 
 def build_csr_arrays(rows, cols, vals, n_rows: int, n_cols: int) -> CsrMatrix:

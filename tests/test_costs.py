@@ -1,11 +1,13 @@
 """Cost contributions, hard-coded gradients, and the constant-memory contract."""
 
+import math
+
 import numpy as np
 import pytest
 
 from leangrape import costs, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
-from leangrape.derivatives import Backend
+from leangrape.derivatives import CHANNEL_BLOCK, Backend
 
 from conftest import CountingOperator, random_hermitian, random_state
 
@@ -501,7 +503,8 @@ class TestStepAssembly:
 
 
 class TestCountedMatvecs:
-    def test_one_gradient_runs_the_planned_products(self, rng, monkeypatch):
+    @staticmethod
+    def assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k):
         real_apply = expm.apply
         planned, counted = [], []
 
@@ -513,11 +516,18 @@ class TestCountedMatvecs:
             return out
 
         monkeypatch.setattr(expm, "apply", counting_apply)
-        d, n, k = 6, 3, 2
+        d, n = 6, 3
         problem = make_problem(rng, d, k, tau=1e-10)
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
         costs.c1_state_grad(problem, field, random_state(rng, d), random_state(rng, d))
-        # n forward, 2n - 1 adjoint and n * k derivative applications
-        assert len(planned) == n + (2 * n - 1) + n * k
+        # n forward, 2n - 1 adjoint and one derivative application per channel block and step
+        assert len(planned) == n + (2 * n - 1) + n * math.ceil(k / CHANNEL_BLOCK)
         assert counted == planned
         assert sum(counted) > len(counted)
+
+    def test_one_gradient_runs_the_planned_products(self, rng, monkeypatch):
+        self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=2)
+
+    def test_partial_channel_block_runs_the_planned_products(self, rng, monkeypatch):
+        # one full block of CHANNEL_BLOCK channels and one partial block
+        self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=5)

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from leangrape import expm, sparse
+from leangrape import costs, expm, sparse
 from leangrape.derivatives import (
+    CHANNEL_BLOCK,
     Backend,
     BlockDerivativeOperator,
+    ChannelBlock,
     ScaledGenerator,
     aux_plan,
     derivative_action_diag,
     diag_prepare,
 )
 
-from conftest import make_step, random_hermitian, random_state
+from conftest import make_step, random_hermitian, random_sparse_dense_pair, random_state
 
 
 def fd_derivative(h_dense, hc_dense, a, dt, psi, eps=1e-6):
@@ -87,10 +89,10 @@ class TestAuxDerivative:
         # the embedding's bottom block carries U psi
         aux = BlockDerivativeOperator(
             ScaledGenerator(step.ctx.h_step.scaled(-1j * 0.3)),
-            ScaledGenerator(sparse.build_csr([], d, d)),
+            ChannelBlock((ScaledGenerator(sparse.build_csr([], d, d)),)),
         )
-        stacked = np.concatenate([np.zeros(d, complex), psi])
-        u_psi = expm.apply(aux, stacked, aux_plan(aux, step.ctx.tau), validate=False)[d:]
+        out = expm.apply(aux, aux.stack(psi), aux_plan(aux, step.ctx.tau), validate=False)
+        u_psi = aux.split(out)[1]
         assert np.linalg.norm(u_psi - step.forward(psi)) <= 2e-10
 
     def test_commuting_closed_form(self, rng):
@@ -123,11 +125,15 @@ class TestAuxDerivative:
         h = sparse.from_dense(random_hermitian(rng, d))
         hc = sparse.from_dense(random_hermitian(rng, d))
         op = BlockDerivativeOperator(
-            ScaledGenerator(h.scaled(-1j * dt)), ScaledGenerator(hc.scaled(-1j * dt))
+            ScaledGenerator(h.scaled(-1j * dt)),
+            ChannelBlock((ScaledGenerator(hc.scaled(-1j * dt)),)),
         )
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
-        assert np.linalg.norm(op.matvec(v) - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
+        # the CSR block keeps (d, 2) columns [y | x]; the embedding stacks (x, y)
+        x, y = op.split(op.matvec(np.column_stack([v[d:], v[:d]]).ravel()))
+        got = np.concatenate([x[:, 0], y])
+        assert np.linalg.norm(got - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
         assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
         assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
         # each top-block row is one running sum over both blocks' elements
@@ -138,7 +144,8 @@ class TestAuxDerivative:
         h = sparse.DenseMatrix(random_hermitian(rng, d))
         hc = sparse.DenseMatrix(random_hermitian(rng, d))
         op = BlockDerivativeOperator(
-            ScaledGenerator(h.scaled(-1j * dt)), ScaledGenerator(hc.scaled(-1j * dt))
+            ScaledGenerator(h.scaled(-1j * dt)),
+            ChannelBlock((ScaledGenerator(hc.scaled(-1j * dt)),)),
         )
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
@@ -148,6 +155,28 @@ class TestAuxDerivative:
         assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
         assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
         assert op.max_row_nnz() == aux.max_row_nnz() == 2 * d
+        with pytest.raises(ValueError, match="one channel"):
+            BlockDerivativeOperator(op.step, ChannelBlock(op.controls * 2))
+
+    def test_channel_block_runs_each_channels_arithmetic(self, rng):
+        d, dt, w = 11, 0.41, 3
+        step = ScaledGenerator(random_sparse_dense_pair(rng, d, 0.4)[0])
+        controls = tuple(
+            ScaledGenerator(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(-1j * dt * 10.0**t))
+            for t in (-1, 0, 1)
+        )
+        block = BlockDerivativeOperator(step, ChannelBlock(controls))
+        singles = [BlockDerivativeOperator(step, ChannelBlock((c,))) for c in controls]
+        v = rng.normal(size=(d, w + 1)) + 1j * rng.normal(size=(d, w + 1))
+        x, y = block.split(block.matvec(v.ravel()))
+        for t, single in enumerate(singles):
+            xs, ys = single.split(single.matvec(v[:, [0, 1 + t]].ravel()))
+            assert np.array_equal(x[:, t], xs[:, 0])
+            assert np.array_equal(y, ys)
+        # the block's norms are the largest of its channels' embeddings
+        assert block.one_norm() == max(s.one_norm() for s in singles)
+        assert block.inf_norm() == max(s.inf_norm() for s in singles)
+        assert block.max_row_nnz() == max(s.max_row_nnz() for s in singles)
 
 
 class TestDiagPrepare:
@@ -257,3 +286,98 @@ class TestCrossBackendProperties:
         assert np.isfinite(du).all()
         fd = fd_derivative(h0, hc, a, dt, psi)
         assert np.linalg.norm(du - fd) / np.linalg.norm(fd) <= 1e-7
+
+
+def make_overlap_step(rng, d, n_channels, backend, storage, dt=0.3, scales=None):
+    """A step driven by ``n_channels`` controls, at nonzero amplitudes.
+
+    Without ``scales`` the controls are one Hermitian matrix conjugated by
+    random diagonal phases: their entries have equal magnitudes, so every
+    channel block plans exactly as each of its channels would, and a block
+    column runs its channel's own arithmetic.  ``scales`` multiplies the
+    channels' norms instead.
+    """
+    mask = rng.random((d, d)) < 0.5
+    h0 = random_hermitian(rng, d) * (mask | mask.T | np.eye(d, dtype=bool))
+    hc = random_hermitian(rng, d) * (mask | mask.T)
+    hcs = []
+    for k in range(n_channels):
+        if scales is None:
+            phase = np.exp(2j * np.pi * rng.random(d))
+            hcs.append(phase[:, None] * hc * phase.conj()[None, :])
+        else:
+            hcs.append(scales[k % len(scales)] * random_hermitian(rng, d) * (mask | mask.T))
+    wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+    problem = costs.ControlProblem(wrap(h0), tuple(wrap(h) for h in hcs), backend, 1e-10)
+    field = costs.ControlField(1, n_channels, dt, 0.2 * rng.normal(size=(1, n_channels)))
+    return problem, field, problem.step_evaluator(field, 0)
+
+
+class TestControlOverlaps:
+    @pytest.mark.parametrize("n_channels", [1, 3, 4, 5, 9])
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_match_single_channel_reference(self, rng, backend, storage, n_channels):
+        d = 10
+        step = make_overlap_step(rng, d, n_channels, backend, storage)[2]
+        psi = random_state(rng, d)
+        costates = np.array([random_state(rng, d), random_state(rng, d)])
+        got = step.control_overlaps(costates, psi)
+        want = np.array(
+            [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
+             for lam in costates]
+        )
+        assert got.shape == (2, n_channels)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_unequal_channel_norms_stay_certified(self, rng, monkeypatch):
+        d, n_channels, dt = 8, 5, 0.3
+        problem, field, step = make_overlap_step(
+            rng, d, n_channels, Backend.SCALING_SQUARING, "csr", dt, scales=(1.0, 10.0, 0.1)
+        )
+        tau = problem.tau
+        real_apply = expm.apply
+        blocks = []
+
+        def recording_apply(a, psi, plan, **kwargs):
+            if isinstance(a, BlockDerivativeOperator):
+                blocks.append((a, plan))
+            return real_apply(a, psi, plan, **kwargs)
+
+        monkeypatch.setattr(expm, "apply", recording_apply)
+        psi = random_state(rng, d)
+        # unit co-states read out every entry of every channel's derivative
+        derivs = step.control_overlaps(np.eye(d, dtype=complex), psi)
+        assert [a.width for a, _ in blocks] == [CHANNEL_BLOCK, n_channels - CHANNEL_BLOCK]
+
+        h_step = step.ctx.h_step
+        stacked = np.concatenate([np.zeros(d, complex), psi])
+        for k, hc in enumerate(problem.h_controls):
+            exact = scipy_expm(sparse.aux_embed(h_step, hc, dt).to_dense()) @ stacked
+            assert np.linalg.norm(derivs[:, k] - exact[:d]) <= tau
+        for block, plan in blocks:
+            assert plan == aux_plan(block, tau)
+            for control in block.controls:
+                own = aux_plan(BlockDerivativeOperator(block.step, ChannelBlock((control,))), tau)
+                assert plan.matvecs >= own.matvecs
+                bound = expm.error_bound(own.norm1, plan.order, plan.scaling, own.sigma_prime)
+                assert bound <= tau
+
+    def test_eigen_path_never_densifies_a_csr_control(self, rng, monkeypatch):
+        d = 9
+        step = make_overlap_step(rng, d, 3, Backend.DIAGONALIZATION, "csr")[2]
+        densified = []
+        real_to_dense = sparse.CsrMatrix.to_dense
+
+        def recording_to_dense(self):
+            densified.append(self)
+            return real_to_dense(self)
+
+        monkeypatch.setattr(sparse.CsrMatrix, "to_dense", recording_to_dense)
+        step.control_overlaps(random_state(rng, d)[None, :], random_state(rng, d))
+        assert densified == [step.ctx.h_step]  # the eigensolver's input only
+
+    def test_costates_shape_checked(self, rng):
+        step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.2)
+        with pytest.raises(ValueError, match="costates"):
+            step.control_overlaps(random_state(rng, 4), random_state(rng, 4))

@@ -64,6 +64,16 @@ class TestApply:
         out = expm.apply(a, psi, plan)
         assert np.linalg.norm(out - want) / np.linalg.norm(want) <= 1e-12
 
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_negate_equals_negated_generator(self, rng, storage):
+        dense = random_anti_hermitian(rng, 14, scale=2.0)
+        a = csr_from(dense) if storage == "csr" else sparse.DenseMatrix(dense)
+        psi = random_state(rng, 14)
+        plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-10)
+        got = expm.apply(a, psi, plan, negate=True)
+        assert np.array_equal(got, expm.apply(a.scaled(-1.0), psi, plan))
+        assert np.linalg.norm(got - expm_action_oracle(-dense, psi)) <= 1e-10
+
     def test_non_anti_hermitian_rejected(self, rng):
         dense = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = csr_from(dense)
