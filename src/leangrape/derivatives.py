@@ -308,15 +308,9 @@ def derivative_action_diag(
     ``S (K o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is the
     elementwise product and ``K`` the divided-difference kernel of
     :class:`DiagFactorization`; the full inner matrix is required, so this
-    path costs dense matrix products.  A dense control's array is used as
-    it is stored; a CSR control is densified.
+    path costs dense matrix products.
     """
-    if isinstance(da_da, DenseMatrix):
-        dense = da_da.array
-    elif isinstance(da_da, np.ndarray):
-        dense = da_da
-    else:
-        dense = da_da.to_dense()
+    dense = da_da if isinstance(da_da, np.ndarray) else da_da.to_dense()
     if dense.shape != (fact.dim, fact.dim):
         raise ValueError("derivative generator dimension mismatch")
     s = fact.eigvecs
@@ -332,6 +326,13 @@ def _trace_product(w: np.ndarray, m: Matrix) -> complex:
         return complex(np.einsum("ij,ji->", w, m.array))
     rows = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
     return complex(np.dot(w[m.col_indices, rows], m.values))
+
+
+def _times_block(m: Matrix, block: np.ndarray) -> np.ndarray:
+    """``M X`` for a C-contiguous block ``X``, reading only the stored elements of ``M``."""
+    if isinstance(m, DenseMatrix):
+        return m.array @ block
+    return m.matmat(block, np.empty((m.n_rows, block.shape[1]), dtype=np.complex128))
 
 
 class StepEvaluator:
@@ -396,10 +397,14 @@ class StepEvaluator:
         of its :class:`BlockDerivativeOperator` to ``(0, psi)``, planned by
         :func:`aux_plan`.  On the diagonalization backend, with
         ``l = S^H lambda``, ``p = S^H psi`` and the kernel ``K``, the
-        overlap is ``l^H (K o S^H A_k S) p = tr(W A_k)`` with
-        ``W = S G^T S^H`` and ``G = (conj(l) p^T) o K``: two products of
-        dense matrices per co-state whatever the number of channels, and
-        ``tr(W A_k)`` reads only the stored elements of ``A_k``.
+        overlap is ``l^H (K o S^H A_k S) p``.  Each call takes the cheaper
+        of two contractions, at two products of dense matrices per co-state
+        or per channel.  With at least as many channels as co-states it is
+        ``tr(W A_k)`` with ``W = S G^T S^H`` and ``G = (conj(l) p^T) o K``,
+        which reads only the stored elements of ``A_k``.  With fewer
+        channels ``M_k = K o S^H A_k S`` is formed once per channel and
+        every co-state contracts it with two matrix-vector products.  No
+        control is densified either way.
         """
         costates = np.asarray(costates)
         d = self.ctx.dim
@@ -412,11 +417,20 @@ class StepEvaluator:
             s = fact.eigvecs
             s_h = s.conj().T
             p = s_h @ psi
-            for i, conj_l in enumerate(conj @ s):
-                g = np.multiply.outer(conj_l, p)
+            conj_l = conj @ s
+            generators = self._controls.generators
+            if len(generators) < len(conj_l):
+                s_rows = np.ascontiguousarray(s)
+                for k, control in enumerate(generators):
+                    inner = s_h @ _times_block(control.matrix, s_rows)
+                    inner *= fact.kernel
+                    out[:, k] = conj_l @ (inner @ p)
+                return out
+            for i, row in enumerate(conj_l):
+                g = np.multiply.outer(row, p)
                 g *= fact.kernel
                 w = s @ g.T @ s_h
-                for k, control in enumerate(self._controls.generators):
+                for k, control in enumerate(generators):
                     out[i, k] = _trace_product(w, control.matrix)
             return out
         if self._blocks is None:

@@ -115,8 +115,8 @@ class CsrMatrix:
         )
         return out
 
-    def matmat(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``A X`` for an ``(n_cols, w)`` block, written into ``out`` when given.
+    def matmat(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A X`` for an ``(n_cols, w)`` block, written into ``out`` and returned.
 
         Runs scipy's ``csr_matvecs``, which adds each row's products into
         all ``w`` columns in stored order: column ``t`` of the result is
@@ -124,8 +124,6 @@ class CsrMatrix:
         ``out`` must be C-contiguous and must not overlap ``block``.
         """
         width = block.shape[1] if block.ndim == 2 else -1
-        if out is None:
-            out = np.empty((self.n_rows, max(width, 0)), dtype=np.complex128)
         if block.shape != (self.n_cols, width) or out.shape != (self.n_rows, width):
             raise SparseMatrixError(
                 f"matmat dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from leangrape import costs, expm, sparse
+from leangrape import costs, derivatives, expm, sparse
 from leangrape.derivatives import (
     CHANNEL_BLOCK,
     Backend,
@@ -363,7 +363,8 @@ class TestControlOverlaps:
                 bound = expm.error_bound(own.norm1, plan.order, plan.scaling, own.sigma_prime)
                 assert bound <= tau
 
-    def test_eigen_path_never_densifies_a_csr_control(self, rng, monkeypatch):
+    @pytest.mark.parametrize("n_costates", [1, 5])
+    def test_eigen_path_never_densifies_a_csr_control(self, rng, monkeypatch, n_costates):
         d = 9
         step = make_overlap_step(rng, d, 3, Backend.DIAGONALIZATION, "csr")[2]
         densified = []
@@ -374,8 +375,43 @@ class TestControlOverlaps:
             return real_to_dense(self)
 
         monkeypatch.setattr(sparse.CsrMatrix, "to_dense", recording_to_dense)
-        step.control_overlaps(random_state(rng, d)[None, :], random_state(rng, d))
+        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
+        step.control_overlaps(costates, random_state(rng, d))
         assert densified == [step.ctx.h_step]  # the eigensolver's input only
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("n_costates", [1, 3, 5])
+    def test_eigen_path_contracts_the_fewer_of_costates_and_channels(
+        self, rng, monkeypatch, storage, n_costates
+    ):
+        d, n_channels = 9, 3
+        step = make_overlap_step(rng, d, n_channels, Backend.DIAGONALIZATION, storage)[2]
+        calls = {"per_costate": 0, "per_channel": 0}
+
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            derivatives, "_trace_product", counting("per_costate", derivatives._trace_product)
+        )
+        monkeypatch.setattr(
+            derivatives, "_times_block", counting("per_channel", derivatives._times_block)
+        )
+        psi = random_state(rng, d)
+        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
+        got = step.control_overlaps(costates, psi)
+        if n_costates > n_channels:
+            assert calls == {"per_costate": 0, "per_channel": n_channels}
+        else:
+            assert calls == {"per_costate": n_costates * n_channels, "per_channel": 0}
+        want = np.array(
+            [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
+             for lam in costates]
+        )
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_costates_shape_checked(self, rng):
         step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.2)

@@ -147,7 +147,7 @@ class TestBlockKernel:
         controls = [random_sparse_dense_pair(rng, d, density=0.2)[0] for _ in range(w)]
         block = ChannelBlock(tuple(ScaledGenerator(c) for c in controls))
         v = rng.normal(size=(d, w + 1)) + 1j * rng.normal(size=(d, w + 1))
-        out = step.matmat(v)
+        out = step.matmat(v, np.empty((d, w + 1), complex))
         for t in range(w + 1):
             assert np.array_equal(out[:, t], step.matvec(v[:, t].copy()))
         block.stacked.matvec_add(v.ravel(), out.ravel())
@@ -161,7 +161,7 @@ class TestBlockKernel:
         a = random_sparse_dense_pair(rng, 5)[0]
         v = np.ones((5, 3), complex)
         with pytest.raises(sparse.SparseMatrixError, match="dimension"):
-            a.matmat(np.ones((4, 3), complex))
+            a.matmat(np.ones((4, 3), complex), np.empty((5, 3), complex))
         with pytest.raises(sparse.SparseMatrixError, match="C-contiguous"):
             a.matmat(v, out=np.empty((3, 5), complex).T)
         with pytest.raises(sparse.SparseMatrixError, match="overlap"):
