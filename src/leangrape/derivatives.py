@@ -12,7 +12,12 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   :data:`CHANNEL_BLOCK` channels that share the embedding's bottom block,
   and each channel still runs the arithmetic of its own embedding.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
-  evaluates products and overlaps through the eigenbasis.
+  evaluates products and overlaps through the eigenbasis.  A step whose
+  Hamiltonian has no nonzero imaginary part is factorized by the real
+  symmetric solver: its eigenbasis is float64 and every eigenbasis
+  product runs as a real matrix product.  The divided-difference kernel
+  the derivatives need is built on first use, so a forward sweep never
+  builds it.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
 or differentiates a step.  Its :meth:`~StepEvaluator.control_derivative`
@@ -80,20 +85,28 @@ class StepContext:
 class DiagFactorization:
     """Eigenfactorization of the anti-Hermitian generator ``A = -i H dt``.
 
-    ``eigvecs`` is unitary, ``eigvals`` holds the purely imaginary
+    ``eigvecs`` is unitary: float64 (real orthogonal) when ``H`` is real,
+    complex128 otherwise.  ``eigvals`` holds the purely imaginary
     eigenvalues of ``A`` and ``exp_eigvals`` their elementwise
     exponentials.  ``kernel[i, j]`` is the divided difference of ``exp``
     at ``eigvals[i]`` and ``eigvals[j]``; with ``eigvals = -i w`` it is
     ``exp(-i (w_i + w_j) / 2) sinc((w_j - w_i) / 2)``, which is symmetric,
     tends to ``exp_eigvals[i]`` as the two eigenvalues meet and needs no
-    degeneracy threshold.
+    degeneracy threshold.  Only derivatives read it, so it is built on
+    first use.
     """
 
     dim: int
     eigvecs: np.ndarray = field(repr=False)
     eigvals: np.ndarray = field(repr=False)
     exp_eigvals: np.ndarray = field(repr=False)
-    kernel: np.ndarray = field(repr=False)
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        w = -self.eigvals.imag
+        half = np.exp(0.5 * self.eigvals)
+        gap = w[None, :] - w[:, None]
+        return np.outer(half, half) * np.sinc(gap / (2 * np.pi))
 
 
 class ScaledGenerator:
@@ -279,24 +292,53 @@ def aux_plan(aux, tau: float) -> expm.ExpmPlan:
 
 
 def diag_prepare(ctx: StepContext) -> DiagFactorization:
-    """Dense eigenfactorization of ``-i H dt`` for the current step."""
-    w, vecs = np.linalg.eigh(ctx.h_step.to_dense() * ctx.dt)
+    """Dense eigenfactorization of ``-i H dt`` for the current step.
+
+    A Hermitian ``H`` whose imaginary parts are all zero is that real
+    symmetric matrix: the real solver reads the same lower triangle and
+    its orthogonal eigenbasis is a unitary one, at a third of the
+    complex solver's cost.
+    """
+    h = ctx.h_step
+    dense = h.array if isinstance(h, DenseMatrix) else h.to_dense()
+    if dense.imag.any():
+        w, vecs = np.linalg.eigh(dense * ctx.dt)
+    else:
+        w, vecs = np.linalg.eigh(dense.real * ctx.dt)
     eigvals = -1j * w.astype(np.complex128)
-    half = np.exp(0.5 * eigvals)
-    gap = w[None, :] - w[:, None]
     return DiagFactorization(
-        dim=ctx.dim,
-        eigvecs=vecs,
-        eigvals=eigvals,
-        exp_eigvals=np.exp(eigvals),
-        kernel=np.outer(half, half) * np.sinc(gap / (2 * np.pi)),
+        dim=ctx.dim, eigvecs=vecs, eigvals=eigvals, exp_eigvals=np.exp(eigvals)
     )
 
 
+def _adjoint(s: np.ndarray) -> np.ndarray:
+    """``S^dagger``: the view ``S^T`` of a real eigenbasis, a conjugate copy otherwise."""
+    return s.T if s.dtype == np.float64 else s.conj().T
+
+
+def _basis_product(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``S M`` for an eigenbasis matrix ``S`` (or its adjoint) and a complex ``M``.
+
+    A real ``S`` multiplies the float64 view of a C-contiguous ``M``: one
+    real product over the interleaved real and imaginary columns, where
+    numpy's mixed-type product would first copy ``S`` to complex.
+    """
+    if s.dtype != np.float64:
+        return s @ m
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    prod = s @ m.view(np.float64).reshape(m.shape[0], -1)
+    return prod.view(np.complex128).reshape(s.shape[0], *m.shape[1:])
+
+
+def _real_congruence(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``T M T^T`` for a real ``T``, as the two left products ``T (T M^T)^T``."""
+    return _basis_product(t, _basis_product(t, m.T).T)
+
+
 def _diag_propagate(fact: DiagFactorization, psi: np.ndarray, adjoint: bool) -> np.ndarray:
-    coeffs = fact.eigvecs.conj().T @ psi
+    coeffs = _basis_product(_adjoint(fact.eigvecs), psi)
     phases = np.conj(fact.exp_eigvals) if adjoint else fact.exp_eigvals
-    return fact.eigvecs @ (phases * coeffs)
+    return _basis_product(fact.eigvecs, phases * coeffs)
 
 
 def derivative_action_diag(
@@ -314,10 +356,10 @@ def derivative_action_diag(
     if dense.shape != (fact.dim, fact.dim):
         raise ValueError("derivative generator dimension mismatch")
     s = fact.eigvecs
-    s_h = s.conj().T
-    inner = s_h @ dense @ s
+    s_h = _adjoint(s)
+    inner = _real_congruence(s_h, dense) if s.dtype == np.float64 else s_h @ dense @ s
     inner *= fact.kernel
-    return s @ (inner @ (s_h @ psi))
+    return _basis_product(s, inner @ _basis_product(s_h, psi))
 
 
 def _trace_product(w: np.ndarray, m: Matrix) -> complex:
@@ -415,21 +457,23 @@ class StepEvaluator:
         if self.ctx.backend is Backend.DIAGONALIZATION:
             fact = self._factorization()
             s = fact.eigvecs
-            s_h = s.conj().T
-            p = s_h @ psi
-            conj_l = conj @ s
+            s_h = _adjoint(s)
+            real = s.dtype == np.float64
+            p = _basis_product(s_h, psi)
+            # conj(lambda)^T S = (S^T conj(lambda))^T for each row
+            conj_l = _basis_product(s.T, conj.T).T if real else conj @ s
             generators = self._controls.generators
             if len(generators) < len(conj_l):
-                s_rows = np.ascontiguousarray(s)
+                s_rows = np.ascontiguousarray(s, dtype=np.complex128)
                 for k, control in enumerate(generators):
-                    inner = s_h @ _times_block(control.matrix, s_rows)
+                    inner = _basis_product(s_h, _times_block(control.matrix, s_rows))
                     inner *= fact.kernel
                     out[:, k] = conj_l @ (inner @ p)
                 return out
             for i, row in enumerate(conj_l):
                 g = np.multiply.outer(row, p)
                 g *= fact.kernel
-                w = s @ g.T @ s_h
+                w = _real_congruence(s, g.T) if real else s @ g.T @ s_h
                 for k, control in enumerate(generators):
                     out[i, k] = _trace_product(w, control.matrix)
             return out

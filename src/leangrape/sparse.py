@@ -475,9 +475,15 @@ def aux_embed(h_step: Matrix, h_control: Matrix, dt: float) -> Matrix:
 
 def _max_abs_combination(a: Matrix, b_coeff: complex) -> float:
     """max |a + b_coeff * a^dagger| over stored positions of the combination."""
+    if isinstance(a, DenseMatrix):
+        if not a.array.size:
+            return 0.0
+        # one d x d temporary: the combination is formed in the conjugate's buffer
+        combined = a.array.conj().T
+        combined *= b_coeff
+        combined += a.array
+        return float(np.abs(combined).max())
     combined = linear_combine([1.0, b_coeff], [a, a.conj_transpose()])
-    if isinstance(combined, DenseMatrix):
-        return float(np.abs(combined.array).max()) if combined.array.size else 0.0
     if combined.nnz == 0:
         return 0.0
     return float(np.abs(combined.values).max())

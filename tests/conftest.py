@@ -12,6 +12,11 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * 0.5 * (m + m.conj().T)
 
 
+def random_real_symmetric(rng, dim):
+    m = rng.normal(size=(dim, dim))
+    return 0.5 * (m + m.T)
+
+
 def random_anti_hermitian(rng, dim, scale=1.0):
     return -1j * random_hermitian(rng, dim, scale)
 

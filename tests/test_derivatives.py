@@ -4,19 +4,26 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from leangrape import costs, derivatives, expm, sparse
+from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.derivatives import (
     CHANNEL_BLOCK,
     Backend,
     BlockDerivativeOperator,
     ChannelBlock,
+    DiagFactorization,
     ScaledGenerator,
     aux_plan,
     derivative_action_diag,
     diag_prepare,
 )
 
-from conftest import make_step, random_hermitian, random_sparse_dense_pair, random_state
+from conftest import (
+    make_step,
+    random_hermitian,
+    random_real_symmetric,
+    random_sparse_dense_pair,
+    random_state,
+)
 
 
 def fd_derivative(h_dense, hc_dense, a, dt, psi, eps=1e-6):
@@ -417,3 +424,192 @@ class TestControlOverlaps:
         step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.2)
         with pytest.raises(ValueError, match="costates"):
             step.control_overlaps(random_state(rng, 4), random_state(rng, 4))
+
+
+def real_step_problem(rng, d, storage):
+    """A real ``H_s`` with two real controls and a sigma_y-like one (``i`` times antisymmetric)."""
+    mask = rng.random((d, d)) < 0.5
+    mask = mask | mask.T
+    h0 = random_real_symmetric(rng, d) * (mask | np.eye(d, dtype=bool))
+    skew = rng.normal(size=(d, d)) * mask
+    hcs = [random_real_symmetric(rng, d) * mask for _ in range(2)] + [1j * (skew - skew.T)]
+    wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+    controls = tuple(wrap(h) for h in hcs)
+    return costs.ControlProblem(wrap(h0), controls, Backend.DIAGONALIZATION, 1e-10)
+
+
+def complex_diag_prepare(ctx):
+    """The complex solver's factorization of the step: the reference for a real step."""
+    w, vecs = np.linalg.eigh(ctx.h_step.to_dense() * ctx.dt)
+    eigvals = -1j * w.astype(np.complex128)
+    return DiagFactorization(ctx.dim, vecs, eigvals, np.exp(eigvals))
+
+
+def max_rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestRealEigenbasis:
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_eigvecs_dtype_follows_the_hamiltonian(self, rng, storage):
+        d = 8
+        problem = real_step_problem(rng, d, storage)
+        field = costs.ControlField(1, 3, 0.3, np.array([[0.4, -0.2, 0.0]]))
+        fact = diag_prepare(problem.step_evaluator(field, 0).ctx)
+        assert fact.eigvecs.dtype == np.float64
+        # a nonzero amplitude on the sigma_y-like control makes the step complex
+        field = field.replace_amplitudes(np.array([[0.4, -0.2, 0.1]]))
+        fact = diag_prepare(problem.step_evaluator(field, 0).ctx)
+        assert fact.eigvecs.dtype == np.complex128
+
+    def test_real_path_invariants(self, rng):
+        d, dt = 24, 0.6
+        h = random_real_symmetric(rng, d)
+        fact = diag_prepare(make_step(h, [], dt).ctx)
+        assert fact.eigvecs.dtype == np.float64
+        rebuilt = fact.eigvecs @ np.diag(fact.eigvals) @ fact.eigvecs.T
+        norm1 = np.abs(dt * h).sum(axis=0).max()
+        assert np.abs(rebuilt - (-1j * dt * h)).max() <= 1e-12 * norm1
+        assert np.abs(fact.eigvecs @ fact.eigvecs.T - np.eye(d)).max() <= 1e-10
+        assert np.abs(fact.eigvals.real).max() == 0.0
+        assert np.abs(fact.kernel - fact.kernel.T).max() <= 1e-15
+        assert np.abs(np.diag(fact.kernel) - fact.exp_eigvals).max() <= 1e-15
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("n_costates", [1, 5])
+    def test_real_step_agrees_with_complex_solver(self, rng, monkeypatch, storage, n_costates):
+        d = 10
+        problem = real_step_problem(rng, d, storage)
+        field = costs.ControlField(1, 3, 0.3, np.array([[0.4, -0.7, 0.0]]))
+        psi = random_state(rng, d)
+        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
+
+        def results(step):
+            return [
+                step.forward(psi),
+                step.adjoint(psi),
+                step.control_overlaps(costates, psi),
+                *(step.control_derivative(k, psi) for k in range(3)),
+            ]
+
+        step = problem.step_evaluator(field, 0)
+        got = results(step)
+        assert step._factorization().eigvecs.dtype == np.float64
+        monkeypatch.setattr(derivatives, "diag_prepare", complex_diag_prepare)
+        ref = problem.step_evaluator(field, 0)
+        want = results(ref)
+        assert ref._factorization().eigvecs.dtype == np.complex128
+        for g, w in zip(got, want):
+            assert max_rel(g, w) <= 1e-13
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_kernel_is_built_on_first_use(self, rng, real):
+        d, dt = 9, 0.4
+        h = random_real_symmetric(rng, d) if real else random_hermitian(rng, d)
+        step = make_step(h, [random_hermitian(rng, d)], dt, Backend.DIAGONALIZATION)
+        psi = random_state(rng, d)
+        step.adjoint(step.forward(psi))
+        fact = step._factorization()
+        assert "kernel" not in fact.__dict__
+        step.control_overlaps(psi[None, :], psi)
+        assert "kernel" in fact.__dict__
+        # the eager formula, from the eigenvalues of the solver diag_prepare picks for h
+        w = np.linalg.eigh(h * dt)[0]
+        half = np.exp(0.5 * fact.eigvals)
+        eager = np.outer(half, half) * np.sinc((w[None, :] - w[:, None]) / (2 * np.pi))
+        assert np.array_equal(fact.kernel, eager)
+
+
+def fd_gradient(cost, field, eps=1e-6):
+    grad = np.zeros_like(field.amplitudes)
+    for idx in np.ndindex(grad.shape):
+        up, dn = field.amplitudes.copy(), field.amplitudes.copy()
+        up[idx] += eps
+        dn[idx] -= eps
+        diff = cost(field.replace_amplitudes(up)) - cost(field.replace_amplitudes(dn))
+        grad[idx] = diff / (2 * eps)
+    return grad
+
+
+class TestRealModelGradients:
+    """Gradients of a real model on the eigen backend, every step on the real path."""
+
+    @pytest.fixture
+    def problem(self):
+        h, hcs = models.build_fluxonium_pair(models.FluxoniumPairParams(d_each=4))
+        return costs.ControlProblem(h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10)
+
+    @pytest.fixture
+    def field(self, rng):
+        return costs.ControlField(3, 2, 0.1, rng.normal(size=(3, 2)))
+
+    def test_steps_are_real(self, problem, field):
+        for n in range(field.n_steps):
+            assert diag_prepare(problem.step_evaluator(field, n).ctx).eigvecs.dtype == np.float64
+
+    @pytest.mark.parametrize("grad_fn", ["c1", "c2", "c3"])
+    def test_state_gradients_match_finite_differences(self, problem, field, grad_fn):
+        d = problem.dim
+        psi0 = models.fock_state(d, 0)
+        if grad_fn == "c2":
+            arg = sparse.from_dense(np.diag(np.arange(d, dtype=float)))
+        else:
+            arg = models.fock_state(d, 1)
+        grad = getattr(costs, f"{grad_fn}_state_grad")
+        result = grad(problem, field, psi0, arg)
+        fd = fd_gradient(lambda f: grad(problem, f, psi0, arg).cost, field)
+        assert np.linalg.norm(result.grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    def test_gate_gradient_matches_finite_differences(self, problem, field):
+        target = models.hadamard_target(2, 4)
+        result = costs.c1_gate_grad(problem, field, target)
+        fd = fd_gradient(lambda f: costs.c1_gate_grad(problem, f, target).cost, field)
+        assert np.linalg.norm(result.grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+class TestComplexModelUnchanged:
+    """A complex Hamiltonian keeps the complex solver's arithmetic bit for bit.
+
+    The constants were recorded before the real-symmetric path existed,
+    with numpy 2.4's bundled OpenBLAS on x86-64; another BLAS or CPU
+    kernel may round differently.
+    """
+
+    def test_state_gradient(self):
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10)
+        # every sigma_y amplitude is nonzero, so every step is complex
+        amps = ((np.arange(12).reshape(2, 6) % 5) - 2.5) / 2
+        field = costs.ControlField(2, 6, 0.5, amps)
+        psi0, target = models.fock_state(8, 0), models.fock_state(8, 7)
+        result = costs.c1_state_grad(problem, field, psi0, target)
+        assert result.cost == 0.9413564879781222
+        assert np.array_equal(result.grad, [
+            [0.03178804808743034, 0.012499209174434027, 0.025849604329488254,
+             -0.15469607051240863, 0.037604549660452576, 0.0360863827617011],
+            [0.013872993741562834, 0.01558036404389431, 0.014899430391309624,
+             -0.08414817500899142, -0.029585143079256526, 0.04150529346991922],
+        ])
+
+    def test_composite_gradient_per_channel_form(self):
+        # three state terms on two channels take the per-channel contraction
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=1))
+        problem = costs.ControlProblem(
+            h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10, initial_state=models.fock_state(2, 0)
+        )
+        field = costs.ControlField(3, 2, 0.5, np.array([[0.5, -0.25], [1.0, 0.75], [-0.5, 0.25]]))
+        target = models.fock_state(2, 1)
+        terms = [
+            costs.CostTerm(costs.CostKind.STATE_INFIDELITY, target_state=target),
+            costs.CostTerm(costs.CostKind.STATE_RUNNING_INFIDELITY, target_state=target),
+            costs.CostTerm(
+                costs.CostKind.STATE_PENALTY, penalty_op=sparse.from_dense(np.diag([0.0, 1.0]))
+            ),
+        ]
+        result = costs.composite_grad(problem, field, terms)
+        assert result.cost == 1.734694096412236
+        assert np.array_equal(result.grad, [
+            [-0.26312686136526797, -0.32710679376863205],
+            [-0.3311536232609431, -0.1713323022311064],
+            [-0.42177683376629793, -0.09371597713891527],
+        ])

@@ -298,6 +298,14 @@ class TestHermiticity:
         assert sparse.is_anti_hermitian(a, 1e-14)
         assert not sparse.is_anti_hermitian(sigma_x(), 1e-14)
 
+    @pytest.mark.parametrize("b_coeff", [-1.0, 1.0])
+    def test_dense_defect_matches_csr(self, rng, b_coeff):
+        dense = random_sparse_dense_pair(rng, 12, 0.4)[1]
+        for arr in (dense, dense + dense.conj().T):
+            got = sparse._max_abs_combination(sparse.DenseMatrix(arr), b_coeff)
+            assert got == sparse._max_abs_combination(sparse.from_dense(arr), b_coeff)
+        assert sparse._max_abs_combination(sparse.DenseMatrix(np.zeros((0, 0))), b_coeff) == 0.0
+
 
 class TestDumpLoad:
     def test_round_trip(self, rng, tmp_path):
