@@ -10,9 +10,13 @@ propagation doubles the propagation error (to at most ``2 N tau``
 accumulated) in exchange for that constant memory footprint.
 
 At each step the backward pass asks the step for all control overlaps
-``<lambda_i| dU/da_k |psi>`` at once
-(:meth:`leangrape.derivatives.StepEvaluator.control_overlaps`); it holds
-no derivative vector and no loop over channels.
+``<lambda_i| dU/da_k |psi>`` at once and has it move the co-states back
+across the step in the same call
+(:meth:`leangrape.derivatives.StepEvaluator.pull_back`); it holds no
+derivative vector and no loop over channels.  A gate gradient propagates
+each basis state forward once and back once; only the running gate cost
+runs an extra forward sweep first, to collect the trace factor of every
+step before its co-states start.
 
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
@@ -20,8 +24,10 @@ its :class:`GradientResult`.  The propagation engine itself adds a
 per-call scratch overhead that is not metered: three work vectors for a
 product, and for one overlaps call the start vector and three work
 arrays of a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense
-storage), held one block at a time.  It depends on neither the number
-of time steps nor the number of channels.
+storage), held one block at a time.  A single co-state is moved back
+inside that block and written into its own row; several co-states are
+moved one at a time, each by one adjoint product.  None of this depends
+on the number of time steps or of channels.
 """
 
 from __future__ import annotations
@@ -359,7 +365,7 @@ def _state_pass(
         prev = meter.grab(ev.adjoint(psi))  # psi_{n-1}
         meter.release(psi)
         psi = prev
-        overlaps = ev.control_overlaps(costates, psi)
+        overlaps = ev.pull_back(costates, psi)  # and costates[i] <- U_n^+ costates[i]
         for i, term in enumerate(terms):
             if term.kind is CostKind.STATE_INFIDELITY:
                 contrib = -2.0 * (overlaps[i] * final_overlaps[i]).real
@@ -370,9 +376,6 @@ def _state_pass(
             grad[n] += term.weight * contrib
         if n > 0:
             for i, term in enumerate(terms):
-                moved = meter.grab(ev.adjoint(costates[i]))
-                costates[i] = moved
-                meter.release(moved)
                 if term.kind is CostKind.STATE_PENALTY:
                     drive = meter.grab(term.penalty_op.matvec(psi))
                     costates[i] += drive
@@ -438,6 +441,13 @@ def _gate_inputs(
     return u_target, states
 
 
+def _gate_cost(traces: np.ndarray, d: int, running: bool) -> float:
+    """The gate cost from its trace factors (see :func:`_gate_forward`)."""
+    if running:
+        return 1.0 - float(np.sum(np.abs(traces) ** 2)) / (len(traces) * d * d)
+    return 1.0 - abs(traces[-1]) ** 2 / (d * d)
+
+
 def _gate_forward(
     step: Callable[[int], StepEvaluator],
     a: ControlField,
@@ -465,12 +475,7 @@ def _gate_forward(
                 traces[n] += np.vdot(target_image, psi)
         meter.release(psi)
         meter.release(target_image)
-
-    if running:
-        cost = 1.0 - float(np.sum(np.abs(traces) ** 2)) / (n_steps * d * d)
-    else:
-        cost = 1.0 - abs(traces[-1]) ** 2 / (d * d)
-    return traces, cost
+    return traces, _gate_cost(traces, d, running)
 
 
 def _gate_pass(
@@ -480,13 +485,19 @@ def _gate_pass(
     basis,
     running: bool,
 ) -> GradientResult:
-    """Two-sweep gate gradient, one sequential forward-backward pair per basis state.
+    """Gate gradient from one forward-backward pair per basis state.
 
-    Sweep one forward-propagates every basis state to accumulate the trace
-    factor (final only, or one complex scalar per step for the running
-    cost).  Sweep two re-propagates each basis state and assembles the
-    gradient during the shared backward recursion.  Live vectors stay O(1)
-    per pass; only N scalars (running cost) and the gradient accumulator
+    The final gate cost needs one sweep over the basis states.  The trace
+    factor ``tr(U_T^+ U_R)`` enters its gradient only as a common factor,
+    so each forward pass adds its basis state's share to the trace, the
+    backward pass starts its co-state at ``U_T |psi_0^h>`` and the factor
+    multiplies the accumulated overlaps once, after the last basis state.
+    The running cost seeds every step's co-state with that step's trace
+    factor, so it first runs :func:`_gate_forward` over all basis states
+    to accumulate one complex scalar per step, then the same sweep.  At
+    each backward step :meth:`~leangrape.derivatives.StepEvaluator.pull_back`
+    gives the overlaps and moves the co-state back.  Live vectors stay
+    O(1); only N scalars (running cost) and the gradient accumulator
     persist.
     """
     u_target, states = _gate_inputs(problem, u_target, basis)
@@ -494,9 +505,11 @@ def _gate_pass(
     n_steps, n_channels = a.n_steps, a.n_channels
     step = _step_evaluators(problem, a)
     meter = VectorMeter(d)
-    traces, cost = _gate_forward(step, a, u_target, states, running, meter)
+    if running:
+        traces, cost = _gate_forward(step, a, u_target, states, True, meter)
+    else:
+        traces = np.zeros(n_steps, dtype=np.complex128)
 
-    # sweep 2: forward again, then backward with derivative products
     accum = np.zeros((n_steps, n_channels), dtype=np.complex128)
     for h in range(d):
         target_image = meter.grab(u_target @ states[h])
@@ -504,19 +517,17 @@ def _gate_pass(
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:
+            traces[-1] += np.vdot(target_image, psi)
             costate = meter.grab(target_image.copy())
         for n in range(n_steps - 1, -1, -1):
             ev = step(n)
             prev = meter.grab(ev.adjoint(psi))
             meter.release(psi)
             psi = prev
-            accum[n] += ev.control_overlaps(costate[None, :], psi)[0]
-            if n > 0:
-                moved = meter.grab(ev.adjoint(costate))
-                meter.release(costate)
-                if running:
-                    moved += target_image * traces[n - 1]
-                costate = moved
+            # pull_back also moves the co-state (the view's one row) back across step n
+            accum[n] += ev.pull_back(costate[None, :], psi)[0]
+            if running and n > 0:
+                costate += target_image * traces[n - 1]
         meter.release(costate)
         meter.release(psi)
         meter.release(target_image)
@@ -524,6 +535,7 @@ def _gate_pass(
     if running:
         grad = -2.0 / (n_steps * d * d) * accum.real
     else:
+        cost = _gate_cost(traces, d, False)
         grad = -2.0 / (d * d) * (accum * np.conj(traces[-1])).real
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
 

@@ -10,7 +10,11 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   exponential action carries the derivative in its top block.  On CSR
   storage one :class:`BlockDerivativeOperator` fuses up to
   :data:`CHANNEL_BLOCK` channels that share the embedding's bottom block,
-  and each channel still runs the arithmetic of its own embedding.
+  and each channel still runs the arithmetic of its own embedding.  The
+  negated embedding applied to ``(0, lambda)`` carries the adjoint
+  derivatives ``(dU/da_k)^dagger lambda`` on top and ``U^dagger lambda``
+  below, so a backward step gets a co-state's overlaps and its move back
+  from one application.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
   evaluates products and overlaps through the eigenbasis.  A step whose
   Hamiltonian has no nonzero imaginary part is factorized by the real
@@ -20,9 +24,13 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   builds it.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
-or differentiates a step.  Its :meth:`~StepEvaluator.control_derivative`
-and :func:`derivative_action_diag` give one channel's derivative vector;
-they are the single-channel reference the overlaps are tested against.
+or differentiates a step.  Gradients call its
+:meth:`~StepEvaluator.forward`, :meth:`~StepEvaluator.adjoint` and
+:meth:`~StepEvaluator.pull_back`.  Its
+:meth:`~StepEvaluator.control_overlaps`,
+:meth:`~StepEvaluator.control_derivative` and
+:func:`derivative_action_diag` are the references ``pull_back`` is tested
+against.
 """
 
 from __future__ import annotations
@@ -382,9 +390,11 @@ class StepEvaluator:
 
     Evaluators come from :meth:`leangrape.costs.ControlProblem.step_evaluator`.
     With the scaling-and-squaring backend this holds the generator and its
-    plan, plus lazily built block embeddings with their plans; with the
-    diagonalization backend it holds the eigenfactorization.  ``controls``
-    are the problem's scaled control generators (see
+    plan, plus lazily built block embeddings with their plans; the same
+    embeddings, negated and applied to a co-state, give :meth:`pull_back`
+    the adjoint derivatives and the moved co-state.  With the
+    diagonalization backend it holds the eigenfactorization.
+    ``controls`` are the problem's scaled control generators (see
     :class:`ScaledControls`), shared by every step with the same ``dt``.
     Nothing here scales with the number of time steps.
     """
@@ -448,10 +458,7 @@ class StepEvaluator:
         every co-state contracts it with two matrix-vector products.  No
         control is densified either way.
         """
-        costates = np.asarray(costates)
-        d = self.ctx.dim
-        if costates.ndim != 2 or costates.shape[1] != d:
-            raise ValueError(f"costates must have shape (n, {d}), got {costates.shape}")
+        costates = self._checked_costates(costates)
         conj = costates.conj()
         out = np.empty((costates.shape[0], len(self._controls.generators)), dtype=np.complex128)
         if self.ctx.backend is Backend.DIAGONALIZATION:
@@ -477,16 +484,70 @@ class StepEvaluator:
                 for k, control in enumerate(generators):
                     out[i, k] = _trace_product(w, control.matrix)
             return out
-        if self._blocks is None:
-            self._blocks = [self._embedding(b) for b in self._controls.blocks]
         k = 0
-        for aux, plan in self._blocks:
+        for aux, plan in self._derivative_blocks():
             # no view of a block's result outlives its product with the co-states
             result = expm.apply(aux, aux.stack(psi), plan, validate=False)
             out[:, k : k + aux.width] = conj @ aux.split(result)[0]
             del result
             k += aux.width
         return out
+
+    def pull_back(self, costates: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """:meth:`control_overlaps`, moving each co-state back across the step.
+
+        Returns the overlaps ``<lambda_i| dU/da_k |psi>`` and overwrites
+        each row ``lambda_i`` of ``costates`` with ``U^dagger lambda_i``.
+
+        On scaling and squaring with one co-state, each channel block's
+        negated embedding is applied to ``(0, lambda)``.  Its exponential
+        is ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``, because the
+        generator and the controls are anti-Hermitian, so the top block
+        holds ``(dU/da_k)^dagger lambda``, whose inner product with ``psi``
+        is the overlap, and the bottom block holds ``U^dagger lambda``.
+        Once the last block has read ``lambda``, its bottom block replaces
+        it: no separate adjoint runs.  That bottom block runs the products
+        of :func:`leangrape.expm.apply` on the negated generator under the
+        block's plan (bit for bit on CSR storage).  The plan is certified
+        for a norm and a ``sigma'`` no smaller than the generator's, and
+        the bound grows with both, so the moved co-state stays within
+        ``tau``.  With several co-states, or on the diagonalization
+        backend, this is :meth:`control_overlaps` followed by
+        :meth:`adjoint` of each row.
+        """
+        costates = self._checked_costates(costates)
+        if self.ctx.backend is Backend.DIAGONALIZATION or len(costates) != 1:
+            out = self.control_overlaps(costates, psi)
+            for row in costates:
+                row[...] = self.adjoint(row)
+            return out
+        lam = costates[0]
+        conj_psi = psi.conj()
+        out = np.empty((1, len(self._controls.generators)), dtype=np.complex128)
+        blocks = self._derivative_blocks()
+        k = 0
+        for aux, plan in blocks:
+            result = expm.apply(aux, aux.stack(lam), plan, validate=False, negate=True)
+            tops, bottom = aux.split(result)
+            out[0, k : k + aux.width] = conj_psi @ tops
+            k += aux.width
+            if aux is blocks[-1][0]:
+                lam[...] = bottom
+            # no view of a block's result outlives its overlaps
+            del result, tops, bottom
+        return np.conj(out, out=out)
+
+    def _checked_costates(self, costates: np.ndarray) -> np.ndarray:
+        costates = np.asarray(costates)
+        d = self.ctx.dim
+        if costates.ndim != 2 or costates.shape[1] != d:
+            raise ValueError(f"costates must have shape (n, {d}), got {costates.shape}")
+        return costates
+
+    def _derivative_blocks(self) -> list[tuple[BlockDerivativeOperator, expm.ExpmPlan]]:
+        if self._blocks is None:
+            self._blocks = [self._embedding(b) for b in self._controls.blocks]
+        return self._blocks
 
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.

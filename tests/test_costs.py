@@ -447,6 +447,18 @@ class TestInvariantsAndInstrumentation:
         assert peaks[0] == peaks[1]
         assert peaks[0] <= 6
 
+    @pytest.mark.parametrize("grad_fn", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_gate_live_peak_independent_of_steps(self, rng, grad_fn):
+        d, k = 4, 1
+        problem = make_problem(rng, d, k)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        peaks = []
+        for n in (10, 100):
+            field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.2, size=(n, k)))
+            peaks.append(grad_fn(problem, field, u_target).live_vector_peak)
+        assert peaks[0] == peaks[1]
+        assert peaks[0] <= 4
+
     def test_gradients_deterministic(self, rng):
         d, n, k = 5, 3, 2
         psi0, phi = random_state(rng, d), random_state(rng, d)
@@ -520,8 +532,9 @@ class TestCountedMatvecs:
         problem = make_problem(rng, d, k, tau=1e-10)
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
         costs.c1_state_grad(problem, field, random_state(rng, d), random_state(rng, d))
-        # n forward, 2n - 1 adjoint and one derivative application per channel block and step
-        assert len(planned) == n + (2 * n - 1) + n * math.ceil(k / CHANNEL_BLOCK)
+        # n forward, n adjoint and one derivative application per channel block and step;
+        # the derivative applications also move the one co-state back
+        assert len(planned) == n + n + n * math.ceil(k / CHANNEL_BLOCK)
         assert counted == planned
         assert sum(counted) > len(counted)
 
@@ -531,3 +544,63 @@ class TestCountedMatvecs:
     def test_partial_channel_block_runs_the_planned_products(self, rng, monkeypatch):
         # one full block of CHANNEL_BLOCK channels and one partial block
         self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=5)
+
+
+class TestGateSweeps:
+    """The final gate cost runs one sweep over the basis states, the running cost two."""
+
+    @staticmethod
+    def count_gradient(rng, monkeypatch, grad_fn, d, n, k):
+        real_apply = expm.apply
+        real_step_evaluator = costs.ControlProblem.step_evaluator
+        planned, counted, builds = [], [], []
+
+        def counting_apply(a, psi, plan, **kwargs):
+            op = CountingOperator(a)
+            out = real_apply(op, psi, plan, **kwargs)
+            planned.append(plan.matvecs)
+            counted.append(op.calls)
+            return out
+
+        def counting_step_evaluator(self, a, step):
+            builds.append(step)
+            return real_step_evaluator(self, a, step)
+
+        monkeypatch.setattr(expm, "apply", counting_apply)
+        monkeypatch.setattr(costs.ControlProblem, "step_evaluator", counting_step_evaluator)
+        problem = make_problem(rng, d, k, tau=1e-10)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        grad_fn(problem, field, u_target)
+        assert counted == planned
+        return len(planned), len(builds)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_final_cost_runs_one_sweep(self, rng, monkeypatch, n):
+        d = 3
+        applications, builds = self.count_gradient(
+            rng, monkeypatch, costs.c1_gate_grad, d, n, k=2
+        )
+        # per basis state: n forward, n adjoint and n derivative applications,
+        # and each sweep but the first reuses the step where the last one ended
+        assert applications == 3 * d * n
+        assert builds == 2 * d * (n - 1) + 1
+
+    def test_running_cost_runs_two_sweeps(self, rng, monkeypatch):
+        d, n = 3, 4
+        applications, builds = self.count_gradient(
+            rng, monkeypatch, costs.c3_gate_grad, d, n, k=2
+        )
+        # the trace sweep adds n forward applications and n builds per basis state
+        assert applications == 4 * d * n
+        assert builds == d * n + 2 * d * (n - 1) + 1
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_final_cost_equals_composite_cost(self, rng, n):
+        d, k = 4, 2
+        problem = make_problem(rng, d, k)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        term = CostTerm(CostKind.GATE_INFIDELITY, target_gate=u_target)
+        got = costs.c1_gate_grad(problem, field, u_target).cost
+        assert got == costs.composite_cost(problem, field, [term])

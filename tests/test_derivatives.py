@@ -420,10 +420,58 @@ class TestControlOverlaps:
         )
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_costates_shape_checked(self, rng):
+    @pytest.mark.parametrize("method", ["control_overlaps", "pull_back"])
+    def test_costates_shape_checked(self, rng, method):
         step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.2)
         with pytest.raises(ValueError, match="costates"):
-            step.control_overlaps(random_state(rng, 4), random_state(rng, 4))
+            getattr(step, method)(random_state(rng, 4), random_state(rng, 4))
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("n_costates", [1, 3])
+    @pytest.mark.parametrize(
+        "backend, storage, n_channels",
+        [
+            (Backend.SCALING_SQUARING, "csr", 2),
+            (Backend.SCALING_SQUARING, "csr", 5),  # one full and one partial block
+            (Backend.SCALING_SQUARING, "dense", 2),
+            (Backend.DIAGONALIZATION, "csr", 2),
+            (Backend.DIAGONALIZATION, "dense", 5),
+        ],
+    )
+    def test_matches_overlaps_then_adjoint(self, rng, backend, storage, n_channels, n_costates):
+        d = 10
+        problem, _, step = make_overlap_step(
+            rng, d, n_channels, backend, storage, scales=(1.0, 3.0, 0.5)
+        )
+        psi = random_state(rng, d)
+        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
+        want = step.control_overlaps(costates, psi)
+        moved = costates.copy()
+        got = step.pull_back(moved, psi)
+        assert got.shape == (n_costates, n_channels)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for lam, back in zip(costates, moved):
+            assert np.linalg.norm(back - step.adjoint(lam)) <= 2 * problem.tau
+
+    @pytest.mark.parametrize("n_channels", [2, 5])
+    def test_one_costate_moves_inside_the_embedding(self, rng, monkeypatch, n_channels):
+        d = 8
+        step = make_overlap_step(
+            rng, d, n_channels, Backend.SCALING_SQUARING, "csr", scales=(1.0, 10.0, 0.1)
+        )[2]
+        psi, lam = random_state(rng, d), random_state(rng, d)
+        gen, gen_plan = step._generator_plan()
+        block_plan = step._derivative_blocks()[-1][1]
+        assert block_plan.matvecs > gen_plan.matvecs
+        monkeypatch.setattr(
+            derivatives.StepEvaluator, "adjoint", lambda self, v: pytest.fail("adjoint ran")
+        )
+        costates = lam[None, :].copy()
+        step.pull_back(costates, psi)
+        # the last block's bottom block, which is the negated generator under that block's plan
+        want = expm.apply(gen, lam, block_plan, validate=False, negate=True)
+        assert np.array_equal(costates[0], want)
 
 
 def real_step_problem(rng, d, storage):
