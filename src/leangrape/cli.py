@@ -85,7 +85,7 @@ def _schema() -> dict[str, _Spec]:
         "penalty.kind": _Spec("str", opt, choices=("identity", "transmon_number")),
         "optimizer.max_iters": _Spec("int", opt, positive=True),
         "optimizer.eta0": _Spec("float", opt, positive=True),
-        "optimizer.schedule": _Spec("str", opt, choices=("constant", "backtracking")),
+        "optimizer.schedule": _Spec("str", opt, choices=optimizer.ETA_SCHEDULES),
         "optimizer.shrink": _Spec("float", opt, positive=True),
         "optimizer.grow": _Spec("float", opt, positive=True),
         "optimizer.stop_cost": _Spec("float", opt),
@@ -130,7 +130,7 @@ _DEFAULTS = {
     "controls.value": 0.1,
     "optimizer.max_iters": 200,
     "optimizer.eta0": 0.1,
-    "optimizer.schedule": "backtracking",
+    "optimizer.schedule": "lbfgs",
     "optimizer.shrink": 0.5,
     "optimizer.grow": 1.1,
     "optimizer.stop_cost": 0.0,
@@ -355,6 +355,17 @@ def _cost_terms(cfg: RunConfig, kind: str, params, dim: int) -> list[costs.CostT
 
 
 def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
+    # the schema checks each value alone; OptimizerConfig checks the ranges
+    # (shrink in (0, 1), grow > 1) before the model is built
+    opt_cfg = optimizer.OptimizerConfig(
+        max_iters=int(cfg.get("optimizer.max_iters")),
+        eta0=float(cfg.get("optimizer.eta0")),
+        eta_schedule=str(cfg.get("optimizer.schedule")),
+        shrink=float(cfg.get("optimizer.shrink")),
+        grow=float(cfg.get("optimizer.grow")),
+        stop_cost=float(cfg.get("optimizer.stop_cost")),
+        stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
+    )
     kind, params = _model_params(cfg)
     h_static, h_controls = _BUILDERS[kind](params)
     dim = h_static.n_rows
@@ -378,15 +389,6 @@ def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
         initial_state=models.fock_state(dim, 0),
     )
     terms = _cost_terms(cfg, kind, params, dim)
-    opt_cfg = optimizer.OptimizerConfig(
-        max_iters=int(cfg.get("optimizer.max_iters")),
-        eta0=float(cfg.get("optimizer.eta0")),
-        eta_schedule=str(cfg.get("optimizer.schedule")),
-        shrink=float(cfg.get("optimizer.shrink")),
-        grow=float(cfg.get("optimizer.grow")),
-        stop_cost=float(cfg.get("optimizer.stop_cost")),
-        stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
-    )
     trace = optimizer.grape_optimize(problem, terms, field, opt_cfg)
 
     sha = config_sha256(cfg)
@@ -397,6 +399,7 @@ def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
         "subcommand": "optimize",
         "final_cost": trace.final_cost,
         "iterations": len(trace.records),
+        "cost_evals": trace.cost_evals,
         "stop_reason": trace.stop_reason,
     }
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -517,8 +517,9 @@ def _gate_pass(
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:
+            # the trace is the last read of target_image: the co-state starts in it
             traces[-1] += np.vdot(target_image, psi)
-            costate = meter.grab(target_image.copy())
+            costate = target_image
         for n in range(n_steps - 1, -1, -1):
             ev = step(n)
             prev = meter.grab(ev.adjoint(psi))
@@ -528,7 +529,8 @@ def _gate_pass(
             accum[n] += ev.pull_back(costate[None, :], psi)[0]
             if running and n > 0:
                 costate += target_image * traces[n - 1]
-        meter.release(costate)
+        if running:
+            meter.release(costate)
         meter.release(psi)
         meter.release(target_image)
 

@@ -56,6 +56,14 @@ class TestParseConfig:
         assert cfg.get("steps.n") == 10
         assert cfg.get("tau") == 1e-10
 
+    def test_optimizer_schedule_defaults_to_lbfgs(self):
+        assert parse_config(RABI_CFG, "optimize").get("optimizer.schedule") == "lbfgs"
+        for schedule in ("lbfgs", "backtracking", "constant"):
+            cfg = parse_config(RABI_CFG + f"optimizer.schedule = {schedule}\n", "optimize")
+            assert cfg.get("optimizer.schedule") == schedule
+        with pytest.raises(ConfigError, match="optimizer.schedule"):
+            parse_config(RABI_CFG + "optimizer.schedule = adam\n", "optimize")
+
     def test_missing_required_key_names_it(self):
         text = RABI_CFG.replace("steps.dt = 0.1\n", "")
         with pytest.raises(ConfigError, match="steps.dt"):
@@ -103,6 +111,7 @@ class TestOptimizeCommand:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["final_cost"] <= 1e-6
+        assert isinstance(summary["cost_evals"], int) and summary["cost_evals"] > 0
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0].startswith("# config_sha256=")
         assert trace[1] == "iter,cost,grad_inf_norm,eta,wall_ms"
@@ -204,6 +213,26 @@ class TestOverrides:
         argv = ["optimize", "--config", str(cfg_path), "--out", str(out), "--tau", "-1"]
         assert cli.main(argv) == 1
         assert "tau: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("optimizer.shrink = 1.5", "shrink must lie in (0, 1)"),
+            ("optimizer.grow = 0.5", "grow must exceed 1"),
+        ],
+    )
+    def test_optimizer_range_refused_before_model_build(
+        self, tmp_path, capsys, monkeypatch, line, message
+    ):
+        def no_build(cfg):
+            raise AssertionError("model built before the optimizer config was validated")
+
+        monkeypatch.setattr(cli, "_model_params", no_build)
+        cfg_path = tmp_path / "rabi.cfg"
+        cfg_path.write_text(RABI_CFG + line + "\n")
+        out = tmp_path / "run"
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
 
 
 class TestAdviseCommand:

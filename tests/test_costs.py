@@ -459,6 +459,15 @@ class TestInvariantsAndInstrumentation:
         assert peaks[0] == peaks[1]
         assert peaks[0] <= 4
 
+    def test_final_gate_costate_starts_in_target_image(self, rng):
+        # psi, the target image holding the co-state, and the adjoint's result
+        d, k = 4, 1
+        problem = make_problem(rng, d, k)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        for n in (10, 100):
+            field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.2, size=(n, k)))
+            assert costs.c1_gate_grad(problem, field, u_target).live_vector_peak == 3
+
     def test_gradients_deterministic(self, rng):
         d, n, k = 5, 3, 2
         psi0, phi = random_state(rng, d), random_state(rng, d)

@@ -1,4 +1,4 @@
-"""Steepest-descent loop: convergence, monotonicity, determinism."""
+"""Optimization loop: convergence, monotonicity, determinism, counted evaluations."""
 
 import numpy as np
 import pytest
@@ -26,7 +26,8 @@ def rabi_problem(tau=1e-10):
 
 
 class TestGrapeOptimize:
-    def test_zero_gradient_terminates_immediately(self, rng):
+    @pytest.mark.parametrize("schedule", optimizer.ETA_SCHEDULES)
+    def test_zero_gradient_terminates_immediately(self, rng, schedule):
         d = 3
         problem = costs.ControlProblem(
             sparse.from_dense(random_hermitian(rng, d)),
@@ -37,10 +38,13 @@ class TestGrapeOptimize:
             CostTerm(CostKind.STATE_INFIDELITY, 1.0, target_state=random_state(rng, d))
         ]
         a0 = costs.ControlField.constant(0.3, 4, 1, 0.2)
-        cfg = optimizer.OptimizerConfig(max_iters=10, stop_grad_norm=1e-12)
+        cfg = optimizer.OptimizerConfig(
+            max_iters=10, eta_schedule=schedule, stop_grad_norm=1e-12
+        )
         trace = optimizer.grape_optimize(problem, terms, a0, cfg)
         assert trace.stop_reason == "stop_grad_norm"
         assert len(trace.records) == 1
+        assert trace.cost_evals == 0
         assert np.array_equal(trace.final_field.amplitudes, a0.amplitudes)
 
     def test_rabi_transfer_converges(self):
@@ -53,7 +57,8 @@ class TestGrapeOptimize:
         assert trace.final_cost <= 1e-6
         assert trace.stop_reason == "stop_cost"
 
-    def test_backtracking_costs_non_increasing(self, rng):
+    @pytest.mark.parametrize("schedule", ["backtracking", "lbfgs"])
+    def test_backtracking_costs_non_increasing(self, rng, schedule):
         for seed in range(20):
             local = np.random.default_rng(seed)
             d, n, k = 4, 5, 2
@@ -70,7 +75,7 @@ class TestGrapeOptimize:
                 )
             ]
             a0 = costs.ControlField(n, k, 0.2, local.normal(scale=0.3, size=(n, k)))
-            cfg = optimizer.OptimizerConfig(max_iters=15, eta0=0.5)
+            cfg = optimizer.OptimizerConfig(max_iters=15, eta0=0.5, eta_schedule=schedule)
             trace = optimizer.grape_optimize(problem, terms, a0, cfg)
             cost_seq = [r.cost for r in trace.records]
             assert all(a >= b - 1e-15 for a, b in zip(cost_seq, cost_seq[1:]))
@@ -85,10 +90,11 @@ class TestGrapeOptimize:
         assert len(trace.records) == 5
         assert trace.stop_reason == "max_iters"
 
-    def test_deterministic_traces(self):
+    @pytest.mark.parametrize("schedule", ["backtracking", "lbfgs"])
+    def test_deterministic_traces(self, schedule):
         problem, terms = rabi_problem()
         a0 = costs.ControlField.constant(0.1, 8, 1, 0.1)
-        cfg = optimizer.OptimizerConfig(max_iters=30, eta0=0.2)
+        cfg = optimizer.OptimizerConfig(max_iters=30, eta0=0.2, eta_schedule=schedule)
         t1 = optimizer.grape_optimize(problem, terms, a0, cfg)
         t2 = optimizer.grape_optimize(problem, terms, a0, cfg)
         assert [r.cost for r in t1.records] == [r.cost for r in t2.records]
@@ -128,3 +134,103 @@ class TestGrapeOptimize:
             "max_iters",
             "stop_cost",
         )
+
+
+class TestLbfgs:
+    def test_rabi_needs_fewer_gradients_than_backtracking(self):
+        problem, terms = rabi_problem()
+        a0 = costs.ControlField.constant(0.1, 10, 1, 0.1)
+        traces = {}
+        for schedule in ("backtracking", "lbfgs"):
+            cfg = optimizer.OptimizerConfig(
+                max_iters=200, eta0=0.1, eta_schedule=schedule, stop_cost=1e-7
+            )
+            traces[schedule] = optimizer.grape_optimize(problem, terms, a0, cfg)
+            assert traces[schedule].stop_reason == "stop_cost"
+        assert len(traces["lbfgs"].records) < len(traces["backtracking"].records)
+
+    def test_default_schedule_is_lbfgs(self):
+        assert optimizer.OptimizerConfig().eta_schedule == "lbfgs"
+
+    @pytest.mark.parametrize("schedule", ["backtracking", "lbfgs"])
+    def test_all_rejected_line_search_stalls(self, monkeypatch, schedule):
+        problem, terms = rabi_problem()
+        a0 = costs.ControlField.constant(0.1, 5, 1, 0.1)
+        monkeypatch.setattr(optimizer, "composite_cost", lambda *args: float("inf"))
+        cfg = optimizer.OptimizerConfig(max_iters=10, eta_schedule=schedule, max_backtracks=4)
+        trace = optimizer.grape_optimize(problem, terms, a0, cfg)
+        assert trace.stop_reason == "line_search_stalled"
+        assert len(trace.records) == 1
+        assert trace.cost_evals == 4
+        assert np.array_equal(trace.final_field.amplitudes, a0.amplitudes)
+
+    @pytest.mark.parametrize("schedule", optimizer.ETA_SCHEDULES)
+    def test_one_record_per_gradient_and_counted_costs(self, monkeypatch, schedule):
+        calls = {"grad": 0, "cost": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            optimizer, "composite_grad", counted("grad", optimizer.composite_grad)
+        )
+        monkeypatch.setattr(
+            optimizer, "composite_cost", counted("cost", optimizer.composite_cost)
+        )
+        problem, terms = rabi_problem()
+        a0 = costs.ControlField.constant(0.1, 10, 1, 0.1)
+        cfg = optimizer.OptimizerConfig(
+            max_iters=200, eta0=0.1, eta_schedule=schedule, stop_cost=1e-7
+        )
+        trace = optimizer.grape_optimize(problem, terms, a0, cfg)
+        assert calls["grad"] == len(trace.records)
+        assert calls["cost"] == trace.cost_evals
+        if schedule == "lbfgs":
+            assert trace.stop_reason == "stop_cost"
+            assert trace.records[0].eta_used == 0.0
+            assert all(r.eta_used > 0.0 for r in trace.records[1:])
+
+    def test_curvature_check_and_initial_scaling(self):
+        history = optimizer._LbfgsHistory()
+        s = np.array([[1.0, -2.0], [0.5, 0.0]])
+        history.push(s, -s)
+        history.push(s, np.array([[2.0, 1.0], [0.0, 1.0]]))  # s.y = 0
+        assert not history.pairs
+        history.push(s, 3.0 * s)
+        assert len(history.pairs) == 1
+        # one pair with y = 3 s: H_0 = (s.y / y.y) I = I / 3 is also the update
+        grad = np.array([[0.5, 1.0], [-2.0, 0.25]])
+        assert np.allclose(history.direction(grad), -grad / 3.0, rtol=1e-14, atol=0.0)
+
+    def test_two_loop_recursion_is_newton_step_on_a_quadratic(self):
+        # conjugate steps on f = x.A x / 2 with diagonal A give H = A^-1 exactly
+        lam = np.array([0.5, 2.0, 7.0, 30.0])
+        history = optimizer._LbfgsHistory()
+        for i in range(lam.size):
+            s = np.zeros((lam.size, 1))
+            s[i] = 1.0 + i
+            history.push(s, lam[:, None] * s)
+        grad = np.array([[1.0], [-3.0], [0.25], [4.0]])
+        expected = -grad / lam[:, None]
+        assert np.allclose(history.direction(grad), expected, rtol=1e-13, atol=0.0)
+
+    def test_history_is_bounded_in_control_space(self):
+        problem, terms = rabi_problem()
+        n_steps = 10
+        a0 = costs.ControlField.constant(0.1, n_steps, 1, 0.1)
+        seen = []
+        real_push = optimizer._LbfgsHistory.push
+
+        def push(self, s, y):
+            real_push(self, s, y)
+            seen.append((len(self.pairs), s.shape, y.shape))
+
+        cfg = optimizer.OptimizerConfig(max_iters=40, stop_cost=1e-14)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer._LbfgsHistory, "push", push)
+            optimizer.grape_optimize(problem, terms, a0, cfg)
+        assert max(n for n, _, _ in seen) == optimizer.LBFGS_MEMORY
+        assert {shape for _, s, y in seen for shape in (s, y)} == {(n_steps, 1)}
