@@ -49,11 +49,12 @@ class _Spec:
     positive: bool = False
 
 
-_MODEL_PARAM_CLASSES = {
-    "transmon_cavity": models.TransmonCavityParams,
-    "three_transmons": models.ThreeTransmonParams,
-    "qubit_chain": models.QubitChainParams,
-    "fluxonium_pair": models.FluxoniumPairParams,
+#: model kind -> (parameter class, builder)
+_MODELS = {
+    "transmon_cavity": (models.TransmonCavityParams, models.build_transmon_cavity),
+    "three_transmons": (models.ThreeTransmonParams, models.build_three_transmons),
+    "qubit_chain": (models.QubitChainParams, models.build_qubit_chain),
+    "fluxonium_pair": (models.FluxoniumPairParams, models.build_fluxonium_pair),
 }
 
 _COST_KEYS = {
@@ -72,7 +73,7 @@ def _schema() -> dict[str, _Spec]:
     model_cmds = ("optimize",)
     schema: dict[str, _Spec] = {
         "model.kind": _Spec("str", model_cmds + b_mu + b_rt, required=model_cmds + b_mu + b_rt,
-                            choices=tuple(sorted(_MODEL_PARAM_CLASSES)) + ("zero",)),
+                            choices=tuple(sorted(_MODELS)) + ("zero",)),
         "steps.n": _Spec("int", opt, required=opt, positive=True),
         "steps.dt": _Spec("float", opt + b_mu + b_rt, required=opt, positive=True),
         "tau": _Spec("float", opt + b_mu + b_rt + ("expm",), positive=True),
@@ -108,7 +109,7 @@ def _schema() -> dict[str, _Spec]:
         "expm.matrix": _Spec("str", ("expm",), required=("expm",)),
         "expm.vector": _Spec("str", ("expm",), required=("expm",)),
     }
-    for kind, cls in _MODEL_PARAM_CLASSES.items():
+    for cls, _ in _MODELS.values():
         for fld in dataclasses.fields(cls):
             key = f"model.{fld.name}"
             kind_spec = "int" if fld.type in ("int", int) else "float"
@@ -182,6 +183,9 @@ def _convert(key: str, raw: str, spec: _Spec):
             value = raw
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {spec.kind}") from exc
+    if spec.kind in ("float", "float_list"):
+        if not np.isfinite(value).all():
+            raise ConfigError(f"{key}: must be finite, got {raw!r}")
     if spec.choices is not None and value not in spec.choices:
         raise ConfigError(f"{key}: {value!r} is not one of {spec.choices}")
     if spec.positive:
@@ -232,8 +236,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if "model.kind" in values:
         kind = values["model.kind"]
         allowed = set()
-        if kind in _MODEL_PARAM_CLASSES:
-            allowed = {f"model.{f.name}" for f in dataclasses.fields(_MODEL_PARAM_CLASSES[kind])}
+        if kind in _MODELS:
+            allowed = {f"model.{f.name}" for f in dataclasses.fields(_MODELS[kind][0])}
         for key in values:
             if key.startswith("model.") and key != "model.kind" and key not in allowed:
                 raise ConfigError(f"key {key!r} does not apply to model kind {kind!r}")
@@ -272,7 +276,7 @@ def _model_params(cfg: RunConfig):
     kind = cfg.get("model.kind")
     if kind == "zero":
         raise ConfigError("model.kind = zero is only available to the bench harness")
-    cls = _MODEL_PARAM_CLASSES[kind]
+    cls = _MODELS[kind][0]
     kwargs = {}
     for fld in dataclasses.fields(cls):
         key = f"model.{fld.name}"
@@ -280,14 +284,6 @@ def _model_params(cfg: RunConfig):
             value = cfg.get(key)
             kwargs[fld.name] = int(value) if fld.type in ("int", int) else float(value)
     return kind, cls(**kwargs)
-
-
-_BUILDERS = {
-    "transmon_cavity": models.build_transmon_cavity,
-    "three_transmons": models.build_three_transmons,
-    "qubit_chain": models.build_qubit_chain,
-    "fluxonium_pair": models.build_fluxonium_pair,
-}
 
 
 def _build_target(cfg: RunConfig, kind: str, params, dim: int):
@@ -367,7 +363,7 @@ def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
         stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
     )
     kind, params = _model_params(cfg)
-    h_static, h_controls = _BUILDERS[kind](params)
+    h_static, h_controls = _MODELS[kind][1](params)
     dim = h_static.n_rows
     n_steps = int(cfg.get("steps.n"))
     dt = float(cfg.get("steps.dt"))

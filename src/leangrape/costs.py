@@ -9,9 +9,12 @@ independent of the number of time steps.  Recovering ``psi_n`` by adjoint
 propagation doubles the propagation error (to at most ``2 N tau``
 accumulated) in exchange for that constant memory footprint.
 
-At each step the backward pass asks the step for all control overlaps
-``<lambda_i| dU/da_k |psi>`` at once and has it move the co-states back
-across the step in the same call
+The backward pass carries one co-state ``lambda``, the adjoint
+``dC/d<psi|`` of the cost, whatever the number of cost terms: every
+term's backward recursion is linear in its co-state, so their weighted
+sum is one recursion.  At each step it asks the step for all control
+overlaps ``<lambda| dU/da_k |psi>`` at once and has it move the co-state
+back across the step in the same call
 (:meth:`leangrape.derivatives.StepEvaluator.pull_back`); it holds no
 derivative vector and no loop over channels.  A gate gradient propagates
 each basis state forward once and back once; only the running gate cost
@@ -22,16 +25,16 @@ Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
 its :class:`GradientResult`.  The propagation engine itself adds a
 per-call scratch overhead that is not metered: three work vectors for a
-product, and for one overlaps call the start vector and three work
-arrays of a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense
-storage), held one block at a time.  A single co-state is moved back
-inside that block and written into its own row; several co-states are
-moved one at a time, each by one adjoint product.  None of this depends
-on the number of time steps or of channels.
+product, and for one pull-back the start vector and three work arrays of
+a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense storage),
+held one block at a time; the co-state is moved back inside that block
+and written into its own array.  None of this depends on the number of
+time steps, of channels or of cost terms.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -93,8 +96,8 @@ class ControlField:
             )
         if self.n_steps < 1 or self.n_channels < 1:
             raise ValueError("need at least one step and one channel")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.isfinite(amps).all():
             raise ValueError("control amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
@@ -189,8 +192,8 @@ class CostTerm:
     penalty_op: Matrix | None = None
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError("cost weights must be non-negative")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError(f"cost weights must be finite and non-negative, got {self.weight}")
         if self.target_state is not None:
             _check_state(np.asarray(self.target_state, dtype=np.complex128), "target_state")
         if self.kind in (CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY):
@@ -205,6 +208,10 @@ class CostTerm:
             if self.target_gate is None:
                 raise ValueError(f"{self.kind.value} requires target_gate")
             u = np.asarray(self.target_gate)
+            if u.ndim != 2 or u.shape[0] != u.shape[1]:
+                raise ValueError(f"target gate must be square, got shape {u.shape}")
+            if not np.isfinite(u).all():
+                raise ValueError("target gate has non-finite entries")
             defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
             if defect > 1e-10:
                 raise ValueError(f"target gate is not unitary (defect {defect:.2e})")
@@ -277,12 +284,14 @@ def _step_evaluators(problem: ControlProblem, a: ControlField) -> Callable[[int]
 # ---------------------------------------------------------------------------
 # state-transfer costs
 #
-# The three state costs share one backward recursion pattern, differing in
-# the co-state they drag along:
-#   final-state infidelity:  phi_n   = U_{n+1}^+ phi_{n+1}
-#   running penalty:         Phi_n   = U_{n+1}^+ Phi_{n+1} + Omega psi_n
-#   running infidelity:      Phi_T,n = U_{n+1}^+ Phi_T,n+1 + phi_T <phi_T|psi_n>
-# The fused implementation below evaluates any subset in a single pass.
+# The three state costs share one backward recursion
+#   lambda_n = U_{n+1}^+ lambda_{n+1} + dC/d<psi_n|,
+# and the gradient at step n is Re <lambda_n| dU_n/da_k |psi_{n-1}>.
+# Each term adds its weight w times its own drive:
+#   final-state infidelity:  -2 w phi_T <phi_T|psi_N>       at n = N only
+#   running penalty:          (2 w / N) Omega psi_n          at every n
+#   running infidelity:      -(2 w / N) phi_T <phi_T|psi_n>  at every n
+# so any subset runs as one pass with one co-state.
 
 
 def _state_forward(
@@ -291,12 +300,11 @@ def _state_forward(
     psi0: np.ndarray,
     terms: list[CostTerm],
     meter: VectorMeter,
-) -> tuple[np.ndarray, float, dict[int, complex]]:
+) -> tuple[np.ndarray, float]:
     """Forward sweep of the state costs from a validated ``psi0``.
 
-    Returns the final state (still held on ``meter``), the weighted cost of
-    ``terms`` and, per final-infidelity term, the overlap ``<psi_N|phi_T>``.
-    With no terms this is plain propagation.
+    Returns the final state (still held on ``meter``) and the weighted
+    cost of ``terms``.  With no terms this is plain propagation.
     """
     n_steps = a.n_steps
     penalty_sums = {}
@@ -316,17 +324,14 @@ def _state_forward(
                 overlap_sums[i] = overlap_sums.get(i, 0.0) + abs(o) ** 2
 
     cost = 0.0
-    final_overlaps = {}
     for i, term in enumerate(terms):
         if term.kind is CostKind.STATE_INFIDELITY:
-            z = np.vdot(psi, term.target_state)  # <psi_N | phi_T>
-            final_overlaps[i] = z
-            cost += term.weight * (1.0 - abs(z) ** 2)
+            cost += term.weight * (1.0 - abs(np.vdot(psi, term.target_state)) ** 2)
         elif term.kind is CostKind.STATE_PENALTY:
             cost += term.weight * penalty_sums[i] / n_steps
         else:
             cost += term.weight * (1.0 - overlap_sums[i] / n_steps)
-    return psi, cost, final_overlaps
+    return psi, cost
 
 
 def forward_propagate(
@@ -338,6 +343,21 @@ def forward_propagate(
     return _state_forward(step, a, psi0, [], VectorMeter(problem.dim))[0]
 
 
+def _drive(
+    lam: np.ndarray, terms: list[CostTerm], psi: np.ndarray, n_steps: int, meter: VectorMeter
+) -> None:
+    """Add the running terms' share of ``dC/d<psi_n|`` at ``psi = psi_n`` to ``lam``."""
+    for term in terms:
+        if term.kind is CostKind.STATE_PENALTY:
+            drive = meter.grab(term.penalty_op.matvec(psi))
+            drive *= 2.0 * term.weight / n_steps
+            lam += drive
+            meter.release(drive)
+        elif term.kind is CostKind.STATE_RUNNING_INFIDELITY:
+            z = np.vdot(term.target_state, psi)  # <phi_T | psi_n>
+            lam += (-2.0 * term.weight / n_steps * z) * np.asarray(term.target_state)
+
+
 def _state_pass(
     problem: ControlProblem,
     a: ControlField,
@@ -347,17 +367,15 @@ def _state_pass(
     n_steps, n_channels = a.n_steps, a.n_channels
     step = _step_evaluators(problem, a)
     meter = VectorMeter(problem.dim)
-    psi, cost, final_overlaps = _state_forward(step, a, psi0, terms, meter)
+    psi, cost = _state_forward(step, a, psi0, terms, meter)
 
-    # ---- backward sweep: adjoint-propagate psi_N and all co-states (one per row)
-    costates = meter.grab(np.empty((len(terms), problem.dim), dtype=np.complex128))
-    for i, term in enumerate(terms):
+    # ---- backward sweep: adjoint-propagate psi_N and the one co-state
+    lam = meter.grab(np.zeros(problem.dim, dtype=np.complex128))
+    for term in terms:
         if term.kind is CostKind.STATE_INFIDELITY:
-            costates[i] = term.target_state
-        elif term.kind is CostKind.STATE_PENALTY:
-            term.penalty_op.matvec(psi, out=costates[i])
-        else:
-            np.multiply(term.target_state, np.vdot(term.target_state, psi), out=costates[i])
+            z = np.vdot(term.target_state, psi)  # <phi_T | psi_N>
+            lam += (-2.0 * term.weight * z) * np.asarray(term.target_state)
+    _drive(lam, terms, psi, n_steps, meter)
 
     grad = np.zeros((n_steps, n_channels))
     for n in range(n_steps - 1, -1, -1):
@@ -365,25 +383,9 @@ def _state_pass(
         prev = meter.grab(ev.adjoint(psi))  # psi_{n-1}
         meter.release(psi)
         psi = prev
-        overlaps = ev.pull_back(costates, psi)  # and costates[i] <- U_n^+ costates[i]
-        for i, term in enumerate(terms):
-            if term.kind is CostKind.STATE_INFIDELITY:
-                contrib = -2.0 * (overlaps[i] * final_overlaps[i]).real
-            elif term.kind is CostKind.STATE_PENALTY:
-                contrib = 2.0 / n_steps * overlaps[i].real
-            else:
-                contrib = -2.0 / n_steps * overlaps[i].real
-            grad[n] += term.weight * contrib
+        grad[n] = ev.pull_back(lam, psi).real  # and lam <- U_n^+ lam
         if n > 0:
-            for i, term in enumerate(terms):
-                if term.kind is CostKind.STATE_PENALTY:
-                    drive = meter.grab(term.penalty_op.matvec(psi))
-                    costates[i] += drive
-                    meter.release(drive)
-                elif term.kind is CostKind.STATE_RUNNING_INFIDELITY:
-                    costates[i] += np.asarray(term.target_state, np.complex128) * np.vdot(
-                        term.target_state, psi
-                    )
+            _drive(lam, terms, psi, n_steps, meter)
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
 
 
@@ -525,8 +527,7 @@ def _gate_pass(
             prev = meter.grab(ev.adjoint(psi))
             meter.release(psi)
             psi = prev
-            # pull_back also moves the co-state (the view's one row) back across step n
-            accum[n] += ev.pull_back(costate[None, :], psi)[0]
+            accum[n] += ev.pull_back(costate, psi)  # and costate <- U_n^+ costate
             if running and n > 0:
                 costate += target_image * traces[n - 1]
         if running:

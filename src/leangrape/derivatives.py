@@ -2,7 +2,7 @@
 
 Two interchangeable backends evaluate ``U psi``, ``U^dagger psi`` and the
 control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
-``U = exp(-i H dt)``:
+``U = exp(-i H dt)`` with one co-state ``lambda``:
 
 * ``SCALING_SQUARING`` works matrix-free through the certified engine in
   :mod:`leangrape.expm`.  Derivatives come from Van Loan's
@@ -13,21 +13,20 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   and each channel still runs the arithmetic of its own embedding.  The
   negated embedding applied to ``(0, lambda)`` carries the adjoint
   derivatives ``(dU/da_k)^dagger lambda`` on top and ``U^dagger lambda``
-  below, so a backward step gets a co-state's overlaps and its move back
-  from one application.
+  below, so a backward step gets the co-state's overlaps and its move
+  back from one application per block.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
-  evaluates products and overlaps through the eigenbasis.  A step whose
-  Hamiltonian has no nonzero imaginary part is factorized by the real
-  symmetric solver: its eigenbasis is float64 and every eigenbasis
-  product runs as a real matrix product.  The divided-difference kernel
-  the derivatives need is built on first use, so a forward sweep never
-  builds it.
+  evaluates products and overlaps through the eigenbasis, the overlaps
+  of every channel in one Frobenius form.  A step whose Hamiltonian has
+  no nonzero imaginary part is factorized by the real symmetric solver:
+  its eigenbasis is float64 and every eigenbasis product runs as a real
+  matrix product.  The divided-difference kernel the derivatives need is
+  built on first use, so a forward sweep never builds it.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
 or differentiates a step.  Gradients call its
 :meth:`~StepEvaluator.forward`, :meth:`~StepEvaluator.adjoint` and
 :meth:`~StepEvaluator.pull_back`.  Its
-:meth:`~StepEvaluator.control_overlaps`,
 :meth:`~StepEvaluator.control_derivative` and
 :func:`derivative_action_diag` are the references ``pull_back`` is tested
 against.
@@ -378,13 +377,6 @@ def _trace_product(w: np.ndarray, m: Matrix) -> complex:
     return complex(np.dot(w[m.col_indices, rows], m.values))
 
 
-def _times_block(m: Matrix, block: np.ndarray) -> np.ndarray:
-    """``M X`` for a C-contiguous block ``X``, reading only the stored elements of ``M``."""
-    if isinstance(m, DenseMatrix):
-        return m.array @ block
-    return m.matmat(block, np.empty((m.n_rows, block.shape[1]), dtype=np.complex128))
-
-
 class StepEvaluator:
     """Propagates and differentiates one time step, caching its planning work.
 
@@ -441,108 +433,61 @@ class StepEvaluator:
         gen, plan = self._generator_plan()
         return expm.apply(gen, psi, plan, validate=False, negate=True)
 
-    def control_overlaps(self, costates: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """``<lambda_i| dU/da_k |psi>`` for the rows ``lambda_i`` of ``costates``.
+    def pull_back(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        """The overlaps ``<lambda| dU/da_k |psi>``, moving ``lambda`` back across the step.
 
-        Returns an ``(n_costates, n_channels)`` array.  On scaling and
-        squaring each :class:`ChannelBlock` runs one certified application
-        of its :class:`BlockDerivativeOperator` to ``(0, psi)``, planned by
-        :func:`aux_plan`.  On the diagonalization backend, with
-        ``l = S^H lambda``, ``p = S^H psi`` and the kernel ``K``, the
-        overlap is ``l^H (K o S^H A_k S) p``.  Each call takes the cheaper
-        of two contractions, at two products of dense matrices per co-state
-        or per channel.  With at least as many channels as co-states it is
-        ``tr(W A_k)`` with ``W = S G^T S^H`` and ``G = (conj(l) p^T) o K``,
-        which reads only the stored elements of ``A_k``.  With fewer
-        channels ``M_k = K o S^H A_k S`` is formed once per channel and
-        every co-state contracts it with two matrix-vector products.  No
-        control is densified either way.
+        Returns the ``n_channels`` overlaps and overwrites the 1-D
+        ``costate`` with ``U^dagger lambda``.
+
+        On scaling and squaring each :class:`ChannelBlock`'s negated
+        embedding is applied to ``(0, lambda)``, planned by :func:`aux_plan`.
+        Its exponential is ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``,
+        because the generator and the controls are anti-Hermitian, so the
+        top block holds ``(dU/da_k)^dagger lambda``, whose inner product with
+        ``psi`` is the conjugate overlap, and the bottom block holds
+        ``U^dagger lambda``.  Once the last block has read ``lambda``, its
+        bottom block replaces it: no separate adjoint runs.  That bottom
+        block runs the products of :func:`leangrape.expm.apply` on the
+        negated generator under the block's plan (bit for bit on CSR
+        storage).  The plan is certified for a norm and a ``sigma'`` no
+        smaller than the generator's, and the bound grows with both, so the
+        moved co-state stays within ``tau``.
+
+        On the diagonalization backend, with ``l = S^H lambda``,
+        ``p = S^H psi`` and the kernel ``K``, the overlap is
+        ``l^H (K o S^H A_k S) p = tr(W A_k)`` with ``W = S G^T S^H`` and
+        ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
+        whatever the number of channels, and one pass over the stored
+        elements of each control, which is never densified.  The co-state
+        then moves by :meth:`adjoint`.
         """
-        costates = self._checked_costates(costates)
-        conj = costates.conj()
-        out = np.empty((costates.shape[0], len(self._controls.generators)), dtype=np.complex128)
+        d = self.ctx.dim
+        if costate.shape != (d,):
+            raise ValueError(f"costate must have shape ({d},), got {costate.shape}")
         if self.ctx.backend is Backend.DIAGONALIZATION:
             fact = self._factorization()
             s = fact.eigvecs
-            s_h = _adjoint(s)
-            real = s.dtype == np.float64
-            p = _basis_product(s_h, psi)
-            # conj(lambda)^T S = (S^T conj(lambda))^T for each row
-            conj_l = _basis_product(s.T, conj.T).T if real else conj @ s
-            generators = self._controls.generators
-            if len(generators) < len(conj_l):
-                s_rows = np.ascontiguousarray(s, dtype=np.complex128)
-                for k, control in enumerate(generators):
-                    inner = _basis_product(s_h, _times_block(control.matrix, s_rows))
-                    inner *= fact.kernel
-                    out[:, k] = conj_l @ (inner @ p)
-                return out
-            for i, row in enumerate(conj_l):
-                g = np.multiply.outer(row, p)
-                g *= fact.kernel
-                w = _real_congruence(s, g.T) if real else s @ g.T @ s_h
-                for k, control in enumerate(generators):
-                    out[i, k] = _trace_product(w, control.matrix)
+            p = _basis_product(_adjoint(s), psi)
+            g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
+            g *= fact.kernel
+            w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
+            out = np.array([_trace_product(w, c.matrix) for c in self._controls.generators])
+            costate[...] = self.adjoint(costate)
             return out
-        k = 0
-        for aux, plan in self._derivative_blocks():
-            # no view of a block's result outlives its product with the co-states
-            result = expm.apply(aux, aux.stack(psi), plan, validate=False)
-            out[:, k : k + aux.width] = conj @ aux.split(result)[0]
-            del result
-            k += aux.width
-        return out
-
-    def pull_back(self, costates: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """:meth:`control_overlaps`, moving each co-state back across the step.
-
-        Returns the overlaps ``<lambda_i| dU/da_k |psi>`` and overwrites
-        each row ``lambda_i`` of ``costates`` with ``U^dagger lambda_i``.
-
-        On scaling and squaring with one co-state, each channel block's
-        negated embedding is applied to ``(0, lambda)``.  Its exponential
-        is ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``, because the
-        generator and the controls are anti-Hermitian, so the top block
-        holds ``(dU/da_k)^dagger lambda``, whose inner product with ``psi``
-        is the overlap, and the bottom block holds ``U^dagger lambda``.
-        Once the last block has read ``lambda``, its bottom block replaces
-        it: no separate adjoint runs.  That bottom block runs the products
-        of :func:`leangrape.expm.apply` on the negated generator under the
-        block's plan (bit for bit on CSR storage).  The plan is certified
-        for a norm and a ``sigma'`` no smaller than the generator's, and
-        the bound grows with both, so the moved co-state stays within
-        ``tau``.  With several co-states, or on the diagonalization
-        backend, this is :meth:`control_overlaps` followed by
-        :meth:`adjoint` of each row.
-        """
-        costates = self._checked_costates(costates)
-        if self.ctx.backend is Backend.DIAGONALIZATION or len(costates) != 1:
-            out = self.control_overlaps(costates, psi)
-            for row in costates:
-                row[...] = self.adjoint(row)
-            return out
-        lam = costates[0]
         conj_psi = psi.conj()
-        out = np.empty((1, len(self._controls.generators)), dtype=np.complex128)
+        out = np.empty(len(self._controls.generators), dtype=np.complex128)
         blocks = self._derivative_blocks()
         k = 0
         for aux, plan in blocks:
-            result = expm.apply(aux, aux.stack(lam), plan, validate=False, negate=True)
+            result = expm.apply(aux, aux.stack(costate), plan, validate=False, negate=True)
             tops, bottom = aux.split(result)
-            out[0, k : k + aux.width] = conj_psi @ tops
+            out[k : k + aux.width] = conj_psi @ tops
             k += aux.width
             if aux is blocks[-1][0]:
-                lam[...] = bottom
+                costate[...] = bottom
             # no view of a block's result outlives its overlaps
             del result, tops, bottom
         return np.conj(out, out=out)
-
-    def _checked_costates(self, costates: np.ndarray) -> np.ndarray:
-        costates = np.asarray(costates)
-        d = self.ctx.dim
-        if costates.ndim != 2 or costates.shape[1] != d:
-            raise ValueError(f"costates must have shape (n, {d}), got {costates.shape}")
-        return costates
 
     def _derivative_blocks(self) -> list[tuple[BlockDerivativeOperator, expm.ExpmPlan]]:
         if self._blocks is None:
@@ -552,7 +497,7 @@ class StepEvaluator:
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.
 
-        The single-channel reference for :meth:`control_overlaps`: on
+        The single-channel reference for :meth:`pull_back`: on
         scaling and squaring the channel's own block embedding, applied to
         ``(0, psi)``, carries the derivative in its top block.
         """

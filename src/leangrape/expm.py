@@ -301,12 +301,12 @@ def make_plan(
     which costs more than it saves; the smallest-scaling rule is used
     instead.
     """
-    if not norm1_a >= 0.0:
-        raise ValueError(f"norm1_a must be non-negative, got {norm1_a}")
+    if not 0.0 <= norm1_a < math.inf:
+        raise ValueError(f"norm1_a must be finite and non-negative, got {norm1_a}")
     if sigma_prime < 0:
         raise ValueError("sigma_prime must be non-negative")
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return _cached_plan(float(norm1_a), int(sigma_prime), float(tau), m_max, s_max, consts)
 
 

@@ -22,6 +22,7 @@ are kept unchanged as the reproduction baseline.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -67,16 +68,17 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.eta0 <= 0.0:
-            raise ValueError("eta0 must be positive")
+        if not 0.0 < self.eta0 < math.inf:
+            raise ValueError("eta0 must be positive and finite")
         if self.eta_schedule not in ETA_SCHEDULES:
             raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink must lie in (0, 1)")
-        if self.grow <= 1.0:
-            raise ValueError("grow must exceed 1")
-        if self.stop_cost < 0.0 or self.stop_grad_norm < 0.0:
-            raise ValueError("stop thresholds must be non-negative")
+        if not 1.0 < self.grow < math.inf:
+            raise ValueError("grow must exceed 1 and be finite")
+        for name in ("stop_cost", "stop_grad_norm"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,19 @@ class TestOverrides:
         assert cli.main(argv) == 1
         assert "tau: must be positive" in capsys.readouterr().err
 
+    def test_infinite_tau_refused(self, tmp_path, capsys):
+        cfg_path = tmp_path / "expm.cfg"
+        cfg_path.write_text("expm.matrix = a.mat\nexpm.vector = b.vec\n")
+        assert cli.main(["expm", "--config", str(cfg_path), "--tau", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no m = s = 1 result claimed as certified
+        assert "tau: must be finite, got 'inf'" in captured.err
+
+    def test_nan_dt_refused(self):
+        text = RABI_CFG.replace("steps.dt = 0.1", "steps.dt = nan")
+        with pytest.raises(ConfigError, match="steps.dt: must be finite"):
+            parse_config(text, "optimize")
+
     @pytest.mark.parametrize(
         "line, message",
         [

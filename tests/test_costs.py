@@ -22,6 +22,17 @@ def make_problem(rng, d, k, backend=Backend.SCALING_SQUARING, tau=1e-12, psi0=No
     return costs.ControlProblem(hs, hcs, backend, tau, initial_state=psi0)
 
 
+def state_terms(rng, d):
+    """One term of each state kind: infidelity, running infidelity and penalty."""
+    phi = random_state(rng, d)
+    omega = sparse.from_dense(random_hermitian(rng, d))
+    return [
+        CostTerm(CostKind.STATE_INFIDELITY, 0.7, target_state=phi),
+        CostTerm(CostKind.STATE_RUNNING_INFIDELITY, 0.4, target_state=phi),
+        CostTerm(CostKind.STATE_PENALTY, 0.3, penalty_op=omega),
+    ]
+
+
 def fd_gradient(eval_cost, field, eps=1e-6):
     amps = field.amplitudes
     grad = np.zeros_like(amps)
@@ -303,25 +314,33 @@ class TestComposite:
         assert combo.cost == pytest.approx(direct.cost, abs=1e-13)
         assert np.abs(combo.grad - direct.grad).max() <= 1e-13
 
-    def test_fused_equals_unfused_sum(self, rng):
+    @pytest.mark.parametrize(
+        "kinds",
+        [(0, 2), (0, 1), (1, 2), (0, 1, 2)],
+        ids=["infidelity+penalty", "infidelity+running", "running+penalty", "all"],
+    )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_fused_equals_unfused_sum(self, rng, backend, kinds):
         d, n, k = 6, 4, 2
-        psi0, phi = random_state(rng, d), random_state(rng, d)
-        omega = sparse.from_dense(random_hermitian(rng, d))
-        problem = make_problem(rng, d, k, psi0=psi0)
+        psi0 = random_state(rng, d)
+        problem = make_problem(rng, d, k, backend, psi0=psi0)
         field = costs.ControlField(n, k, 0.25, rng.normal(size=(n, k)))
-        w1, w2 = 0.7, 0.4
-        fused = costs.composite_grad(
-            problem,
-            field,
-            [
-                CostTerm(CostKind.STATE_INFIDELITY, w1, target_state=phi),
-                CostTerm(CostKind.STATE_PENALTY, w2, penalty_op=omega),
-            ],
-        )
-        r1 = costs.c1_state_grad(problem, field, psi0, phi)
-        r2 = costs.c2_state_grad(problem, field, psi0, omega)
-        assert fused.cost == pytest.approx(w1 * r1.cost + w2 * r2.cost, abs=1e-12)
-        assert np.abs(fused.grad - (w1 * r1.grad + w2 * r2.grad)).max() <= 1e-12
+        every_kind = state_terms(rng, d)
+        terms = [every_kind[i] for i in kinds]
+        fused = costs.composite_grad(problem, field, terms)
+        grad_fns = {
+            CostKind.STATE_INFIDELITY: (costs.c1_state_grad, "target_state"),
+            CostKind.STATE_RUNNING_INFIDELITY: (costs.c3_state_grad, "target_state"),
+            CostKind.STATE_PENALTY: (costs.c2_state_grad, "penalty_op"),
+        }
+        cost, grad = 0.0, np.zeros((n, k))
+        for term in terms:
+            grad_fn, payload = grad_fns[term.kind]
+            r = grad_fn(problem, field, psi0, getattr(term, payload))
+            cost += term.weight * r.cost
+            grad += term.weight * r.grad
+        assert fused.cost == pytest.approx(cost, abs=1e-12)
+        assert np.abs(fused.grad - grad).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "kinds",
@@ -366,6 +385,27 @@ class TestCostTermValidation:
     def test_negative_weight(self, rng):
         with pytest.raises(ValueError, match="weight"):
             CostTerm(CostKind.STATE_INFIDELITY, -0.5, target_state=random_state(rng, 3))
+
+    def test_nan_weight_refused(self, rng):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            CostTerm(CostKind.STATE_INFIDELITY, np.nan, target_state=random_state(rng, 3))
+
+    def test_non_finite_target_gate_refused(self):
+        gate = np.eye(3, dtype=complex)
+        gate[1, 2] = np.nan
+        with pytest.raises(ValueError, match="target gate has non-finite entries"):
+            CostTerm(CostKind.GATE_INFIDELITY, target_gate=gate)
+
+    def test_non_square_target_gate_refused(self):
+        with pytest.raises(ValueError, match=r"target gate must be square, got shape \(2, 3\)"):
+            CostTerm(CostKind.GATE_INFIDELITY, target_gate=np.eye(2, 3, dtype=complex))
+
+
+class TestControlFieldValidation:
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            costs.ControlField.constant(0.1, 2, 1, dt)
 
 
 class TestStateValidation:
@@ -447,6 +487,16 @@ class TestInvariantsAndInstrumentation:
         assert peaks[0] == peaks[1]
         assert peaks[0] <= 6
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_composite_state_cost_holds_one_costate(self, rng, backend):
+        # psi, the co-state and the adjoint's result (or a penalty drive)
+        d, k = 6, 2
+        problem = make_problem(rng, d, k, backend, psi0=random_state(rng, d))
+        terms = state_terms(rng, d)
+        for n in (5, 50):
+            field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.2, size=(n, k)))
+            assert costs.composite_grad(problem, field, terms).live_vector_peak == 3
+
     @pytest.mark.parametrize("grad_fn", [costs.c1_gate_grad, costs.c3_gate_grad])
     def test_gate_live_peak_independent_of_steps(self, rng, grad_fn):
         d, k = 4, 1
@@ -525,7 +575,7 @@ class TestStepAssembly:
 
 class TestCountedMatvecs:
     @staticmethod
-    def assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k):
+    def assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k, composite=False):
         real_apply = expm.apply
         planned, counted = [], []
 
@@ -538,11 +588,16 @@ class TestCountedMatvecs:
 
         monkeypatch.setattr(expm, "apply", counting_apply)
         d, n = 6, 3
-        problem = make_problem(rng, d, k, tau=1e-10)
+        psi0 = random_state(rng, d)
+        problem = make_problem(rng, d, k, tau=1e-10, psi0=psi0)
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
-        costs.c1_state_grad(problem, field, random_state(rng, d), random_state(rng, d))
+        if composite:
+            costs.composite_grad(problem, field, state_terms(rng, d))
+        else:
+            costs.c1_state_grad(problem, field, psi0, random_state(rng, d))
         # n forward, n adjoint and one derivative application per channel block and step;
-        # the derivative applications also move the one co-state back
+        # the derivative applications also move the one co-state back, however many
+        # terms drive it
         assert len(planned) == n + n + n * math.ceil(k / CHANNEL_BLOCK)
         assert counted == planned
         assert sum(counted) > len(counted)
@@ -553,6 +608,10 @@ class TestCountedMatvecs:
     def test_partial_channel_block_runs_the_planned_products(self, rng, monkeypatch):
         # one full block of CHANNEL_BLOCK channels and one partial block
         self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=5)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_composite_state_cost_runs_one_costate(self, rng, monkeypatch, k):
+        self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k, composite=True)
 
 
 class TestGateSweeps:

@@ -329,7 +329,7 @@ class TestControlOverlaps:
         step = make_overlap_step(rng, d, n_channels, backend, storage)[2]
         psi = random_state(rng, d)
         costates = np.array([random_state(rng, d), random_state(rng, d)])
-        got = step.control_overlaps(costates, psi)
+        got = np.array([step.pull_back(lam.copy(), psi) for lam in costates])
         want = np.array(
             [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
              for lam in costates]
@@ -354,15 +354,15 @@ class TestControlOverlaps:
         monkeypatch.setattr(expm, "apply", recording_apply)
         psi = random_state(rng, d)
         # unit co-states read out every entry of every channel's derivative
-        derivs = step.control_overlaps(np.eye(d, dtype=complex), psi)
-        assert [a.width for a, _ in blocks] == [CHANNEL_BLOCK, n_channels - CHANNEL_BLOCK]
+        derivs = np.array([step.pull_back(e, psi) for e in np.eye(d, dtype=complex)])
+        assert [a.width for a, _ in blocks] == [CHANNEL_BLOCK, n_channels - CHANNEL_BLOCK] * d
 
         h_step = step.ctx.h_step
         stacked = np.concatenate([np.zeros(d, complex), psi])
         for k, hc in enumerate(problem.h_controls):
             exact = scipy_expm(sparse.aux_embed(h_step, hc, dt).to_dense()) @ stacked
             assert np.linalg.norm(derivs[:, k] - exact[:d]) <= tau
-        for block, plan in blocks:
+        for block, plan in blocks[:2]:
             assert plan == aux_plan(block, tau)
             for control in block.controls:
                 own = aux_plan(BlockDerivativeOperator(block.step, ChannelBlock((control,))), tau)
@@ -382,49 +382,15 @@ class TestControlOverlaps:
             return real_to_dense(self)
 
         monkeypatch.setattr(sparse.CsrMatrix, "to_dense", recording_to_dense)
-        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
-        step.control_overlaps(costates, random_state(rng, d))
+        psi = random_state(rng, d)
+        for _ in range(n_costates):
+            step.pull_back(random_state(rng, d), psi)
         assert densified == [step.ctx.h_step]  # the eigensolver's input only
 
-    @pytest.mark.parametrize("storage", ["csr", "dense"])
-    @pytest.mark.parametrize("n_costates", [1, 3, 5])
-    def test_eigen_path_contracts_the_fewer_of_costates_and_channels(
-        self, rng, monkeypatch, storage, n_costates
-    ):
-        d, n_channels = 9, 3
-        step = make_overlap_step(rng, d, n_channels, Backend.DIAGONALIZATION, storage)[2]
-        calls = {"per_costate": 0, "per_channel": 0}
-
-        def counting(name, real):
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        monkeypatch.setattr(
-            derivatives, "_trace_product", counting("per_costate", derivatives._trace_product)
-        )
-        monkeypatch.setattr(
-            derivatives, "_times_block", counting("per_channel", derivatives._times_block)
-        )
-        psi = random_state(rng, d)
-        costates = np.array([random_state(rng, d) for _ in range(n_costates)])
-        got = step.control_overlaps(costates, psi)
-        if n_costates > n_channels:
-            assert calls == {"per_costate": 0, "per_channel": n_channels}
-        else:
-            assert calls == {"per_costate": n_costates * n_channels, "per_channel": 0}
-        want = np.array(
-            [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
-             for lam in costates]
-        )
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-    @pytest.mark.parametrize("method", ["control_overlaps", "pull_back"])
-    def test_costates_shape_checked(self, rng, method):
+    def test_costate_shape_checked(self, rng):
         step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.2)
-        with pytest.raises(ValueError, match="costates"):
-            getattr(step, method)(random_state(rng, 4), random_state(rng, 4))
+        with pytest.raises(ValueError, match="costate"):
+            step.pull_back(random_state(rng, 4)[None, :], random_state(rng, 4))
 
 
 class TestPullBack:
@@ -439,16 +405,21 @@ class TestPullBack:
             (Backend.DIAGONALIZATION, "dense", 5),
         ],
     )
-    def test_matches_overlaps_then_adjoint(self, rng, backend, storage, n_channels, n_costates):
+    def test_matches_derivatives_then_adjoint(
+        self, rng, backend, storage, n_channels, n_costates
+    ):
         d = 10
         problem, _, step = make_overlap_step(
             rng, d, n_channels, backend, storage, scales=(1.0, 3.0, 0.5)
         )
         psi = random_state(rng, d)
         costates = np.array([random_state(rng, d) for _ in range(n_costates)])
-        want = step.control_overlaps(costates, psi)
+        want = np.array(
+            [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
+             for lam in costates]
+        )
         moved = costates.copy()
-        got = step.pull_back(moved, psi)
+        got = np.array([step.pull_back(back, psi) for back in moved])
         assert got.shape == (n_costates, n_channels)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         for lam, back in zip(costates, moved):
@@ -467,11 +438,11 @@ class TestPullBack:
         monkeypatch.setattr(
             derivatives.StepEvaluator, "adjoint", lambda self, v: pytest.fail("adjoint ran")
         )
-        costates = lam[None, :].copy()
-        step.pull_back(costates, psi)
+        costate = lam.copy()
+        step.pull_back(costate, psi)
         # the last block's bottom block, which is the negated generator under that block's plan
         want = expm.apply(gen, lam, block_plan, validate=False, negate=True)
-        assert np.array_equal(costates[0], want)
+        assert np.array_equal(costate, want)
 
 
 def real_step_problem(rng, d, storage):
@@ -536,7 +507,7 @@ class TestRealEigenbasis:
             return [
                 step.forward(psi),
                 step.adjoint(psi),
-                step.control_overlaps(costates, psi),
+                *(step.pull_back(lam.copy(), psi) for lam in costates),
                 *(step.control_derivative(k, psi) for k in range(3)),
             ]
 
@@ -559,7 +530,7 @@ class TestRealEigenbasis:
         step.adjoint(step.forward(psi))
         fact = step._factorization()
         assert "kernel" not in fact.__dict__
-        step.control_overlaps(psi[None, :], psi)
+        step.pull_back(psi.copy(), psi)
         assert "kernel" in fact.__dict__
         # the eager formula, from the eigenvalues of the solver diag_prepare picks for h
         w = np.linalg.eigh(h * dt)[0]
@@ -618,9 +589,10 @@ class TestRealModelGradients:
 class TestComplexModelUnchanged:
     """A complex Hamiltonian keeps the complex solver's arithmetic bit for bit.
 
-    The constants were recorded before the real-symmetric path existed,
-    with numpy 2.4's bundled OpenBLAS on x86-64; another BLAS or CPU
-    kernel may round differently.
+    The cost was recorded before the real-symmetric path existed and the
+    gradient once the state pass carried a single co-state, with numpy
+    2.4's bundled OpenBLAS on x86-64; another BLAS or CPU kernel may round
+    differently.
     """
 
     def test_state_gradient(self):
@@ -633,31 +605,8 @@ class TestComplexModelUnchanged:
         result = costs.c1_state_grad(problem, field, psi0, target)
         assert result.cost == 0.9413564879781222
         assert np.array_equal(result.grad, [
-            [0.03178804808743034, 0.012499209174434027, 0.025849604329488254,
-             -0.15469607051240863, 0.037604549660452576, 0.0360863827617011],
-            [0.013872993741562834, 0.01558036404389431, 0.014899430391309624,
-             -0.08414817500899142, -0.029585143079256526, 0.04150529346991922],
-        ])
-
-    def test_composite_gradient_per_channel_form(self):
-        # three state terms on two channels take the per-channel contraction
-        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=1))
-        problem = costs.ControlProblem(
-            h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10, initial_state=models.fock_state(2, 0)
-        )
-        field = costs.ControlField(3, 2, 0.5, np.array([[0.5, -0.25], [1.0, 0.75], [-0.5, 0.25]]))
-        target = models.fock_state(2, 1)
-        terms = [
-            costs.CostTerm(costs.CostKind.STATE_INFIDELITY, target_state=target),
-            costs.CostTerm(costs.CostKind.STATE_RUNNING_INFIDELITY, target_state=target),
-            costs.CostTerm(
-                costs.CostKind.STATE_PENALTY, penalty_op=sparse.from_dense(np.diag([0.0, 1.0]))
-            ),
-        ]
-        result = costs.composite_grad(problem, field, terms)
-        assert result.cost == 1.734694096412236
-        assert np.array_equal(result.grad, [
-            [-0.26312686136526797, -0.32710679376863205],
-            [-0.3311536232609431, -0.1713323022311064],
-            [-0.42177683376629793, -0.09371597713891527],
+            [0.03178804808743035, 0.012499209174433992, 0.02584960432948826,
+             -0.15469607051240863, 0.03760454966045257, 0.0360863827617011],
+            [0.013872993741562823, 0.015580364043894311, 0.014899430391309622,
+             -0.08414817500899141, -0.029585143079256526, 0.041505293469919206],
         ])

@@ -212,6 +212,15 @@ class TestMakePlan:
         with pytest.raises(ValueError):
             expm.make_plan(1.0, 1, 0.0)
 
+    def test_infinite_tau_refused(self):
+        # any plan meets an infinite tolerance, so m = s = 1 would claim a certificate
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            expm.make_plan(1.0, 2, np.inf)
+
+    def test_non_finite_norm_refused(self):
+        with pytest.raises(ValueError, match="norm1_a must be finite"):
+            expm.make_plan(np.inf, 2, 1e-8)
+
     def test_mu_monotone_in_norm_at_moderate_tolerances(self):
         """Matvec count never drops as the norm grows (tau = 1e-4, 1e-8).
 

@@ -120,6 +120,11 @@ class TestGrapeOptimize:
         with pytest.raises(ValueError):
             optimizer.OptimizerConfig(shrink=1.5)
 
+    @pytest.mark.parametrize("name", ["eta0", "grow", "stop_cost", "stop_grad_norm"])
+    def test_nan_config_refused(self, name):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            optimizer.OptimizerConfig(**{name: float("nan")})
+
     def test_divergence_aborts_with_partial_trace(self):
         # a wildly large constant step blows the amplitudes up; the run must
         # return what it recorded so far instead of raising
