@@ -23,7 +23,9 @@ step before its co-states start.
 
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
-its :class:`GradientResult`.  The propagation engine itself adds a
+its :class:`GradientResult`.  A step stores its Hamiltonian once, and
+the problem its controls once, whatever ``dt``: the engine takes the
+time step as a scale.  The propagation engine itself adds a
 per-call scratch overhead that is not metered: three work vectors for a
 product, and for one pull-back the start vector and three work arrays of
 a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense storage),
@@ -42,7 +44,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .derivatives import Backend, ScaledControls, StepContext, StepEvaluator
+from .derivatives import Backend, ControlOperators, StepContext, StepEvaluator
 from .sparse import DenseMatrix, FixedPatternSum, Matrix, is_hermitian, linear_combine
 
 __all__ = [
@@ -121,10 +123,11 @@ class ControlProblem:
     Step Hamiltonians of CSR problems are assembled on the union
     sparsity pattern of ``h_static`` and ``h_controls``, built on first
     use and kept on the instance; dense problems use
-    :func:`leangrape.sparse.linear_combine`.  The scaled control
-    generators of the most recent ``dt`` are kept as well, with the
-    stacked controls of their channel blocks once a scaling-and-squaring
-    gradient has built them.
+    :func:`leangrape.sparse.linear_combine`.  The control operators are
+    wrapped once, with their abs-sums and, once a scaling-and-squaring
+    gradient has built them, the stacked controls of their channel blocks.
+    None of this depends on ``dt``: a step takes its time step as the
+    propagation engine's scale, so fields with different ``dt`` share it.
     """
 
     h_static: Matrix
@@ -161,12 +164,10 @@ class ControlProblem:
             return None
         return FixedPatternSum(ops)
 
-    def _scaled_controls(self, dt: float) -> ScaledControls:
-        cached = self.__dict__.get("_controls_at")
-        if cached is None or cached[0] != dt:
-            cached = (dt, ScaledControls(self.h_controls, dt, self._pattern is None))
-            self.__dict__["_controls_at"] = cached
-        return cached[1]
+    @cached_property
+    def _controls(self) -> ControlOperators:
+        """The control operators shared by every step evaluator of this problem."""
+        return ControlOperators(self.h_controls, self._pattern is None)
 
     def step_evaluator(self, a: ControlField, n: int) -> StepEvaluator:
         """Evaluator for step ``n`` with the step's amplitudes folded in."""
@@ -178,7 +179,7 @@ class ControlProblem:
         else:
             h_step = self._pattern.combine(coeffs)
         ctx = StepContext(h_step, a.dt, self.backend, self.tau)
-        return StepEvaluator(ctx, self._scaled_controls(a.dt))
+        return StepEvaluator(ctx, self._controls)
 
 
 @dataclass(frozen=True)
@@ -499,8 +500,9 @@ def _gate_pass(
     to accumulate one complex scalar per step, then the same sweep.  At
     each backward step :meth:`~leangrape.derivatives.StepEvaluator.pull_back`
     gives the overlaps and moves the co-state back.  Live vectors stay
-    O(1); only N scalars (running cost) and the gradient accumulator
-    persist.
+    O(1); only the per-step arrays persist: N trace factors, the complex
+    overlap accumulator and the gradient, all allocated before the first
+    sweep.
     """
     u_target, states = _gate_inputs(problem, u_target, basis)
     d = problem.dim
@@ -513,6 +515,8 @@ def _gate_pass(
         traces = np.zeros(n_steps, dtype=np.complex128)
 
     accum = np.zeros((n_steps, n_channels), dtype=np.complex128)
+    # held from the start: the sweeps peak with every per-step array already live
+    grad = np.empty((n_steps, n_channels))
     for h in range(d):
         target_image = meter.grab(u_target @ states[h])
         psi = _state_forward(step, a, states[h], [], meter)[0]
@@ -536,10 +540,11 @@ def _gate_pass(
         meter.release(target_image)
 
     if running:
-        grad = -2.0 / (n_steps * d * d) * accum.real
+        np.multiply(accum.real, -2.0 / (n_steps * d * d), out=grad)
     else:
         cost = _gate_cost(traces, d, False)
-        grad = -2.0 / (d * d) * (accum * np.conj(traces[-1])).real
+        accum *= np.conj(traces[-1])
+        np.multiply(accum.real, -2.0 / (d * d), out=grad)
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
 
 

@@ -5,22 +5,26 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
 ``U = exp(-i H dt)`` with one co-state ``lambda``:
 
 * ``SCALING_SQUARING`` works matrix-free through the certified engine in
-  :mod:`leangrape.expm`.  Derivatives come from Van Loan's
-  block-upper-triangular embedding of dimension ``2d``, whose
-  exponential action carries the derivative in its top block.  On CSR
-  storage one :class:`BlockDerivativeOperator` fuses up to
+  :mod:`leangrape.expm`.  The only stored operators are the step
+  Hamiltonian ``H`` and the controls ``h_k``: the time step enters as the
+  engine's ``scale`` (``-i dt`` forward, ``+i dt`` back), folded into its
+  per-term scalar, so no generator ``-i dt H`` is ever materialized.
+  Derivatives come from Van Loan's block-upper-triangular embedding of
+  dimension ``2d``, kept in Hamiltonian units ``[[H, h_k], [0, H]]``,
+  whose exponential action carries the derivative in its top block.  On
+  CSR storage one :class:`BlockDerivativeOperator` fuses up to
   :data:`CHANNEL_BLOCK` channels that share the embedding's bottom block,
   and each channel still runs the arithmetic of its own embedding.  The
-  negated embedding applied to ``(0, lambda)`` carries the adjoint
+  embedding applied at ``+i dt`` to ``(0, lambda)`` carries the adjoint
   derivatives ``(dU/da_k)^dagger lambda`` on top and ``U^dagger lambda``
   below, so a backward step gets the co-state's overlaps and its move
   back from one application per block.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
   evaluates products and overlaps through the eigenbasis, the overlaps
-  of every channel in one Frobenius form.  A step whose Hamiltonian has
-  no nonzero imaginary part is factorized by the real symmetric solver:
-  its eigenbasis is float64 and every eigenbasis product runs as a real
-  matrix product.  The divided-difference kernel the derivatives need is
+  ``-i dt tr(W h_k)`` of every channel in one Frobenius form.  A step
+  whose Hamiltonian has no nonzero imaginary part is factorized by the
+  real symmetric solver: its eigenbasis is float64 and every eigenbasis
+  product runs as a real matrix product.  The divided-difference kernel the derivatives need is
   built on first use, so a forward sweep never builds it.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
@@ -47,9 +51,9 @@ from .sparse import CsrMatrix, DenseMatrix, Matrix, build_csr_arrays
 __all__ = [
     "Backend",
     "DiagFactorization",
-    "ScaledGenerator",
+    "OperatorSums",
     "ChannelBlock",
-    "ScaledControls",
+    "ControlOperators",
     "CHANNEL_BLOCK",
     "BlockDerivativeOperator",
     "diag_prepare",
@@ -116,11 +120,12 @@ class DiagFactorization:
         return np.outer(half, half) * np.sinc(gap / (2 * np.pi))
 
 
-class ScaledGenerator:
-    """A generator matrix with its column and row abs-sums and per-row element counts.
+class OperatorSums:
+    """A Hermitian operator with its column and row abs-sums and per-row element counts.
 
     These are the pieces the norms and the per-row element count of a
-    block embedding are assembled from; they are computed once here.
+    block embedding are assembled from; they are computed once here.  The
+    matrix is the operator itself, not a copy scaled by ``-i dt``.
     """
 
     __slots__ = ("matrix", "col_abs_sums", "row_abs_sums", "row_nnz")
@@ -145,7 +150,7 @@ class ChannelBlock:
 
     __slots__ = ("controls", "stacked")
 
-    def __init__(self, controls: tuple[ScaledGenerator, ...]):
+    def __init__(self, controls: tuple[OperatorSums, ...]):
         self.controls = controls
         self.stacked: CsrMatrix | None = None
         if all(isinstance(c.matrix, CsrMatrix) for c in controls):
@@ -160,50 +165,54 @@ class ChannelBlock:
             )
 
 
-class ScaledControls:
-    """The control generators ``-i h_k dt`` of one ``dt`` and their channel blocks.
+class ControlOperators:
+    """The control operators ``h_k`` of one problem and their channel blocks.
 
-    ``generators[k]`` is channel ``k``.  ``blocks`` groups consecutive
-    channels :data:`CHANNEL_BLOCK` at a time on CSR storage and one at a
-    time on dense storage (see :class:`BlockDerivativeOperator`); the last
-    block may be narrower.  It is built by the first scaling-and-squaring
-    overlaps that need it and shared by every step with this ``dt``.
+    ``operators[k]`` is channel ``k``, holding the problem's own matrix.
+    ``blocks`` groups consecutive channels :data:`CHANNEL_BLOCK` at a time
+    on CSR storage and one at a time on dense storage (see
+    :class:`BlockDerivativeOperator`); the last block may be narrower.  It
+    is built by the first scaling-and-squaring overlaps that need it.
+    Nothing here depends on ``dt``, so every step of the problem shares
+    one instance, whatever its time step.
     """
 
-    def __init__(self, h_controls, dt: float, dense_storage: bool):
-        self.generators = tuple(ScaledGenerator(hc.scaled(-1j * dt)) for hc in h_controls)
+    def __init__(self, h_controls, dense_storage: bool):
+        self.operators = tuple(OperatorSums(hc) for hc in h_controls)
         self.width = 1 if dense_storage else CHANNEL_BLOCK
 
     @cached_property
     def blocks(self) -> tuple[ChannelBlock, ...]:
-        g, w = self.generators, self.width
-        return tuple(ChannelBlock(g[k : k + w]) for k in range(0, len(g), w))
+        ops, w = self.operators, self.width
+        return tuple(ChannelBlock(ops[k : k + w]) for k in range(0, len(ops), w))
 
 
 class BlockDerivativeOperator:
     """Matrix-free Van Loan embedding of one :class:`ChannelBlock`'s derivatives.
 
-    For one channel, with ``A = -i H dt`` and ``A_k = -i h_k dt``, the
-    embedding ``[[A, A_k], [0, A]]`` (the :func:`leangrape.sparse.aux_embed`
-    matrix) maps ``(x, y)`` to ``(A x + A_k y, A y)``, and its exponential
-    applied to ``(0, psi)`` is ``((dU/da_k) psi, U psi)``.  The channels of
-    a block share the bottom block ``y``.
+    For one channel the embedding ``E = [[H, h_k], [0, H]]``, in
+    Hamiltonian units, maps ``(x, y)`` to ``(H x + h_k y, H y)``.  Its
+    generator ``-i dt E`` is the :func:`leangrape.sparse.aux_embed`
+    matrix, and ``exp(-i dt E)`` applied to ``(0, psi)`` is
+    ``((dU/da_k) psi, U psi)``; the engine takes ``-i dt`` as its
+    ``scale``, so that generator is never stored.  The channels of a block
+    share the bottom block ``y``.
 
     CSR storage: the operator acts on a flattened C-ordered ``(d, w + 1)``
     array ``[y | x_1 .. x_w]``.  One product is two kernel calls:
-    :meth:`~leangrape.sparse.CsrMatrix.matmat` multiplies ``A`` into all
+    :meth:`~leangrape.sparse.CsrMatrix.matmat` multiplies ``H`` into all
     ``w + 1`` columns, and the block's stacked control accumulates
-    ``A_k y`` onto column ``k``.  Top entry ``(i, k)`` is therefore one
-    running sum of the ``n_A + n_k`` products of row ``i`` of ``A`` and of
-    ``A_k``, in the order of the single-channel embedding, and column 0 is
+    ``h_k y`` onto column ``k``.  Top entry ``(i, k)`` is therefore one
+    running sum of the ``n_H + n_k`` products of row ``i`` of ``H`` and of
+    ``h_k``, in the order of the single-channel embedding, and column 0 is
     that embedding's bottom block: every channel runs exactly the
     arithmetic of its own ``2d`` embedding.
 
     Dense storage: a block holds one channel and the operator acts on
     ``(x, y)`` stacked as one ``2d`` vector.  The top block row
-    ``T = [A | A_k]`` is kept as one column-major ``d x 2d`` matrix whose
-    left half serves as ``A``: a product is the two dense products
-    ``T v`` and ``A y`` on the same stored elements.  Dense storage stays
+    ``T = [H | h_k]`` is kept as one column-major ``d x 2d`` matrix whose
+    left half serves as ``H``: a product is the two dense products
+    ``T v`` and ``H y`` on the same stored elements.  Dense storage stays
     at one channel because a fused block would turn these matrix-vector
     products into matrix-matrix products, which are relatively cheaper as
     ``d`` grows; that would bend the per-step runtime exponent that the
@@ -213,13 +222,14 @@ class BlockDerivativeOperator:
     ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the maxima over the
     block's channels of each channel's ``2d`` embedding value, assembled
     exactly from column and row sums; they are not norms of the block as
-    one matrix.  ``max_row_nnz`` is the largest ``n_A + n_k`` of a top
+    one matrix, and they are in Hamiltonian units: ``dt`` times them is
+    the generator's.  ``max_row_nnz`` is the largest ``n_H + n_k`` of a top
     row, which on dense storage is one ``2d``-term dot product.  The
     certified bound grows with the norm and with ``sigma'``, so a plan
     for these maxima certifies every channel's own embedding.
     """
 
-    def __init__(self, step: ScaledGenerator, block: ChannelBlock):
+    def __init__(self, step: OperatorSums, block: ChannelBlock):
         self.step = step
         self.controls = block.controls
         self.width = len(block.controls)
@@ -286,15 +296,16 @@ class BlockDerivativeOperator:
         return int(max((self.step.row_nnz + c.row_nnz).max() for c in self.controls))
 
 
-def aux_plan(aux, tau: float) -> expm.ExpmPlan:
-    """Plan for the block-embedded derivative generator.
+def aux_plan(aux, dt: float, tau: float) -> expm.ExpmPlan:
+    """Plan for the block-embedded derivative generator ``-i dt E`` of ``aux = E``.
 
     The embedding is not anti-Hermitian, so the bound's norm argument uses
-    the general two-norm surrogate ``sqrt(norm1 * norm_inf)`` instead of
+    the general two-norm surrogate ``dt sqrt(norm1 * norm_inf)`` instead of
     the one-norm, which keeps the certificate rigorous at the cost of a
-    slightly larger bound.
+    slightly larger bound.  The plan holds for ``scale = +i dt`` as well:
+    negation leaves every norm unchanged.
     """
-    surrogate = math.sqrt(aux.one_norm() * aux.inf_norm())
+    surrogate = dt * math.sqrt(aux.one_norm() * aux.inf_norm())
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
 
 
@@ -357,7 +368,9 @@ def derivative_action_diag(
     ``S (K o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is the
     elementwise product and ``K`` the divided-difference kernel of
     :class:`DiagFactorization`; the full inner matrix is required, so this
-    path costs dense matrix products.
+    path costs dense matrix products.  It is linear in ``da_da``, so the
+    derivative along a control ``h_k`` is ``-i dt`` times its value at
+    ``h_k``.
     """
     dense = da_da if isinstance(da_da, np.ndarray) else da_da.to_dense()
     if dense.shape != (fact.dim, fact.dim):
@@ -381,23 +394,25 @@ class StepEvaluator:
     """Propagates and differentiates one time step, caching its planning work.
 
     Evaluators come from :meth:`leangrape.costs.ControlProblem.step_evaluator`.
-    With the scaling-and-squaring backend this holds the generator and its
-    plan, plus lazily built block embeddings with their plans; the same
-    embeddings, negated and applied to a co-state, give :meth:`pull_back`
-    the adjoint derivatives and the moved co-state.  With the
+    With the scaling-and-squaring backend this holds the plan of
+    ``exp(-i dt H)``, planned for ``dt ||H||_1`` and the ``sigma'`` of
+    ``H``, plus lazily built block embeddings with their plans; the same
+    embeddings, applied at ``+i dt`` to a co-state, give :meth:`pull_back`
+    the adjoint derivatives and the moved co-state.  ``ctx.h_step`` is the
+    one stored copy of the step's operator: every product scales it by
+    ``-i dt`` or ``+i dt`` inside :func:`leangrape.expm.apply`.  With the
     diagonalization backend it holds the eigenfactorization.
-    ``controls`` are the problem's scaled control generators (see
-    :class:`ScaledControls`), shared by every step with the same ``dt``.
+    ``controls`` are the problem's control operators (see
+    :class:`ControlOperators`), shared by every step of the problem.
     Nothing here scales with the number of time steps.
     """
 
-    def __init__(self, ctx: StepContext, controls: ScaledControls):
+    def __init__(self, ctx: StepContext, controls: ControlOperators):
         self.ctx = ctx
         self._controls = controls
         self._fact: DiagFactorization | None = None
-        self._gen: Matrix | None = None
         self._plan: expm.ExpmPlan | None = None
-        self._sums: ScaledGenerator | None = None
+        self._sums: OperatorSums | None = None
         self._blocks: list[tuple[BlockDerivativeOperator, expm.ExpmPlan]] | None = None
         self._aux: dict[int, tuple[BlockDerivativeOperator, expm.ExpmPlan]] = {}
 
@@ -406,32 +421,33 @@ class StepEvaluator:
             self._fact = diag_prepare(self.ctx)
         return self._fact
 
-    def _generator_plan(self) -> tuple[Matrix, expm.ExpmPlan]:
-        if self._gen is None:
-            self._gen = self.ctx.h_step.scaled(-1j * self.ctx.dt)
-            self._plan = expm.make_plan(
-                self._gen.one_norm(), self._gen.max_row_nnz(), self.ctx.tau
-            )
-        return self._gen, self._plan
+    def _step_plan(self) -> expm.ExpmPlan:
+        if self._plan is None:
+            h = self.ctx.h_step
+            self._plan = expm.make_plan(self.ctx.dt * h.one_norm(), h.max_row_nnz(), self.ctx.tau)
+        return self._plan
 
     def _embedding(self, block: ChannelBlock) -> tuple[BlockDerivativeOperator, expm.ExpmPlan]:
         if self._sums is None:
-            self._sums = ScaledGenerator(self._generator_plan()[0])
+            self._sums = OperatorSums(self.ctx.h_step)
         aux = BlockDerivativeOperator(self._sums, block)
-        return aux, aux_plan(aux, self.ctx.tau)
+        return aux, aux_plan(aux, self.ctx.dt, self.ctx.tau)
 
     def forward(self, psi: np.ndarray) -> np.ndarray:
+        """``U psi = exp(-i dt H) psi``."""
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return _diag_propagate(self._factorization(), psi, adjoint=False)
-        gen, plan = self._generator_plan()
-        return expm.apply(gen, psi, plan, validate=False)
+        return expm.apply(
+            self.ctx.h_step, psi, self._step_plan(), validate=False, scale=-1j * self.ctx.dt
+        )
 
     def adjoint(self, psi: np.ndarray) -> np.ndarray:
-        """``U^dagger psi``: the negated generator's exponential, under the same plan."""
+        """``U^dagger psi = exp(+i dt H) psi``, under the same plan."""
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return _diag_propagate(self._factorization(), psi, adjoint=True)
-        gen, plan = self._generator_plan()
-        return expm.apply(gen, psi, plan, validate=False, negate=True)
+        return expm.apply(
+            self.ctx.h_step, psi, self._step_plan(), validate=False, scale=1j * self.ctx.dt
+        )
 
     def pull_back(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """The overlaps ``<lambda| dU/da_k |psi>``, moving ``lambda`` back across the step.
@@ -439,23 +455,24 @@ class StepEvaluator:
         Returns the ``n_channels`` overlaps and overwrites the 1-D
         ``costate`` with ``U^dagger lambda``.
 
-        On scaling and squaring each :class:`ChannelBlock`'s negated
-        embedding is applied to ``(0, lambda)``, planned by :func:`aux_plan`.
-        Its exponential is ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``,
-        because the generator and the controls are anti-Hermitian, so the
-        top block holds ``(dU/da_k)^dagger lambda``, whose inner product with
-        ``psi`` is the conjugate overlap, and the bottom block holds
-        ``U^dagger lambda``.  Once the last block has read ``lambda``, its
-        bottom block replaces it: no separate adjoint runs.  That bottom
-        block runs the products of :func:`leangrape.expm.apply` on the
-        negated generator under the block's plan (bit for bit on CSR
-        storage).  The plan is certified for a norm and a ``sigma'`` no
-        smaller than the generator's, and the bound grows with both, so the
-        moved co-state stays within ``tau``.
+        On scaling and squaring each :class:`ChannelBlock`'s embedding
+        ``E`` is applied at ``scale = +i dt`` to ``(0, lambda)``, planned by
+        :func:`aux_plan`.  ``exp(i dt E)`` is
+        ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``, because ``H`` and
+        the controls are Hermitian, so the top block holds
+        ``(dU/da_k)^dagger lambda``, whose inner product with ``psi`` is the
+        conjugate overlap, and the bottom block holds ``U^dagger lambda``.
+        Once the last block has read ``lambda``, its bottom block replaces
+        it: no separate adjoint runs.  That bottom block runs the products
+        of :func:`leangrape.expm.apply` on ``H`` at ``+i dt`` under the
+        block's plan (bit for bit on CSR storage).  The plan is certified
+        for a norm and a ``sigma'`` no smaller than the step's, and the
+        bound grows with both, so the moved co-state stays within ``tau``.
 
         On the diagonalization backend, with ``l = S^H lambda``,
-        ``p = S^H psi`` and the kernel ``K``, the overlap is
-        ``l^H (K o S^H A_k S) p = tr(W A_k)`` with ``W = S G^T S^H`` and
+        ``p = S^H psi`` and the kernel ``K``, the overlap along
+        ``A_k = -i dt h_k`` is
+        ``l^H (K o S^H A_k S) p = -i dt tr(W h_k)`` with ``W = S G^T S^H`` and
         ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
         whatever the number of channels, and one pass over the stored
         elements of each control, which is never densified.  The co-state
@@ -471,15 +488,18 @@ class StepEvaluator:
             g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
             g *= fact.kernel
             w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
-            out = np.array([_trace_product(w, c.matrix) for c in self._controls.generators])
+            out = np.array([_trace_product(w, c.matrix) for c in self._controls.operators])
+            out *= -1j * self.ctx.dt
             costate[...] = self.adjoint(costate)
             return out
         conj_psi = psi.conj()
-        out = np.empty(len(self._controls.generators), dtype=np.complex128)
+        out = np.empty(len(self._controls.operators), dtype=np.complex128)
         blocks = self._derivative_blocks()
         k = 0
         for aux, plan in blocks:
-            result = expm.apply(aux, aux.stack(costate), plan, validate=False, negate=True)
+            result = expm.apply(
+                aux, aux.stack(costate), plan, validate=False, scale=1j * self.ctx.dt
+            )
             tops, bottom = aux.split(result)
             out[k : k + aux.width] = conj_psi @ tops
             k += aux.width
@@ -501,14 +521,15 @@ class StepEvaluator:
         scaling and squaring the channel's own block embedding, applied to
         ``(0, psi)``, carries the derivative in its top block.
         """
-        generators = self._controls.generators
-        if not 0 <= channel < len(generators):
+        operators = self._controls.operators
+        if not 0 <= channel < len(operators):
             raise IndexError(f"control channel {channel} out of range")
-        control = generators[channel]
+        control = operators[channel]
+        scale = -1j * self.ctx.dt
         if self.ctx.backend is Backend.DIAGONALIZATION:
-            return derivative_action_diag(self._factorization(), control.matrix, psi)
+            return scale * derivative_action_diag(self._factorization(), control.matrix, psi)
         if channel not in self._aux:
             self._aux[channel] = self._embedding(ChannelBlock((control,)))
         aux, plan = self._aux[channel]
-        x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False))
+        x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False, scale=scale))
         return x[:, 0].copy()

@@ -26,10 +26,16 @@ leaves the certificate and ``sigma'`` unchanged.  A sum assembled from
 two partial sums of ``n_1`` and ``n_2`` terms plus one addition has depth
 ``max(n_1, n_2) + 1 <= n_1 + n_2``, so it is also covered by the count of
 its stored elements.
+
+:func:`apply` takes a ``scale`` and evaluates ``exp(scale A) @ psi``:
+a Hermitian ``H`` with ``scale = -i dt`` is propagated without the
+generator ``-i dt H`` ever being stored, and under the same rounding
+model, because the scale only enters the one scalar per Taylor term.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -316,45 +322,56 @@ def apply(
     plan: ExpmPlan,
     *,
     validate: bool = True,
-    negate: bool = False,
+    scale: complex = 1.0,
 ) -> np.ndarray:
-    """Evaluate ``exp(A) @ psi``, or ``exp(-A) @ psi`` with ``negate``, under a plan.
+    """Evaluate ``exp(scale A) @ psi`` under a plan for ``scale A``.
 
     Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
-    ``B = A / s`` accumulated into the current iterate, repeated
+    ``B = scale A / s`` accumulated into the current iterate, repeated
     ``scaling`` times for the outer squaring loop, consuming exactly
-    ``plan.matvecs`` matrix-vector products.  The division by ``s * j``
-    happens as one scalar multiply after each product, so ``B`` is never
-    materialized and its entries enter exactly as stored in ``A``.
-    Exactly three work vectors of the state dimension are live at any
-    time; that constant is this module's memory contract.
+    ``plan.matvecs`` matrix-vector products.  The factor ``scale / (s j)``
+    is one scalar multiply after each product, so neither ``B`` nor
+    ``scale A`` is ever materialized and the entries enter exactly as
+    stored in ``A``.  Exactly three work vectors of the state dimension
+    are live at any time; that constant is this module's memory contract.
 
-    ``validate`` enforces the anti-Hermiticity precondition under which
-    the certified bound holds.  Callers applying the block-embedded
-    derivative generator disable it and certify through the generalized
-    two-norm surrogate instead (see :mod:`leangrape.derivatives`).
+    ``scale`` folds a time step into that scalar, as in Al-Mohy & Higham's
+    ``expmv`` (SIAM J. Sci. Comput. 33, 488, 2011): a Hermitian ``H`` with
+    ``scale = -i dt`` gives ``exp(-i H dt) @ psi``, planned for
+    ``dt ||H||_1`` and the ``sigma'`` of ``H``.  The rounding model is
+    unchanged.  ``fl(scale / (s j))`` is still a single rounding, real
+    ``scale`` or purely imaginary, and multiplying a complex term by a
+    real or a purely imaginary scalar rounds each part once.  The stored
+    entries are ``H``'s own, so no rounding of a materialized generator
+    ``-i dt H`` is left uncounted.  Negation is exact, so ``scale=-1.0``
+    equals ``apply`` on the negated matrix bit for bit.
 
-    ``negate`` folds the sign into the ``1 / (s j)`` scalar.  Negation is
-    exact in floating point, so the result equals ``apply`` on the
-    negated matrix bit for bit, and ``-A`` has the norm, and so the plan,
-    of ``A``.
+    ``validate`` enforces the precondition under which the certified
+    bound holds: ``scale A`` is anti-Hermitian.  Callers applying the
+    block-embedded derivative generator disable it and certify through
+    the generalized two-norm surrogate instead (see
+    :mod:`leangrape.derivatives`).
     """
+    scale = complex(scale)
+    if not cmath.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale}")
     psi = np.asarray(psi, dtype=np.complex128)
     if a.n_rows != a.n_cols or psi.shape != (a.n_cols,):
         raise ValueError("apply expects a square matrix and a matching vector")
-    if validate and not is_anti_hermitian(a, 1e-12 * max(a.one_norm(), 1.0)):
-        raise ValueError("generator is not anti-Hermitian within tolerance")
+    if validate:
+        generator = a if scale == 1.0 else a.scaled(scale)
+        if not is_anti_hermitian(generator, 1e-12 * max(generator.one_norm(), 1.0)):
+            raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
 
     current = np.array(psi, dtype=np.complex128, copy=True)
     term = np.empty_like(current)
     work = np.empty_like(current)
     s = plan.scaling
-    sign = -1.0 if negate else 1.0
     for _ in range(s):
         np.copyto(term, current)
         for j in range(1, plan.order + 1):
             a.matvec(term, out=work)
-            np.multiply(work, sign / (s * j), out=term)
+            np.multiply(work, scale / (s * j), out=term)
             current += term
     return current
 

@@ -446,10 +446,11 @@ def aux_embed(h_step: Matrix, h_control: Matrix, dt: float) -> Matrix:
     [0, -i*h_step*dt]]``.  Applying the exponential of this matrix to a
     stacked vector ``(0, psi)`` produces the derivative of the short-time
     propagator with respect to the control amplitude in the top block and
-    the propagated state in the bottom block.  Propagation applies this
-    matrix without forming it
-    (:class:`leangrape.derivatives.BlockDerivativeOperator`); the
-    materialized form is the reference it is tested against.
+    the propagated state in the bottom block.  Propagation never forms
+    this matrix: :class:`leangrape.derivatives.BlockDerivativeOperator`
+    applies ``[[h_step, h_control], [0, h_step]]`` and the engine scales
+    it by ``-i*dt``; the materialized form is the reference it is tested
+    against.
     """
     if h_step.shape != h_control.shape or h_step.n_rows != h_step.n_cols:
         raise SparseMatrixError("aux_embed expects two square matrices of equal dimension")

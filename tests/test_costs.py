@@ -1,6 +1,8 @@
 """Cost contributions, hard-coded gradients, and the constant-memory contract."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -527,6 +529,86 @@ class TestInvariantsAndInstrumentation:
         r2 = costs.c1_state_grad(problem, field, psi0, phi)
         assert r1.cost == r2.cost
         assert np.array_equal(r1.grad, r2.grad)
+
+
+class TestControlsIndependentOfDt:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_two_time_steps_share_one_controls_object(self, rng, backend):
+        d, n, k = 5, 3, 2
+        psi0, phi = random_state(rng, d), random_state(rng, d)
+        problem = make_problem(rng, d, k, backend, tau=1e-12)
+        amps = rng.normal(scale=0.5, size=(n, k))
+        fields = [costs.ControlField(n, k, dt, amps) for dt in (0.3, 0.07)]
+        controls, grads = [], []
+        for field in fields:
+            controls.append(problem.step_evaluator(field, 0)._controls)
+            result = costs.c1_state_grad(problem, field, psi0, phi)
+            assert_fd_match(
+                result, lambda f: costs.c1_state_grad(problem, f, psi0, phi).cost, field
+            )
+            grads.append(result.grad)
+        assert controls[0] is controls[1] is problem._controls
+        # going back to the first dt finds no state left by the second
+        again = costs.c1_state_grad(problem, fields[0], psi0, phi)
+        assert np.array_equal(again.grad, grads[0])
+        fields_of_problem = {f.name for f in dataclasses.fields(problem)}
+        assert set(vars(problem)) - fields_of_problem == {"_pattern", "_controls"}
+
+
+class TestBytesIndependentOfSteps:
+    """The traced allocation peak of a gradient does not grow with the number of steps.
+
+    The live-vector meter counts only the vectors the cost code holds; this
+    counts every byte.  Only the arrays indexed by step may grow: the
+    gradient, and for a gate cost its complex overlap accumulator and its
+    trace factors.  A stored trajectory, or any other copy kept per step,
+    adds at least a state vector per step.  No ``gc.collect()`` before a
+    measurement: a full collection empties the interpreter's free lists,
+    and refilling them shows up as traced blocks that grow with the steps.
+    """
+
+    @staticmethod
+    def traced_peak(gradient):
+        tracemalloc.start()
+        try:
+            result = gradient()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, result
+
+    @pytest.mark.parametrize("cost", ["state", "gate"])
+    @pytest.mark.parametrize(
+        "backend, storage",
+        [(Backend.SCALING_SQUARING, "csr"), (Backend.DIAGONALIZATION, "dense")],
+    )
+    def test_peak_minus_step_arrays_is_independent_of_steps(self, rng, backend, storage, cost):
+        d, k, n = 16, 3, 10
+        wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+        controls = tuple(wrap(random_hermitian(rng, d)) for _ in range(k))
+        problem = costs.ControlProblem(wrap(random_hermitian(rng, d)), controls, backend, 1e-10)
+        psi0, phi = random_state(rng, d), random_state(rng, d)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+        def gradient(field):
+            if cost == "state":
+                return costs.c1_state_grad(problem, field, psi0, phi)
+            return costs.c1_gate_grad(problem, field, u_target)
+
+        fields = [
+            costs.ControlField(m, k, 0.05, rng.normal(scale=0.3, size=(m, k))) for m in (n, 4 * n)
+        ]
+        for field in fields:
+            gradient(field)  # fill the problem's and the planner's caches first
+        net = []
+        for field in fields:
+            peak, result = self.traced_peak(lambda: gradient(field))
+            step_arrays = result.grad.nbytes
+            if cost == "gate":
+                # the complex accumulator, twice the gradient, and one complex trace per step
+                step_arrays += 2 * result.grad.nbytes + 16 * field.n_steps
+            net.append(peak - step_arrays)
+        assert abs(net[1] - net[0]) <= 16 * d, net
 
 
 class TestStepAssembly:

@@ -11,7 +11,7 @@ from leangrape.derivatives import (
     BlockDerivativeOperator,
     ChannelBlock,
     DiagFactorization,
-    ScaledGenerator,
+    OperatorSums,
     aux_plan,
     derivative_action_diag,
     diag_prepare,
@@ -95,10 +95,11 @@ class TestAuxDerivative:
         assert np.linalg.norm(du) <= 1e-12
         # the embedding's bottom block carries U psi
         aux = BlockDerivativeOperator(
-            ScaledGenerator(step.ctx.h_step.scaled(-1j * 0.3)),
-            ChannelBlock((ScaledGenerator(sparse.build_csr([], d, d)),)),
+            OperatorSums(step.ctx.h_step),
+            ChannelBlock((OperatorSums(sparse.build_csr([], d, d)),)),
         )
-        out = expm.apply(aux, aux.stack(psi), aux_plan(aux, step.ctx.tau), validate=False)
+        plan = aux_plan(aux, 0.3, step.ctx.tau)
+        out = expm.apply(aux, aux.stack(psi), plan, validate=False, scale=-1j * 0.3)
         u_psi = aux.split(out)[1]
         assert np.linalg.norm(u_psi - step.forward(psi)) <= 2e-10
 
@@ -131,18 +132,16 @@ class TestAuxDerivative:
         d, dt = 9, 0.37
         h = sparse.from_dense(random_hermitian(rng, d))
         hc = sparse.from_dense(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(
-            ScaledGenerator(h.scaled(-1j * dt)),
-            ChannelBlock((ScaledGenerator(hc.scaled(-1j * dt)),)),
-        )
+        op = BlockDerivativeOperator(OperatorSums(h), ChannelBlock((OperatorSums(hc),)))
+        # the materialized embedding is the generator: -i dt times the operator
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         # the CSR block keeps (d, 2) columns [y | x]; the embedding stacks (x, y)
         x, y = op.split(op.matvec(np.column_stack([v[d:], v[:d]]).ravel()))
-        got = np.concatenate([x[:, 0], y])
+        got = -1j * dt * np.concatenate([x[:, 0], y])
         assert np.linalg.norm(got - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
-        assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
-        assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
+        assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
+        assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
         # each top-block row is one running sum over both blocks' elements
         assert op.max_row_nnz() == aux.max_row_nnz()
 
@@ -150,26 +149,23 @@ class TestAuxDerivative:
         d, dt = 7, 0.29
         h = sparse.DenseMatrix(random_hermitian(rng, d))
         hc = sparse.DenseMatrix(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(
-            ScaledGenerator(h.scaled(-1j * dt)),
-            ChannelBlock((ScaledGenerator(hc.scaled(-1j * dt)),)),
-        )
+        op = BlockDerivativeOperator(OperatorSums(h), ChannelBlock((OperatorSums(hc),)))
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         out = np.full(2 * d, np.nan + 0j)
         assert op.matvec(v, out=out) is out
-        assert np.linalg.norm(out - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
-        assert op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
-        assert op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
+        assert np.linalg.norm(-1j * dt * out - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
+        assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
+        assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
         assert op.max_row_nnz() == aux.max_row_nnz() == 2 * d
         with pytest.raises(ValueError, match="one channel"):
             BlockDerivativeOperator(op.step, ChannelBlock(op.controls * 2))
 
     def test_channel_block_runs_each_channels_arithmetic(self, rng):
-        d, dt, w = 11, 0.41, 3
-        step = ScaledGenerator(random_sparse_dense_pair(rng, d, 0.4)[0])
+        d, w = 11, 3
+        step = OperatorSums(random_sparse_dense_pair(rng, d, 0.4)[0])
         controls = tuple(
-            ScaledGenerator(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(-1j * dt * 10.0**t))
+            OperatorSums(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(10.0**t))
             for t in (-1, 0, 1)
         )
         block = BlockDerivativeOperator(step, ChannelBlock(controls))
@@ -363,9 +359,10 @@ class TestControlOverlaps:
             exact = scipy_expm(sparse.aux_embed(h_step, hc, dt).to_dense()) @ stacked
             assert np.linalg.norm(derivs[:, k] - exact[:d]) <= tau
         for block, plan in blocks[:2]:
-            assert plan == aux_plan(block, tau)
+            assert plan == aux_plan(block, dt, tau)
             for control in block.controls:
-                own = aux_plan(BlockDerivativeOperator(block.step, ChannelBlock((control,))), tau)
+                single = BlockDerivativeOperator(block.step, ChannelBlock((control,)))
+                own = aux_plan(single, dt, tau)
                 assert plan.matvecs >= own.matvecs
                 bound = expm.error_bound(own.norm1, plan.order, plan.scaling, own.sigma_prime)
                 assert bound <= tau
@@ -432,16 +429,16 @@ class TestPullBack:
             rng, d, n_channels, Backend.SCALING_SQUARING, "csr", scales=(1.0, 10.0, 0.1)
         )[2]
         psi, lam = random_state(rng, d), random_state(rng, d)
-        gen, gen_plan = step._generator_plan()
+        step_plan = step._step_plan()
         block_plan = step._derivative_blocks()[-1][1]
-        assert block_plan.matvecs > gen_plan.matvecs
+        assert block_plan.matvecs > step_plan.matvecs
         monkeypatch.setattr(
             derivatives.StepEvaluator, "adjoint", lambda self, v: pytest.fail("adjoint ran")
         )
         costate = lam.copy()
         step.pull_back(costate, psi)
-        # the last block's bottom block, which is the negated generator under that block's plan
-        want = expm.apply(gen, lam, block_plan, validate=False, negate=True)
+        # the last block's bottom block, which is H at +i dt under that block's plan
+        want = expm.apply(step.ctx.h_step, lam, block_plan, validate=False, scale=1j * step.ctx.dt)
         assert np.array_equal(costate, want)
 
 

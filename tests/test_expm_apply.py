@@ -5,7 +5,13 @@ import pytest
 
 from leangrape import expm, sparse
 
-from conftest import CountingOperator, expm_action_oracle, random_anti_hermitian, random_state
+from conftest import (
+    CountingOperator,
+    expm_action_oracle,
+    random_anti_hermitian,
+    random_hermitian,
+    random_state,
+)
 
 
 def csr_from(dense):
@@ -70,9 +76,35 @@ class TestApply:
         a = csr_from(dense) if storage == "csr" else sparse.DenseMatrix(dense)
         psi = random_state(rng, 14)
         plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-10)
-        got = expm.apply(a, psi, plan, negate=True)
+        got = expm.apply(a, psi, plan, scale=-1.0)
         assert np.array_equal(got, expm.apply(a.scaled(-1.0), psi, plan))
         assert np.linalg.norm(got - expm_action_oracle(-dense, psi)) <= 1e-10
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_imaginary_scale_is_the_time_step(self, rng, storage):
+        d, dt, tau = 14, 0.37, 1e-10
+        h_dense = random_hermitian(rng, d, scale=2.0)
+        h = csr_from(h_dense) if storage == "csr" else sparse.DenseMatrix(h_dense)
+        psi = random_state(rng, d)
+        plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), tau)
+        counting = CountingOperator(h)
+        got = expm.apply(counting, psi, plan, scale=-1j * dt)
+        assert counting.calls == plan.matvecs > 1
+        materialized = expm.apply(h.scaled(-1j * dt), psi, plan)
+        assert np.linalg.norm(got - materialized) <= 1e-14
+        assert np.linalg.norm(got - expm_action_oracle(-1j * dt * h_dense, psi)) <= tau
+        # validation reads scale times the matrix: H itself is Hermitian, not anti-Hermitian
+        with pytest.raises(ValueError, match="anti-Hermitian"):
+            expm.apply(h, psi, plan)
+
+    @pytest.mark.parametrize(
+        "scale", [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.nan, 1.0)]
+    )
+    def test_non_finite_scale_refused(self, rng, scale):
+        a = csr_from(random_anti_hermitian(rng, 4))
+        plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-8)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            expm.apply(a, random_state(rng, 4), plan, scale=scale)
 
     def test_non_anti_hermitian_rejected(self, rng):
         dense = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))

@@ -222,6 +222,20 @@ class TestLbfgs:
         expected = -grad / lam[:, None]
         assert np.allclose(history.direction(grad), expected, rtol=1e-13, atol=0.0)
 
+    def test_history_keeps_the_newest_pairs(self):
+        history = optimizer._LbfgsHistory()
+        pushed = []
+        for i in range(optimizer.LBFGS_MEMORY + 2):
+            s = np.full((3, 2), 1.0 + i)
+            y = 2.0 * s  # positive curvature: every pair is stored
+            history.push(s, y)
+            pushed.append((s, y))
+        assert len(history.pairs) == optimizer.LBFGS_MEMORY
+        # the two oldest pairs are dropped and the rest keep their order
+        for (s, y, rho), (s_in, y_in) in zip(history.pairs, pushed[2:]):
+            assert s is s_in and y is y_in
+            assert rho == 1.0 / float(np.vdot(s_in, y_in))
+
     def test_history_is_bounded_in_control_space(self):
         problem, terms = rabi_problem()
         n_steps = 10
@@ -237,5 +251,6 @@ class TestLbfgs:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer._LbfgsHistory, "push", push)
             optimizer.grape_optimize(problem, terms, a0, cfg)
-        assert max(n for n, _, _ in seen) == optimizer.LBFGS_MEMORY
+        assert seen
+        assert max(n for n, _, _ in seen) <= optimizer.LBFGS_MEMORY
         assert {shape for _, s, y in seen for shape in (s, y)} == {(n_steps, 1)}

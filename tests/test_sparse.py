@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leangrape import bench, sparse
-from leangrape.derivatives import CHANNEL_BLOCK, ChannelBlock, ScaledGenerator
+from leangrape.derivatives import CHANNEL_BLOCK, ChannelBlock, OperatorSums
 from leangrape.models import TransmonCavityParams, build_transmon_cavity
 
 from conftest import random_sparse_dense_pair
@@ -145,7 +145,7 @@ class TestBlockKernel:
         d, w = 23, CHANNEL_BLOCK
         step = random_sparse_dense_pair(rng, d, density=0.3)[0]
         controls = [random_sparse_dense_pair(rng, d, density=0.2)[0] for _ in range(w)]
-        block = ChannelBlock(tuple(ScaledGenerator(c) for c in controls))
+        block = ChannelBlock(tuple(OperatorSums(c) for c in controls))
         v = rng.normal(size=(d, w + 1)) + 1j * rng.normal(size=(d, w + 1))
         out = step.matmat(v, np.empty((d, w + 1), complex))
         for t in range(w + 1):
