@@ -13,8 +13,8 @@ The backward pass carries one co-state ``lambda``, the adjoint
 ``dC/d<psi|`` of the cost, whatever the number of cost terms: every
 term's backward recursion is linear in its co-state, so their weighted
 sum is one recursion.  At each step it asks the step for all control
-overlaps ``<lambda| dU/da_k |psi>`` at once and has it move the co-state
-back across the step in the same call
+overlaps ``<lambda| dU/da_k |psi_{n-1}>`` at once and has it move the
+state and the co-state back across the step, in place, in the same call
 (:meth:`leangrape.derivatives.StepEvaluator.pull_back`); it holds no
 derivative vector and no loop over channels.  A gate gradient propagates
 each basis state forward once and back once; only the running gate cost
@@ -24,14 +24,18 @@ step before its co-states start.
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
 its :class:`GradientResult`.  A step stores its Hamiltonian once, and
-the problem its controls once, whatever ``dt``: the engine takes the
-time step as a scale.  The propagation engine itself adds a
-per-call scratch overhead that is not metered: three work vectors for a
-product, and for one pull-back the start vector and three work arrays of
-a ``(d, CHANNEL_BLOCK + 1)`` channel block (of ``2d`` on dense storage),
-held one block at a time; the co-state is moved back inside that block
-and written into its own array.  None of this depends on the number of
-time steps, of channels or of cost terms.
+the problem its controls once, whatever ``dt`` (on dense storage a
+scaling-and-squaring gradient adds one row-stacked copy of the
+controls, per problem).  The engine takes the time step as a scale.
+The propagation engine itself adds a per-call scratch overhead that is
+not metered: three work vectors for a product, and for one pull-back,
+besides that, ``m_d + 1`` Taylor terms of its derivative plan (the
+last is written by the term sink but never read), three work vectors
+(the Horner vector, its product and the moved vector) and one
+contraction buffer of ``min(K, CHANNEL_BLOCK) * d`` elements.  The
+state and the co-state are moved back in their own arrays.  None of
+this depends on the number of time steps, of channels or of cost
+terms.
 """
 
 from __future__ import annotations
@@ -125,7 +129,7 @@ class ControlProblem:
     use and kept on the instance; dense problems use
     :func:`leangrape.sparse.linear_combine`.  The control operators are
     wrapped once, with their abs-sums and, once a scaling-and-squaring
-    gradient has built them, the stacked controls of their channel blocks.
+    gradient has built them, their row-stacked channel blocks.
     None of this depends on ``dt``: a step takes its time step as the
     propagation engine's scale, so fields with different ``dt`` share it.
     """
@@ -167,7 +171,7 @@ class ControlProblem:
     @cached_property
     def _controls(self) -> ControlOperators:
         """The control operators shared by every step evaluator of this problem."""
-        return ControlOperators(self.h_controls, self._pattern is None)
+        return ControlOperators(self.h_controls)
 
     def step_evaluator(self, a: ControlField, n: int) -> StepEvaluator:
         """Evaluator for step ``n`` with the step's amplitudes folded in."""
@@ -380,11 +384,7 @@ def _state_pass(
 
     grad = np.zeros((n_steps, n_channels))
     for n in range(n_steps - 1, -1, -1):
-        ev = step(n)
-        prev = meter.grab(ev.adjoint(psi))  # psi_{n-1}
-        meter.release(psi)
-        psi = prev
-        grad[n] = ev.pull_back(lam, psi).real  # and lam <- U_n^+ lam
+        grad[n] = step(n).pull_back(lam, psi).real  # psi <- psi_{n-1}, lam <- U_n^+ lam
         if n > 0:
             _drive(lam, terms, psi, n_steps, meter)
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
@@ -527,11 +527,8 @@ def _gate_pass(
             traces[-1] += np.vdot(target_image, psi)
             costate = target_image
         for n in range(n_steps - 1, -1, -1):
-            ev = step(n)
-            prev = meter.grab(ev.adjoint(psi))
-            meter.release(psi)
-            psi = prev
-            accum[n] += ev.pull_back(costate, psi)  # and costate <- U_n^+ costate
+            # psi <- psi_{n-1} and costate <- U_n^+ costate
+            accum[n] += step(n).pull_back(costate, psi)
             if running and n > 0:
                 costate += target_image * traces[n - 1]
         if running:

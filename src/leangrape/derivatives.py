@@ -9,28 +9,31 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   Hamiltonian ``H`` and the controls ``h_k``: the time step enters as the
   engine's ``scale`` (``-i dt`` forward, ``+i dt`` back), folded into its
   per-term scalar, so no generator ``-i dt H`` is ever materialized.
-  Derivatives come from Van Loan's block-upper-triangular embedding of
-  dimension ``2d``, kept in Hamiltonian units ``[[H, h_k], [0, H]]``,
-  whose exponential action carries the derivative in its top block.  On
-  CSR storage one :class:`BlockDerivativeOperator` fuses up to
-  :data:`CHANNEL_BLOCK` channels that share the embedding's bottom block,
-  and each channel still runs the arithmetic of its own embedding.  The
-  embedding applied at ``+i dt`` to ``(0, lambda)`` carries the adjoint
-  derivatives ``(dU/da_k)^dagger lambda`` on top and ``U^dagger lambda``
-  below, so a backward step gets the co-state's overlaps and its move
-  back from one application per block.
+  A backward step differentiates the Taylor polynomial the engine
+  evaluates (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639,
+  2009): one application moves the co-state and hands its Taylor terms
+  to a term sink, a Horner pass over the state builds the matching
+  partial sums, and each pair is contracted through the controls,
+  :data:`CHANNEL_BLOCK` at a time on CSR storage.  Its products with
+  ``H`` do not depend on the number of channels, and
+  :func:`leangrape.expm.derivative_plan` certifies the overlaps.  Van
+  Loan's block-upper-triangular embedding ``[[H, h_k], [0, H]]``
+  (:class:`BlockDerivativeOperator`), whose exponential action carries
+  one channel's derivative in its top block, is the reference it is
+  tested against.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
   evaluates products and overlaps through the eigenbasis, the overlaps
   ``-i dt tr(W h_k)`` of every channel in one Frobenius form.  A step
   whose Hamiltonian has no nonzero imaginary part is factorized by the
   real symmetric solver: its eigenbasis is float64 and every eigenbasis
-  product runs as a real matrix product.  The divided-difference kernel the derivatives need is
-  built on first use, so a forward sweep never builds it.
+  product runs as a real matrix product.  The divided-difference kernel
+  the derivatives need is built on first use, so a forward sweep never
+  builds it.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
 or differentiates a step.  Gradients call its
-:meth:`~StepEvaluator.forward`, :meth:`~StepEvaluator.adjoint` and
-:meth:`~StepEvaluator.pull_back`.  Its
+:meth:`~StepEvaluator.forward` and :meth:`~StepEvaluator.pull_back`,
+which moves the state and the co-state back across the step itself.  Its
 :meth:`~StepEvaluator.control_derivative` and
 :func:`derivative_action_diag` are the references ``pull_back`` is tested
 against.
@@ -46,13 +49,12 @@ from functools import cached_property
 import numpy as np
 
 from . import expm
-from .sparse import CsrMatrix, DenseMatrix, Matrix, build_csr_arrays
+from .sparse import CsrMatrix, DenseMatrix, Matrix
 
 __all__ = [
     "Backend",
     "DiagFactorization",
     "OperatorSums",
-    "ChannelBlock",
     "ControlOperators",
     "CHANNEL_BLOCK",
     "BlockDerivativeOperator",
@@ -62,8 +64,8 @@ __all__ = [
 ]
 
 
-#: Channels fused into one block embedding on CSR storage.  The block's
-#: work arrays hold ``CHANNEL_BLOCK + 1`` state vectors each.
+#: Channels contracted at once on CSR storage: the contraction buffer of a
+#: backward step holds ``CHANNEL_BLOCK`` state vectors.
 CHANNEL_BLOCK = 4
 
 
@@ -137,173 +139,132 @@ class OperatorSums:
         self.row_nnz = matrix.row_nnz_counts()
 
 
-class ChannelBlock:
-    """Consecutive control channels whose derivatives one embedding carries.
+def _row_stack(mats: tuple[Matrix, ...]) -> Matrix:
+    """The matrix whose row ``t d + i`` is row ``i`` of ``mats[t]``.
 
-    When every control is CSR, ``stacked`` interleaves them for the
-    ``(d, w + 1)`` layout of :class:`BlockDerivativeOperator`: its row
-    ``i (w + 1) + 1 + t`` holds row ``i`` of channel ``t``'s control, with
-    column ``j`` moved to ``j (w + 1)``, where the block keeps ``y_j``.
-    Within a row the elements keep the control's order.  With a dense
-    control ``stacked`` is None.
+    CSR controls stack into one CSR matrix, keeping each row's elements in
+    order, so row ``t d + i`` runs exactly the running sum of row ``i`` of
+    ``mats[t]``.  A group with a dense control stacks into one dense
+    matrix: the same products, summed in whatever order BLAS picks, which
+    the ``gamma_n`` model covers.
     """
-
-    __slots__ = ("controls", "stacked")
-
-    def __init__(self, controls: tuple[OperatorSums, ...]):
-        self.controls = controls
-        self.stacked: CsrMatrix | None = None
-        if all(isinstance(c.matrix, CsrMatrix) for c in controls):
-            w = len(controls)
-            n = controls[0].matrix.n_rows * (w + 1)
-            parts = [c.matrix.triplets() for c in controls]
-            self.stacked = build_csr_arrays(
-                np.concatenate([r * (w + 1) + 1 + t for t, (r, _, _) in enumerate(parts)]),
-                np.concatenate([k * (w + 1) for _, k, _ in parts]),
-                np.concatenate([v for _, _, v in parts]),
-                n, n,
-            )
+    d = mats[0].n_rows
+    if any(isinstance(m, DenseMatrix) for m in mats):
+        dense = [m.array if isinstance(m, DenseMatrix) else m.to_dense() for m in mats]
+        return DenseMatrix._trusted(np.concatenate(dense, axis=0, dtype=np.complex128).copy("F"))
+    starts = np.cumsum([0] + [m.nnz for m in mats])
+    offsets = np.concatenate(
+        [m.row_offsets[:-1] + start for m, start in zip(mats, starts)] + [starts[-1:]]
+    )
+    return CsrMatrix(
+        d * len(mats), mats[0].n_cols, offsets,
+        np.concatenate([m.col_indices for m in mats]),
+        np.concatenate([m.values for m in mats]),
+    )
 
 
 class ControlOperators:
-    """The control operators ``h_k`` of one problem and their channel blocks.
+    """The control operators ``h_k`` of one problem, as the overlaps read them.
 
     ``operators[k]`` is channel ``k``, holding the problem's own matrix.
-    ``blocks`` groups consecutive channels :data:`CHANNEL_BLOCK` at a time
-    on CSR storage and one at a time on dense storage (see
-    :class:`BlockDerivativeOperator`); the last block may be narrower.  It
-    is built by the first scaling-and-squaring overlaps that need it.
-    Nothing here depends on ``dt``, so every step of the problem shares
-    one instance, whatever its time step.
+    ``stacks`` row-stacks consecutive channels :data:`CHANNEL_BLOCK` at a
+    time, the last stack possibly narrower, so that one product gives
+    ``h_k y`` for every channel of a stack: a ``(w d) x d`` matrix whose
+    row ``t d + i`` is row ``i`` of channel ``t`` (see :func:`_row_stack`).
+    On dense storage the stacks are a second copy of the controls,
+    one per problem, built by the first scaling-and-squaring gradient.
+    ``norm1`` and ``max_row_nnz`` are the largest over the channels, which
+    is what a derivative plan is certified for.  Nothing here depends on
+    ``dt``, so every step of the problem shares one instance, whatever its
+    time step.
     """
 
-    def __init__(self, h_controls, dense_storage: bool):
+    def __init__(self, h_controls):
         self.operators = tuple(OperatorSums(hc) for hc in h_controls)
-        self.width = 1 if dense_storage else CHANNEL_BLOCK
 
     @cached_property
-    def blocks(self) -> tuple[ChannelBlock, ...]:
-        ops, w = self.operators, self.width
-        return tuple(ChannelBlock(ops[k : k + w]) for k in range(0, len(ops), w))
+    def stacks(self) -> tuple[Matrix, ...]:
+        mats, w = [c.matrix for c in self.operators], CHANNEL_BLOCK
+        return tuple(_row_stack(tuple(mats[k : k + w])) for k in range(0, len(mats), w))
+
+    @cached_property
+    def norm1(self) -> float:
+        return max((float(c.col_abs_sums.max(initial=0.0)) for c in self.operators), default=0.0)
+
+    @cached_property
+    def max_row_nnz(self) -> int:
+        return max((int(c.row_nnz.max(initial=0)) for c in self.operators), default=0)
 
 
 class BlockDerivativeOperator:
-    """Matrix-free Van Loan embedding of one :class:`ChannelBlock`'s derivatives.
+    """Matrix-free Van Loan embedding of one channel's derivative.
 
-    For one channel the embedding ``E = [[H, h_k], [0, H]]``, in
-    Hamiltonian units, maps ``(x, y)`` to ``(H x + h_k y, H y)``.  Its
-    generator ``-i dt E`` is the :func:`leangrape.sparse.aux_embed`
-    matrix, and ``exp(-i dt E)`` applied to ``(0, psi)`` is
+    The reference that :meth:`StepEvaluator.control_derivative` applies
+    and :meth:`StepEvaluator.pull_back` is tested against.  The embedding
+    ``E = [[H, h_k], [0, H]]``, in Hamiltonian units, acts on ``(x, y)``
+    stacked as one ``2d`` vector and maps it to ``(H x + h_k y, H y)``.  Its
+    generator ``-i dt E`` is the :func:`leangrape.sparse.aux_embed` matrix,
+    and ``exp(-i dt E)`` applied to ``(0, psi)`` is
     ``((dU/da_k) psi, U psi)``; the engine takes ``-i dt`` as its
-    ``scale``, so that generator is never stored.  The channels of a block
-    share the bottom block ``y``.
+    ``scale``, so that generator is never stored, and the operator keeps
+    references to ``H`` and ``h_k``, no copies.
 
-    CSR storage: the operator acts on a flattened C-ordered ``(d, w + 1)``
-    array ``[y | x_1 .. x_w]``.  One product is two kernel calls:
-    :meth:`~leangrape.sparse.CsrMatrix.matmat` multiplies ``H`` into all
-    ``w + 1`` columns, and the block's stacked control accumulates
-    ``h_k y`` onto column ``k``.  Top entry ``(i, k)`` is therefore one
-    running sum of the ``n_H + n_k`` products of row ``i`` of ``H`` and of
-    ``h_k``, in the order of the single-channel embedding, and column 0 is
-    that embedding's bottom block: every channel runs exactly the
-    arithmetic of its own ``2d`` embedding.
-
-    Dense storage: a block holds one channel and the operator acts on
-    ``(x, y)`` stacked as one ``2d`` vector.  The top block row
-    ``T = [H | h_k]`` is kept as one column-major ``d x 2d`` matrix whose
-    left half serves as ``H``: a product is the two dense products
-    ``T v`` and ``H y`` on the same stored elements.  Dense storage stays
-    at one channel because a fused block would turn these matrix-vector
-    products into matrix-matrix products, which are relatively cheaper as
-    ``d`` grows; that would bend the per-step runtime exponent that the
-    dense-storage scaling study measures for the paper's per-channel
-    algorithm.
-
-    ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the maxima over the
-    block's channels of each channel's ``2d`` embedding value, assembled
-    exactly from column and row sums; they are not norms of the block as
-    one matrix, and they are in Hamiltonian units: ``dt`` times them is
-    the generator's.  ``max_row_nnz`` is the largest ``n_H + n_k`` of a top
-    row, which on dense storage is one ``2d``-term dot product.  The
-    certified bound grows with the norm and with ``sigma'``, so a plan
-    for these maxima certifies every channel's own embedding.
+    ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the embedding's,
+    assembled exactly from column and row sums, in Hamiltonian units:
+    ``dt`` times them is the generator's.  ``max_row_nnz`` is the largest
+    ``n_H + n_k`` of a top row: a top entry is the sum of two partial sums
+    over those elements, whose depth the count covers.
     """
 
-    def __init__(self, step: OperatorSums, block: ChannelBlock):
+    def __init__(self, step: OperatorSums, control: OperatorSums):
         self.step = step
-        self.controls = block.controls
-        self.width = len(block.controls)
-        self._stacked = block.stacked
+        self.control = control
         d = step.matrix.n_rows
-        self.n_rows = self.n_cols = d * (self.width + 1)
+        self.n_rows = self.n_cols = 2 * d
         self.shape = (self.n_rows, self.n_cols)
-        self.nnz = (self.width + 1) * step.matrix.nnz + sum(c.matrix.nnz for c in self.controls)
-        self._dense_top: np.ndarray | None = None
-        if isinstance(step.matrix, DenseMatrix) or self._stacked is None:
-            if self.width != 1:
-                raise ValueError("a dense derivative block holds one channel")
-            top = np.empty((d, 2 * d), dtype=np.complex128, order="F")
-            for half, m in ((top[:, :d], step.matrix), (top[:, d:], self.controls[0].matrix)):
-                half[...] = m.array if isinstance(m, DenseMatrix) else m.to_dense()
-            self._dense_top = top
+        self.nnz = 2 * step.matrix.nnz + control.matrix.nnz
 
     def stack(self, psi: np.ndarray) -> np.ndarray:
-        """The start vector: ``psi`` in the bottom block, zero derivatives."""
+        """The start vector: ``psi`` in the bottom block, a zero derivative on top."""
         v = np.zeros(self.n_rows, dtype=np.complex128)
-        self.split(v)[1][...] = psi
+        v[self.n_rows // 2 :] = psi
         return v
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Views of ``v`` as the ``(d, w)`` top blocks ``[x_1 .. x_w]`` and the bottom ``y``."""
+        """Views of ``v`` as the top block ``x`` and the bottom block ``y``."""
         d = self.step.matrix.n_rows
-        if self._dense_top is not None:
-            return v[:d, None], v[d:]
-        cols = v.reshape(d, self.width + 1)
-        return cols[:, 1:], cols[:, 0]
+        return v[:d], v[d:]
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if v.shape != (self.n_rows,):
             raise ValueError("stacked vector dimension mismatch")
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
-        d = self.step.matrix.n_rows
-        if self._dense_top is not None:
-            np.matmul(self._dense_top, v, out=out[:d])
-            np.matmul(self._dense_top[:, :d], v[d:], out=out[d:])
-            return out
-        shape = (d, self.width + 1)
-        self.step.matrix.matmat(v.reshape(shape), out=out.reshape(shape))
-        self._stacked.matvec_add(v, out)
+        (x, y), (top, bottom) = self.split(v), self.split(out)
+        self.step.matrix.matvec(x, out=top)
+        top += self.control.matrix.matvec(y)
+        self.step.matrix.matvec(y, out=bottom)
         return out
 
+    # a top row or column holds every element of the bottom block's, and more
+
     def one_norm(self) -> float:
-        gen_cols = self.step.col_abs_sums
-        if gen_cols.size == 0:
-            return 0.0
-        tops = [(gen_cols + c.col_abs_sums).max() for c in self.controls]
-        return float(max(gen_cols.max(), *tops))
+        return float((self.step.col_abs_sums + self.control.col_abs_sums).max(initial=0.0))
 
     def inf_norm(self) -> float:
-        gen_rows = self.step.row_abs_sums
-        if gen_rows.size == 0:
-            return 0.0
-        tops = [(gen_rows + c.row_abs_sums).max() for c in self.controls]
-        return float(max(gen_rows.max(), *tops))
+        return float((self.step.row_abs_sums + self.control.row_abs_sums).max(initial=0.0))
 
     def max_row_nnz(self) -> int:
-        if self.step.row_nnz.size == 0:
-            return 0
-        return int(max((self.step.row_nnz + c.row_nnz).max() for c in self.controls))
+        return int((self.step.row_nnz + self.control.row_nnz).max(initial=0))
 
 
-def aux_plan(aux, dt: float, tau: float) -> expm.ExpmPlan:
+def aux_plan(aux: BlockDerivativeOperator, dt: float, tau: float) -> expm.ExpmPlan:
     """Plan for the block-embedded derivative generator ``-i dt E`` of ``aux = E``.
 
     The embedding is not anti-Hermitian, so the bound's norm argument uses
     the general two-norm surrogate ``dt sqrt(norm1 * norm_inf)`` instead of
     the one-norm, which keeps the certificate rigorous at the cost of a
-    slightly larger bound.  The plan holds for ``scale = +i dt`` as well:
-    negation leaves every norm unchanged.
+    slightly larger bound.
     """
     surrogate = dt * math.sqrt(aux.one_norm() * aux.inf_norm())
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
@@ -396,15 +357,16 @@ class StepEvaluator:
     Evaluators come from :meth:`leangrape.costs.ControlProblem.step_evaluator`.
     With the scaling-and-squaring backend this holds the plan of
     ``exp(-i dt H)``, planned for ``dt ||H||_1`` and the ``sigma'`` of
-    ``H``, plus lazily built block embeddings with their plans; the same
-    embeddings, applied at ``+i dt`` to a co-state, give :meth:`pull_back`
-    the adjoint derivatives and the moved co-state.  ``ctx.h_step`` is the
-    one stored copy of the step's operator: every product scales it by
-    ``-i dt`` or ``+i dt`` inside :func:`leangrape.expm.apply`.  With the
+    ``H``, and the :class:`~leangrape.expm.DerivativePlan` of a backward
+    step.  ``ctx.h_step`` is the one stored copy of the step's operator:
+    every product scales it by ``-i dt`` or ``+i dt`` inside
+    :func:`leangrape.expm.apply` or a Horner pass.  With the
     diagonalization backend it holds the eigenfactorization.
     ``controls`` are the problem's control operators (see
     :class:`ControlOperators`), shared by every step of the problem.
-    Nothing here scales with the number of time steps.
+    Nothing here scales with the number of time steps; the block
+    embeddings of :meth:`control_derivative`, the reference path, keep
+    references to ``H`` and the controls only.
     """
 
     def __init__(self, ctx: StepContext, controls: ControlOperators):
@@ -412,8 +374,8 @@ class StepEvaluator:
         self._controls = controls
         self._fact: DiagFactorization | None = None
         self._plan: expm.ExpmPlan | None = None
+        self._dplan: expm.DerivativePlan | None = None
         self._sums: OperatorSums | None = None
-        self._blocks: list[tuple[BlockDerivativeOperator, expm.ExpmPlan]] | None = None
         self._aux: dict[int, tuple[BlockDerivativeOperator, expm.ExpmPlan]] = {}
 
     def _factorization(self) -> DiagFactorization:
@@ -427,11 +389,13 @@ class StepEvaluator:
             self._plan = expm.make_plan(self.ctx.dt * h.one_norm(), h.max_row_nnz(), self.ctx.tau)
         return self._plan
 
-    def _embedding(self, block: ChannelBlock) -> tuple[BlockDerivativeOperator, expm.ExpmPlan]:
-        if self._sums is None:
-            self._sums = OperatorSums(self.ctx.h_step)
-        aux = BlockDerivativeOperator(self._sums, block)
-        return aux, aux_plan(aux, self.ctx.dt, self.ctx.tau)
+    def _derivative_plan(self) -> expm.DerivativePlan:
+        if self._dplan is None:
+            c = self._controls
+            self._dplan = expm.derivative_plan(
+                self._step_plan(), self.ctx.dt * c.norm1, c.max_row_nnz, self.ctx.dim
+            )
+        return self._dplan
 
     def forward(self, psi: np.ndarray) -> np.ndarray:
         """``U psi = exp(-i dt H) psi``."""
@@ -450,28 +414,37 @@ class StepEvaluator:
         )
 
     def pull_back(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        """The overlaps ``<lambda| dU/da_k |psi>``, moving ``lambda`` back across the step.
+        """The overlaps ``<lambda| dU/da_k |psi_{n-1}>``, moving both vectors back a step.
 
-        Returns the ``n_channels`` overlaps and overwrites the 1-D
-        ``costate`` with ``U^dagger lambda``.
+        ``psi`` holds ``psi_n`` and ``costate`` holds ``lambda``, both 1-D
+        complex arrays; they are overwritten with ``psi_{n-1} = U^dagger
+        psi_n`` and ``U^dagger lambda``, and the ``n_channels`` overlaps are
+        returned.
 
-        On scaling and squaring each :class:`ChannelBlock`'s embedding
-        ``E`` is applied at ``scale = +i dt`` to ``(0, lambda)``, planned by
-        :func:`aux_plan`.  ``exp(i dt E)`` is
-        ``[[U^dagger, (dU/da_k)^dagger], [0, U^dagger]]``, because ``H`` and
-        the controls are Hermitian, so the top block holds
-        ``(dU/da_k)^dagger lambda``, whose inner product with ``psi`` is the
-        conjugate overlap, and the bottom block holds ``U^dagger lambda``.
-        Once the last block has read ``lambda``, its bottom block replaces
-        it: no separate adjoint runs.  That bottom block runs the products
-        of :func:`leangrape.expm.apply` on ``H`` at ``+i dt`` under the
-        block's plan (bit for bit on CSR storage).  The plan is certified
-        for a norm and a ``sigma'`` no smaller than the step's, and the
-        bound grows with both, so the moved co-state stays within ``tau``.
+        On scaling and squaring the step runs its
+        :class:`~leangrape.expm.DerivativePlan` ``(m_d, s)`` stage by stage,
+        from the last stage.  Each stage moves ``psi`` back under the step's
+        plan, then moves the co-state with one :func:`leangrape.expm.apply`
+        at ``+i dt`` whose term sink keeps its Taylor terms ``u_i``, then
+        runs a Horner pass at ``-i dt`` over the stage's ``psi`` (``m_d - 1``
+        products), contracting each ``Y_i`` against ``conj(u_i)``, weighted
+        by ``1 / (i + 1)``, through the row-stacked controls, :data:`CHANNEL_BLOCK` channels per
+        product (:attr:`ControlOperators.stacks`).  A step costs
+        ``m s + (2 m_d - 1) s`` products with ``H``, whatever the number of
+        channels.  Stage by stage runs the scalars and products of one
+        application, so the moved co-state is
+        ``expm.apply(h_step, lambda, dplan.costate, scale=+i dt)`` and the
+        moved ``psi`` is ``expm.apply(h_step, psi_n, dplan.state, scale=+i
+        dt)``, bit for bit; ``dplan.state`` is the step's plan whenever that
+        certifies, and ``psi`` then moves as :meth:`adjoint` moves it.
+        Scratch: ``m_d + 1`` terms (the sink writes ``u_{m_d}`` too, and it
+        is never read), the Horner vector and its product, and one
+        contraction buffer of ``min(K, CHANNEL_BLOCK) d``, besides the
+        engine's own.
 
-        On the diagonalization backend, with ``l = S^H lambda``,
-        ``p = S^H psi`` and the kernel ``K``, the overlap along
-        ``A_k = -i dt h_k`` is
+        On the diagonalization backend ``psi`` moves by :meth:`adjoint`
+        first.  With ``l = S^H lambda``, ``p = S^H psi`` and the kernel
+        ``K``, the overlap along ``A_k = -i dt h_k`` is
         ``l^H (K o S^H A_k S) p = -i dt tr(W h_k)`` with ``W = S G^T S^H`` and
         ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
         whatever the number of channels, and one pass over the stored
@@ -479,47 +452,86 @@ class StepEvaluator:
         then moves by :meth:`adjoint`.
         """
         d = self.ctx.dim
-        if costate.shape != (d,):
-            raise ValueError(f"costate must have shape ({d},), got {costate.shape}")
+        for name, v in (("costate", costate), ("psi", psi)):
+            if v.shape != (d,) or v.dtype != np.complex128:
+                raise ValueError(
+                    f"{name} must be a complex128 array of shape ({d},), "
+                    f"got {v.dtype} {v.shape}"
+                )
         if self.ctx.backend is Backend.DIAGONALIZATION:
-            fact = self._factorization()
-            s = fact.eigvecs
-            p = _basis_product(_adjoint(s), psi)
-            g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
-            g *= fact.kernel
-            w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
-            out = np.array([_trace_product(w, c.matrix) for c in self._controls.operators])
-            out *= -1j * self.ctx.dt
-            costate[...] = self.adjoint(costate)
-            return out
-        conj_psi = psi.conj()
-        out = np.empty(len(self._controls.operators), dtype=np.complex128)
-        blocks = self._derivative_blocks()
-        k = 0
-        for aux, plan in blocks:
-            result = expm.apply(
-                aux, aux.stack(costate), plan, validate=False, scale=1j * self.ctx.dt
-            )
-            tops, bottom = aux.split(result)
-            out[k : k + aux.width] = conj_psi @ tops
-            k += aux.width
-            if aux is blocks[-1][0]:
-                costate[...] = bottom
-            # no view of a block's result outlives its overlaps
-            del result, tops, bottom
-        return np.conj(out, out=out)
+            return self._pull_back_eigen(costate, psi)
+        return self._pull_back_taylor(costate, psi)
 
-    def _derivative_blocks(self) -> list[tuple[BlockDerivativeOperator, expm.ExpmPlan]]:
-        if self._blocks is None:
-            self._blocks = [self._embedding(b) for b in self._controls.blocks]
-        return self._blocks
+    def _pull_back_eigen(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        psi[...] = self.adjoint(psi)
+        fact = self._factorization()
+        s = fact.eigvecs
+        p = _basis_product(_adjoint(s), psi)
+        g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
+        g *= fact.kernel
+        w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
+        out = np.array([_trace_product(w, c.matrix) for c in self._controls.operators])
+        out *= -1j * self.ctx.dt
+        costate[...] = self.adjoint(costate)
+        return out
+
+    def _pull_back_taylor(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        plan = self._derivative_plan()
+        h, d, scaling = self.ctx.h_step, self.ctx.dim, plan.costate.scaling
+        state, moves = plan.state.stage(), plan.costate.stage()
+        back, ahead = 1j * self.ctx.dt / scaling, -1j * self.ctx.dt / scaling
+        order = moves.order
+        # the sink writes term j into row j; the last, u_{m_d}, is never read
+        terms = np.empty((order + 1, d), dtype=np.complex128)
+        y = np.empty(d, dtype=np.complex128)
+        work = np.empty(d, dtype=np.complex128)
+        stacks, parts = self._contraction(d)
+        acc = np.zeros(len(parts), dtype=np.complex128)
+        for _ in range(scaling):
+            psi[...] = expm.apply(h, psi, state, validate=False, scale=back)
+            costate[...] = expm.apply(
+                h, costate, moves, validate=False, scale=back, sink=terms.__setitem__
+            )
+            np.conjugate(terms, out=terms)
+            np.copyto(y, psi)  # Y_{m_d - 1}
+            for i in range(order - 1, -1, -1):
+                for matvec, out, rows, part in stacks:
+                    matvec(y, out=out)
+                    np.dot(rows, terms[i], out=part)
+                parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
+                acc += parts
+                if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
+                    h.matvec(y, out=work)
+                    np.multiply(work, ahead / (i + 1), out=y)
+                    y += psi
+        acc *= ahead
+        return acc
+
+    def _contraction(self, d: int):
+        """One buffer of ``min(K, CHANNEL_BLOCK) d`` for the stacks' products.
+
+        Returns, per stack, its ``matvec``, the buffer it writes ``h_k y``
+        into, that buffer as ``(w, d)`` rows and the ``w`` entries of
+        ``parts`` the rows' overlaps with one Taylor term go to.
+        """
+        stacks = self._controls.stacks
+        buf = np.empty(max(op.n_rows for op in stacks), dtype=np.complex128)
+        parts = np.empty(len(self._controls.operators), dtype=np.complex128)
+        out, k = [], 0
+        for op in stacks:
+            w = op.n_rows // d
+            rows = buf[: op.n_rows]
+            out.append((op.matvec, rows, rows.reshape(w, d), parts[k : k + w]))
+            k += w
+        return out, parts
 
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.
 
-        The single-channel reference for :meth:`pull_back`: on
-        scaling and squaring the channel's own block embedding, applied to
-        ``(0, psi)``, carries the derivative in its top block.
+        The single-channel reference for :meth:`pull_back`: on scaling and
+        squaring the channel's own block embedding (see
+        :class:`BlockDerivativeOperator`), applied to ``(0, psi)``, carries
+        the derivative in its top block.
         """
         operators = self._controls.operators
         if not 0 <= channel < len(operators):
@@ -529,7 +541,10 @@ class StepEvaluator:
         if self.ctx.backend is Backend.DIAGONALIZATION:
             return scale * derivative_action_diag(self._factorization(), control.matrix, psi)
         if channel not in self._aux:
-            self._aux[channel] = self._embedding(ChannelBlock((control,)))
+            if self._sums is None:
+                self._sums = OperatorSums(self.ctx.h_step)
+            aux = BlockDerivativeOperator(self._sums, control)
+            self._aux[channel] = aux, aux_plan(aux, self.ctx.dt, self.ctx.tau)
         aux, plan = self._aux[channel]
         x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False, scale=scale))
-        return x[:, 0].copy()
+        return x.copy()

@@ -31,13 +31,19 @@ its stored elements.
 a Hermitian ``H`` with ``scale = -i dt`` is propagated without the
 generator ``-i dt H`` ever being stored, and under the same rounding
 model, because the scale only enters the one scalar per Taylor term.
+
+:func:`derivative_plan` certifies the other half of a GRAPE step: the
+overlaps ``<lambda| L(A, E) |psi>`` of the Fréchet derivative of
+``exp(A)`` along a direction ``E``, contracted from the Taylor terms that
+:func:`apply` hands to a term sink (see :class:`DerivativePlan`).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +54,7 @@ __all__ = [
     "ErrorModelConstants",
     "BINARY64",
     "ExpmPlan",
+    "DerivativePlan",
     "PlanningError",
     "remainder_rm",
     "gamma_n",
@@ -55,6 +62,8 @@ __all__ = [
     "truncation_bound",
     "error_bound",
     "make_plan",
+    "derivative_bound",
+    "derivative_plan",
     "apply",
     "expm_multiply",
     "DEFAULT_M_MAX",
@@ -118,6 +127,28 @@ class ExpmPlan:
     def matvecs(self) -> int:
         """Matrix-vector products consumed by one application: order * scaling."""
         return self.order * self.scaling
+
+    def stage(self) -> "ExpmPlan":
+        """The plan of one of the ``scaling`` stages: the same order at scaling 1.
+
+        :func:`apply` under this plan at ``scale / scaling`` runs the products
+        and per-term scalars of one stage of this plan at ``scale``, bit for
+        bit, so ``scaling`` of them in a row equal one application.
+        """
+        if self.scaling == 1:
+            return self
+        return _stage_plan(self)
+
+
+@lru_cache(maxsize=1024)
+def _stage_plan(plan: ExpmPlan) -> ExpmPlan:
+    norm1_b = plan.norm1 / plan.scaling
+    return replace(
+        plan,
+        scaling=1,
+        norm1=norm1_b,
+        bound=error_bound(norm1_b, plan.order, 1, plan.sigma_prime),
+    )
 
 
 def remainder_rm(x: float, m: int) -> float:
@@ -232,7 +263,17 @@ def error_bound(
     consts: ErrorModelConstants = BINARY64,
 ) -> float:
     """Combined truncation plus rounding bound for ``exp(A) @ psi`` at ``(m, s)``."""
-    norm1_b = norm1_a / s
+    return _stage_bound(norm1_a / s, m, s, sigma_prime, consts)
+
+
+@lru_cache(maxsize=4096)
+def _stage_bound(
+    norm1_b: float, m: int, s: int, sigma_prime: int, consts: ErrorModelConstants
+) -> float:
+    """:func:`error_bound` of ``s`` stages, each with generator norm ``norm1_b``.
+
+    Cached: a derivative plan reads its step plan's bound again.
+    """
     trunc = truncation_bound(norm1_b, m, s)
     if math.isinf(trunc):
         return math.inf
@@ -316,6 +357,199 @@ def make_plan(
     return _cached_plan(float(norm1_a), int(sigma_prime), float(tau), m_max, s_max, consts)
 
 
+@dataclass(frozen=True)
+class DerivativePlan:
+    """A certified backward step: derivative overlaps and both moves across the step.
+
+    For ``U = exp(A)`` with ``A = -i dt H`` and a direction ``E = -i dt h_k``,
+    a backward step returns ``<lambda| L(A, E) |psi_{n-1}>``, where ``L`` is
+    the Fréchet derivative of the exponential, and moves ``psi_n`` and
+    ``lambda`` back across the step.  ``state`` moves ``psi``; it is the
+    step's own plan whenever that certifies.  ``costate`` moves ``lambda`` at
+    the same scaling and an order ``m_d >= state.order``, and hands the
+    terms ``u_i = (B^dagger)^i lambda / i!``, ``i < m_d``, of each stage
+    ``B = A / s`` to the overlaps.  A Horner pass over the stage's state
+    builds ``Y_{m_d - 1} = psi`` and ``Y_i = psi + B Y_{i+1} / (i + 2)``, and
+    ``sum_i <u_i| E / s |Y_i> / (i + 1)`` is the stage's share of the
+    derivative of ``T_{m_d}(B)^s`` (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 30, 1639, 2009).  ``bound`` is the certified error of every
+    overlap for unit ``lambda`` and ``psi_n`` (see :func:`derivative_bound`),
+    and ``costate.bound`` that of the moved co-state; both are at most
+    ``tau``.
+    """
+
+    state: ExpmPlan
+    costate: ExpmPlan
+    norm1_direction: float
+    bound: float
+
+    @property
+    def matvecs(self) -> int:
+        """Generator products of one backward step: ``m s + (2 m_d - 1) s``."""
+        c = self.costate
+        return self.state.matvecs + c.matvecs + (c.order - 1) * c.scaling
+
+
+def derivative_bound(
+    norm1_a: float,
+    norm1_e: float,
+    order: int,
+    s: int,
+    sigma_prime: int,
+    sigma_e: int,
+    dim: int,
+    state_order: int,
+    consts: ErrorModelConstants = BINARY64,
+) -> float:
+    """Upper bound on the error of one overlap of a :class:`DerivativePlan`.
+
+    ``norm1_a`` and ``norm1_e`` are the one-norms of ``A`` and of the
+    direction ``E``, ``sigma_e`` the direction's largest per-row count of
+    stored elements, ``order`` the co-state order ``m_d`` and
+    ``state_order`` the order that moves ``psi``; ``lambda`` and ``psi_n``
+    are unit vectors.  With ``b = norm1_a / s`` each stage contributes, per
+    ``norm1_e / s`` of the direction:
+
+    * truncation ``R_{m_d - 1}(b)``, which bounds ``L(B, .) - L_{T_{m_d}}(B, .)``
+      term by term;
+    * rounding ``gamma_n sum_{q < m_d} b^q / q!``, the magnitude of the
+      contracted terms, with ``n = (m_d - 1)(sigma' + 3) + sigma_e + dim + m_d
+      + s + 4``: ``u_i`` takes ``i (sigma' + 2)`` roundings in the engine, the
+      Horner levels of ``Y_i`` ``sigma' + 3`` each, and the contraction one
+      control row, a ``dim``-term dot product, two roundings for the weight
+      ``1 / (i + 1)``, the sums over ``i`` and over the stages, and two
+      roundings for the final ``-i dt / s``;
+    * for ``s > 1``, the stage's ``lambda`` and ``psi`` are propagated
+      vectors: their errors after at most ``s - 1`` stages, ``eps_lambda``
+      and ``eps_psi`` from :func:`error_bound`, enter through
+      ``||L(B, E / s)|| <= norm1_e / s``, and ``1 + eps_lambda`` scales the
+      stage's own error.
+
+    Every stage's ``psi`` has norm at most ``nu = 1 + error_bound(norm1_a,
+    state_order, s)``, so the bound is ``norm1_e nu ((R + rounding)
+    (1 + eps_lambda) + eps_lambda + eps_psi)``.  For Hermitian ``H`` and
+    ``h_k`` the one-norms bound the two-norms of ``|B|`` and ``|E|``.
+    """
+    norm1_b = norm1_a / s
+    trunc = remainder_rm(norm1_b, order - 1)
+    partial = term = 1.0
+    for q in range(1, order):
+        term *= norm1_b / q
+        partial += term
+    try:
+        n = (order - 1) * (sigma_prime + 3) + sigma_e + dim + order + s + 4
+        rounding = gamma_n(n, consts) * partial
+    except BoundInfeasibleError:
+        return math.inf
+    eps_lam = eps_psi = 0.0
+    if s > 1:
+        eps_lam = _stage_bound(norm1_b, order, s - 1, sigma_prime, consts)
+        eps_psi = _stage_bound(norm1_b, state_order, s - 1, sigma_prime, consts)
+    nu = 1.0 + _stage_bound(norm1_b, state_order, s, sigma_prime, consts)
+    return norm1_e * nu * ((trunc + rounding) * (1.0 + eps_lam) + eps_lam + eps_psi)
+
+
+def _order_at(
+    norm1_a: float, s: int, sigma_prime: int, tau: float, m_max: int,
+    consts: ErrorModelConstants,
+) -> ExpmPlan | None:
+    """The smallest certified order at scaling ``s``, as a plan; None if there is none."""
+    for m in range(1, m_max + 1):
+        bound = error_bound(norm1_a, m, s, sigma_prime, consts)
+        if bound <= tau:
+            return ExpmPlan(m, s, tau, norm1_a, sigma_prime, bound)
+    return None
+
+
+def _first_certified(
+    least: ExpmPlan,
+    norm1_e: float,
+    sigma_e: int,
+    dim: int,
+    m_max: int,
+    consts: ErrorModelConstants,
+    *,
+    raise_state: bool,
+) -> DerivativePlan | None:
+    """The lowest co-state order at ``least``'s scaling whose plan certifies.
+
+    ``psi`` moves under ``least`` or, with ``raise_state``, at the co-state's
+    order.  Stops once the bound stops falling: rounding then dominates and
+    a higher order only adds to it.
+    """
+    a, sigma, tau, s = least.norm1, least.sigma_prime, least.tau, least.scaling
+    last = math.inf
+    for m in range(least.order, m_max + 1):
+        state_order = m if raise_state else least.order
+        bound = derivative_bound(a, norm1_e, m, s, sigma, sigma_e, dim, state_order, consts)
+        if bound <= tau:
+            moved = ExpmPlan(m, s, tau, a, sigma, error_bound(a, m, s, sigma, consts))
+            if moved.bound <= tau:
+                return DerivativePlan(moved if raise_state else least, moved, norm1_e, bound)
+        if bound >= last:
+            return None
+        last = bound
+    return None
+
+
+@lru_cache(maxsize=8192)
+def _cached_derivative_plan(
+    step: ExpmPlan,
+    norm1_e: float,
+    sigma_e: int,
+    dim: int,
+    m_max: int,
+    s_max: int,
+    consts: ErrorModelConstants,
+) -> DerivativePlan:
+    a, sigma, tau = step.norm1, step.sigma_prime, step.tau
+    for s in range(step.scaling, s_max + 1):
+        if s * gamma_n(3, consts) > tau:
+            break
+        least = step if s == step.scaling else _order_at(a, s, sigma, tau, m_max, consts)
+        if least is None:
+            continue
+        for raise_state in (False, True) if s > 1 else (False,):
+            plan = _first_certified(
+                least, norm1_e, sigma_e, dim, m_max, consts, raise_state=raise_state
+            )
+            if plan is not None:
+                return plan
+    raise PlanningError(
+        f"no certified derivative plan for norm1={a:g}, direction norm1={norm1_e:g}, "
+        f"sigma_prime={sigma}, tau={tau:g} within order<={m_max}, scaling<={s_max}"
+    )
+
+
+def derivative_plan(
+    step: ExpmPlan,
+    norm1_e: float,
+    sigma_e: int,
+    dim: int,
+    *,
+    m_max: int = DEFAULT_M_MAX,
+    s_max: int = DEFAULT_S_MAX,
+    consts: ErrorModelConstants = BINARY64,
+) -> DerivativePlan:
+    """The cheapest certified :class:`DerivativePlan` for a step planned by ``step``.
+
+    ``norm1_e`` is the largest one-norm of a direction ``E`` (the bound
+    grows with it, so it certifies every smaller one), ``sigma_e`` the
+    largest per-row count of stored elements of a direction and ``dim``
+    the state dimension.  The step's own scaling is kept and ``psi``
+    moves under the step's plan; the co-state order rises from the step's
+    until :func:`derivative_bound` and the moved co-state's bound are both
+    at most ``tau``.  If no order certifies, ``psi`` moves at the co-state's
+    order instead; only if that fails too does the scaling rise, starting
+    from its smallest certified order.
+    """
+    if not 0.0 <= norm1_e < math.inf:
+        raise ValueError(f"norm1_e must be finite and non-negative, got {norm1_e}")
+    return _cached_derivative_plan(
+        step, float(norm1_e), int(sigma_e), int(dim), m_max, s_max, consts
+    )
+
+
 def apply(
     a: Matrix,
     psi: np.ndarray,
@@ -323,28 +557,39 @@ def apply(
     *,
     validate: bool = True,
     scale: complex = 1.0,
+    sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
     """Evaluate ``exp(scale A) @ psi`` under a plan for ``scale A``.
 
     Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
     ``B = scale A / s`` accumulated into the current iterate, repeated
     ``scaling`` times for the outer squaring loop, consuming exactly
-    ``plan.matvecs`` matrix-vector products.  The factor ``scale / (s j)``
-    is one scalar multiply after each product, so neither ``B`` nor
-    ``scale A`` is ever materialized and the entries enter exactly as
-    stored in ``A``.  Exactly three work vectors of the state dimension
-    are live at any time; that constant is this module's memory contract.
+    ``plan.matvecs`` matrix-vector products.  The factor
+    ``(scale / s) / j`` is one scalar multiply after each product, so
+    neither ``B`` nor ``scale A`` is ever materialized and the entries enter
+    exactly as stored in ``A``.  Exactly three work vectors of the state
+    dimension are live at any time; that constant is this module's memory
+    contract.
 
     ``scale`` folds a time step into that scalar, as in Al-Mohy & Higham's
     ``expmv`` (SIAM J. Sci. Comput. 33, 488, 2011): a Hermitian ``H`` with
     ``scale = -i dt`` gives ``exp(-i H dt) @ psi``, planned for
     ``dt ||H||_1`` and the ``sigma'`` of ``H``.  The rounding model is
-    unchanged.  ``fl(scale / (s j))`` is still a single rounding, real
-    ``scale`` or purely imaginary, and multiplying a complex term by a
-    real or a purely imaginary scalar rounds each part once.  The stored
-    entries are ``H``'s own, so no rounding of a materialized generator
-    ``-i dt H`` is left uncounted.  Negation is exact, so ``scale=-1.0``
-    equals ``apply`` on the negated matrix bit for bit.
+    unchanged.  For a real or purely imaginary ``scale`` the two real
+    divisions of ``(scale / s) / j`` have a combined relative error of at
+    most ``2u + u^2``, below the ``u'`` the model charges for the scalar
+    (one exact division at ``s = 1``), and multiplying a complex term by
+    that scalar rounds each part once.  The stored entries are ``H``'s own,
+    so no rounding of a materialized generator ``-i dt H`` is left
+    uncounted.  Negation is exact, so ``scale=-1.0`` equals ``apply`` on
+    the negated matrix bit for bit, and the stage scalar ``scale / s`` is
+    what :meth:`ExpmPlan.stage` runs at.
+
+    ``sink(j, term)``, when given, receives every Taylor term
+    ``B^j v / j!``, ``j = 0 .. order``, of every stage, where ``v`` is the
+    vector the stage starts from.  ``term`` is the engine's own work
+    vector: the sink reads or copies it during the call and runs no
+    product on ``A``.
 
     ``validate`` enforces the precondition under which the certified
     bound holds: ``scale A`` is anti-Hermitian.  Callers applying the
@@ -367,11 +612,16 @@ def apply(
     term = np.empty_like(current)
     work = np.empty_like(current)
     s = plan.scaling
+    stage_scale = scale / s
     for _ in range(s):
         np.copyto(term, current)
+        if sink is not None:
+            sink(0, term)
         for j in range(1, plan.order + 1):
             a.matvec(term, out=work)
-            np.multiply(work, scale / (s * j), out=term)
+            np.multiply(work, stage_scale / j, out=term)
+            if sink is not None:
+                sink(j, term)
             current += term
     return current
 

@@ -7,9 +7,7 @@ time so that the stored-element count is an honest measure of memory and
 of per-row work in the rounding-error model.
 
 CSR products run on scipy's compiled ``csr_matvec`` kernel, which
-accumulates each row as one running sum into the output vector; products
-with a block of vectors run on ``csr_matvecs``, which keeps the same
-running sum per column.
+accumulates each row as one running sum into the output vector.
 """
 
 from __future__ import annotations
@@ -89,16 +87,6 @@ class CsrMatrix:
         out.fill(0.0)
         return self._accumulate(v, out)
 
-    def matvec_add(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Accumulate ``out += A v`` in place and return ``out``.
-
-        Row ``i`` continues the running sum that starts at ``out[i]``, so
-        every output entry is one sequential sum of its prior value and
-        the row's products.
-        """
-        self._check_operands(v, out)
-        return self._accumulate(v, out)
-
     def _check_operands(self, v: np.ndarray, out: np.ndarray) -> None:
         # the kernel trusts both lengths, and it reads v while it writes out
         if v.shape != (self.n_cols,) or out.shape != (self.n_rows,):
@@ -112,30 +100,6 @@ class CsrMatrix:
         # raises ValueError itself when out is not a writeable complex128 array
         _sparsetools().csr_matvec(
             self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, v, out
-        )
-        return out
-
-    def matmat(self, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``A X`` for an ``(n_cols, w)`` block, written into ``out`` and returned.
-
-        Runs scipy's ``csr_matvecs``, which adds each row's products into
-        all ``w`` columns in stored order: column ``t`` of the result is
-        the running sum :meth:`matvec` computes for column ``t`` of ``X``.
-        ``out`` must be C-contiguous and must not overlap ``block``.
-        """
-        width = block.shape[1] if block.ndim == 2 else -1
-        if block.shape != (self.n_cols, width) or out.shape != (self.n_rows, width):
-            raise SparseMatrixError(
-                f"matmat dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
-                f"block has shape {block.shape}, out has shape {out.shape}"
-            )
-        if not out.flags.c_contiguous:
-            raise SparseMatrixError("matmat writes a C-contiguous out block")
-        _refuse_overlap(block, out)
-        out.fill(0.0)
-        _sparsetools().csr_matvecs(
-            self.n_rows, self.n_cols, width, self.row_offsets, self.col_indices, self.values,
-            block.ravel(), out.ravel(),
         )
         return out
 
@@ -243,12 +207,10 @@ class DenseMatrix:
         return self.array.size
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        if v.shape != (self.n_cols,):
+        arr = self.array
+        if v.shape != arr.shape[1:]:
             raise SparseMatrixError("matvec dimension mismatch")
-        if out is None:
-            return self.array @ v
-        np.matmul(self.array, v, out=out)
-        return out
+        return np.matmul(arr, v, out=out)
 
     def col_abs_sums(self) -> np.ndarray:
         return np.abs(self.array).sum(axis=0)
@@ -371,14 +333,21 @@ def linear_combine(coeffs, mats) -> Matrix:
         raise SparseMatrixError("shape mismatch in linear_combine")
 
     if any(isinstance(m, DenseMatrix) for m in mats):
-        total = np.zeros(shape, dtype=np.complex128, order="F")
-        work = np.empty(shape, dtype=np.complex128, order="F")
+        # the first term is written into the total, the others added through one buffer
+        total = work = None
         for c, m in zip(coeffs, mats):
             if c == 0:
                 continue
             source = m.array if isinstance(m, DenseMatrix) else m.to_dense()
+            if total is None:
+                total = np.multiply(source, c, order="F")
+                continue
+            if work is None:
+                work = np.empty(shape, dtype=np.complex128, order="F")
             np.multiply(source, c, out=work)
             total += work
+        if total is None:
+            total = np.zeros(shape, dtype=np.complex128, order="F")
         return DenseMatrix._trusted(total)
 
     rows_all, cols_all, vals_all = [], [], []

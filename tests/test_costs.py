@@ -1,7 +1,6 @@
 """Cost contributions, hard-coded gradients, and the constant-memory contract."""
 
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -611,6 +610,42 @@ class TestBytesIndependentOfSteps:
         assert abs(net[1] - net[0]) <= 16 * d, net
 
 
+class TestBytesIndependentOfChannels:
+    """A backward step's scratch does not grow with the number of channels.
+
+    Channels are contracted :data:`CHANNEL_BLOCK` at a time, so the traced
+    peak of a gradient, minus its ``N x K`` gradient, is the same at K = 4
+    and K = 12 within one state vector.  The operators are banded, so the
+    pull-back's scratch of some ``m_d + CHANNEL_BLOCK`` vectors, not the
+    step assembly, sets the peak; the controls are one banded Hermitian
+    matrix conjugated by random diagonal phases, at zero amplitudes, so
+    every step is ``H_s`` and plans alike for both K.
+    """
+
+    def test_peak_minus_gradient_is_independent_of_channels(self, rng):
+        d, n = 512, 4
+        band = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
+        h0, hc = random_hermitian(rng, d) * band, random_hermitian(rng, d) * band
+        psi0, phi = random_state(rng, d), random_state(rng, d)
+        net = []
+        for k in (CHANNEL_BLOCK, 3 * CHANNEL_BLOCK):
+            phases = np.exp(2j * np.pi * rng.random((k, d)))
+            controls = tuple(
+                sparse.from_dense(p[:, None] * hc * p.conj()[None, :]) for p in phases
+            )
+            problem = costs.ControlProblem(
+                sparse.from_dense(h0), controls, Backend.SCALING_SQUARING, 1e-10
+            )
+            field = costs.ControlField.constant(0.0, n, k, 0.05)
+            costs.c1_state_grad(problem, field, psi0, phi)  # fill the caches first
+            peak, result = TestBytesIndependentOfSteps.traced_peak(
+                lambda: costs.c1_state_grad(problem, field, psi0, phi)
+            )
+            assert np.abs(result.grad).max() > 0
+            net.append(peak - result.grad.nbytes)
+        assert abs(net[1] - net[0]) <= 16 * d, net
+
+
 class TestStepAssembly:
     """The fixed-pattern step Hamiltonian against a fresh ``linear_combine``."""
 
@@ -677,10 +712,10 @@ class TestCountedMatvecs:
             costs.composite_grad(problem, field, state_terms(rng, d))
         else:
             costs.c1_state_grad(problem, field, psi0, random_state(rng, d))
-        # n forward, n adjoint and one derivative application per channel block and step;
-        # the derivative applications also move the one co-state back, however many
-        # terms drive it
-        assert len(planned) == n + n + n * math.ceil(k / CHANNEL_BLOCK)
+        # n forward applications, and per backward step (one stage at these norms) one
+        # moving psi back and one moving the one co-state, however many channels and
+        # however many terms drive it
+        assert len(planned) == n + n + n
         assert counted == planned
         assert sum(counted) > len(counted)
 
@@ -688,7 +723,7 @@ class TestCountedMatvecs:
         self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=2)
 
     def test_partial_channel_block_runs_the_planned_products(self, rng, monkeypatch):
-        # one full block of CHANNEL_BLOCK channels and one partial block
+        # one full contraction block of CHANNEL_BLOCK channels and one partial block
         self.assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k=5)
 
     @pytest.mark.parametrize("k", [2, 5])

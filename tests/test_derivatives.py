@@ -1,15 +1,18 @@
 """Propagation and control-derivative backends."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
+from scipy.linalg import expm_frechet
 
 from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.derivatives import (
     CHANNEL_BLOCK,
     Backend,
     BlockDerivativeOperator,
-    ChannelBlock,
+    ControlOperators,
     DiagFactorization,
     OperatorSums,
     aux_plan,
@@ -95,8 +98,7 @@ class TestAuxDerivative:
         assert np.linalg.norm(du) <= 1e-12
         # the embedding's bottom block carries U psi
         aux = BlockDerivativeOperator(
-            OperatorSums(step.ctx.h_step),
-            ChannelBlock((OperatorSums(sparse.build_csr([], d, d)),)),
+            OperatorSums(step.ctx.h_step), OperatorSums(sparse.build_csr([], d, d))
         )
         plan = aux_plan(aux, 0.3, step.ctx.tau)
         out = expm.apply(aux, aux.stack(psi), plan, validate=False, scale=-1j * 0.3)
@@ -132,24 +134,22 @@ class TestAuxDerivative:
         d, dt = 9, 0.37
         h = sparse.from_dense(random_hermitian(rng, d))
         hc = sparse.from_dense(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(OperatorSums(h), ChannelBlock((OperatorSums(hc),)))
+        op = BlockDerivativeOperator(OperatorSums(h), OperatorSums(hc))
         # the materialized embedding is the generator: -i dt times the operator
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
-        # the CSR block keeps (d, 2) columns [y | x]; the embedding stacks (x, y)
-        x, y = op.split(op.matvec(np.column_stack([v[d:], v[:d]]).ravel()))
-        got = -1j * dt * np.concatenate([x[:, 0], y])
+        got = -1j * dt * op.matvec(v)
         assert np.linalg.norm(got - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
         assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
         assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
-        # each top-block row is one running sum over both blocks' elements
+        # each top-block row sums over both blocks' elements
         assert op.max_row_nnz() == aux.max_row_nnz()
 
     def test_dense_block_operator_matches_materialized_embedding(self, rng):
         d, dt = 7, 0.29
         h = sparse.DenseMatrix(random_hermitian(rng, d))
         hc = sparse.DenseMatrix(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(OperatorSums(h), ChannelBlock((OperatorSums(hc),)))
+        op = BlockDerivativeOperator(OperatorSums(h), OperatorSums(hc))
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         out = np.full(2 * d, np.nan + 0j)
@@ -158,28 +158,28 @@ class TestAuxDerivative:
         assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
         assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
         assert op.max_row_nnz() == aux.max_row_nnz() == 2 * d
-        with pytest.raises(ValueError, match="one channel"):
-            BlockDerivativeOperator(op.step, ChannelBlock(op.controls * 2))
 
-    def test_channel_block_runs_each_channels_arithmetic(self, rng):
-        d, w = 11, 3
-        step = OperatorSums(random_sparse_dense_pair(rng, d, 0.4)[0])
-        controls = tuple(
-            OperatorSums(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(10.0**t))
-            for t in (-1, 0, 1)
-        )
-        block = BlockDerivativeOperator(step, ChannelBlock(controls))
-        singles = [BlockDerivativeOperator(step, ChannelBlock((c,))) for c in controls]
-        v = rng.normal(size=(d, w + 1)) + 1j * rng.normal(size=(d, w + 1))
-        x, y = block.split(block.matvec(v.ravel()))
-        for t, single in enumerate(singles):
-            xs, ys = single.split(single.matvec(v[:, [0, 1 + t]].ravel()))
-            assert np.array_equal(x[:, t], xs[:, 0])
-            assert np.array_equal(y, ys)
-        # the block's norms are the largest of its channels' embeddings
-        assert block.one_norm() == max(s.one_norm() for s in singles)
-        assert block.inf_norm() == max(s.inf_norm() for s in singles)
-        assert block.max_row_nnz() == max(s.max_row_nnz() for s in singles)
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_row_stacked_controls_run_each_channels_arithmetic(self, rng, storage):
+        d, k = 11, CHANNEL_BLOCK + 2
+        wrap = (lambda m: m) if storage == "csr" else (lambda m: sparse.DenseMatrix(m.to_dense()))
+        controls = [
+            wrap(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(10.0 ** (t % 3 - 1)))
+            for t in range(k)
+        ]
+        ops = ControlOperators(controls)
+        assert [s.n_rows for s in ops.stacks] == [CHANNEL_BLOCK * d, 2 * d]
+        assert all(type(s) is type(controls[0]) for s in ops.stacks)
+        y = rng.normal(size=d) + 1j * rng.normal(size=d)
+        rows = np.concatenate([s.matvec(y) for s in ops.stacks]).reshape(k, d)
+        for t, control in enumerate(controls):
+            want = control.matvec(y)
+            if storage == "csr":
+                assert np.array_equal(rows[t], want)
+            else:  # the same products; BLAS may sum a taller matrix's rows in another order
+                assert np.abs(rows[t] - want).max() <= 1e-14 * np.abs(want).max()
+        assert ops.norm1 == max(c.one_norm() for c in controls)
+        assert ops.max_row_nnz == max(c.max_row_nnz() for c in controls)
 
 
 class TestDiagPrepare:
@@ -323,9 +323,11 @@ class TestControlOverlaps:
     def test_match_single_channel_reference(self, rng, backend, storage, n_channels):
         d = 10
         step = make_overlap_step(rng, d, n_channels, backend, storage)[2]
-        psi = random_state(rng, d)
+        psi_n = random_state(rng, d)
         costates = np.array([random_state(rng, d), random_state(rng, d)])
-        got = np.array([step.pull_back(lam.copy(), psi) for lam in costates])
+        moved = [psi_n.copy() for _ in costates]
+        got = np.array([step.pull_back(lam.copy(), p) for lam, p in zip(costates, moved)])
+        psi = moved[0]
         want = np.array(
             [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
              for lam in costates]
@@ -333,39 +335,36 @@ class TestControlOverlaps:
         assert got.shape == (2, n_channels)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
-    def test_unequal_channel_norms_stay_certified(self, rng, monkeypatch):
+    def test_unequal_channel_norms_stay_certified(self, rng):
         d, n_channels, dt = 8, 5, 0.3
         problem, field, step = make_overlap_step(
             rng, d, n_channels, Backend.SCALING_SQUARING, "csr", dt, scales=(1.0, 10.0, 0.1)
         )
         tau = problem.tau
-        real_apply = expm.apply
-        blocks = []
-
-        def recording_apply(a, psi, plan, **kwargs):
-            if isinstance(a, BlockDerivativeOperator):
-                blocks.append((a, plan))
-            return real_apply(a, psi, plan, **kwargs)
-
-        monkeypatch.setattr(expm, "apply", recording_apply)
-        psi = random_state(rng, d)
+        psi_n = random_state(rng, d)
         # unit co-states read out every entry of every channel's derivative
-        derivs = np.array([step.pull_back(e, psi) for e in np.eye(d, dtype=complex)])
-        assert [a.width for a, _ in blocks] == [CHANNEL_BLOCK, n_channels - CHANNEL_BLOCK] * d
+        moved = [psi_n.copy() for _ in range(d)]
+        derivs = np.array([step.pull_back(e, p) for e, p in zip(np.eye(d, dtype=complex), moved)])
+        psi = moved[0]
+        assert all(np.array_equal(p, psi) for p in moved)
 
         h_step = step.ctx.h_step
         stacked = np.concatenate([np.zeros(d, complex), psi])
         for k, hc in enumerate(problem.h_controls):
             exact = scipy_expm(sparse.aux_embed(h_step, hc, dt).to_dense()) @ stacked
             assert np.linalg.norm(derivs[:, k] - exact[:d]) <= tau
-        for block, plan in blocks[:2]:
-            assert plan == aux_plan(block, dt, tau)
-            for control in block.controls:
-                single = BlockDerivativeOperator(block.step, ChannelBlock((control,)))
-                own = aux_plan(single, dt, tau)
-                assert plan.matvecs >= own.matvecs
-                bound = expm.error_bound(own.norm1, plan.order, plan.scaling, own.sigma_prime)
-                assert bound <= tau
+        # one plan for every channel, certified for the largest control norm
+        plan = step._derivative_plan()
+        norms = [hc.one_norm() for hc in problem.h_controls]
+        assert plan.norm1_direction == dt * max(norms)
+        assert plan.bound <= tau
+        step_plan = step._step_plan()
+        for norm, hc in zip(norms, problem.h_controls):
+            own = expm.derivative_bound(
+                step_plan.norm1, dt * norm, plan.costate.order, plan.costate.scaling,
+                step_plan.sigma_prime, hc.max_row_nnz(), d, plan.state.order,
+            )
+            assert own <= plan.bound
 
     @pytest.mark.parametrize("n_costates", [1, 5])
     def test_eigen_path_never_densifies_a_csr_control(self, rng, monkeypatch, n_costates):
@@ -409,37 +408,152 @@ class TestPullBack:
         problem, _, step = make_overlap_step(
             rng, d, n_channels, backend, storage, scales=(1.0, 3.0, 0.5)
         )
-        psi = random_state(rng, d)
+        psi_n = random_state(rng, d)
         costates = np.array([random_state(rng, d) for _ in range(n_costates)])
+        moved = costates.copy()
+        states = np.array([psi_n] * n_costates)
+        got = np.array([step.pull_back(back, psi) for back, psi in zip(moved, states)])
+        psi = states[0]
+        assert np.linalg.norm(psi - step.adjoint(psi_n)) <= 2 * problem.tau
         want = np.array(
             [[np.vdot(lam, step.control_derivative(k, psi)) for k in range(n_channels)]
              for lam in costates]
         )
-        moved = costates.copy()
-        got = np.array([step.pull_back(back, psi) for back in moved])
         assert got.shape == (n_costates, n_channels)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         for lam, back in zip(costates, moved):
             assert np.linalg.norm(back - step.adjoint(lam)) <= 2 * problem.tau
 
     @pytest.mark.parametrize("n_channels", [2, 5])
-    def test_one_costate_moves_inside_the_embedding(self, rng, monkeypatch, n_channels):
+    def test_one_costate_moves_under_the_derivative_plan(self, rng, monkeypatch, n_channels):
         d = 8
         step = make_overlap_step(
             rng, d, n_channels, Backend.SCALING_SQUARING, "csr", scales=(1.0, 10.0, 0.1)
         )[2]
-        psi, lam = random_state(rng, d), random_state(rng, d)
-        step_plan = step._step_plan()
-        block_plan = step._derivative_blocks()[-1][1]
-        assert block_plan.matvecs > step_plan.matvecs
+        psi_n, lam = random_state(rng, d), random_state(rng, d)
+        plan = step._derivative_plan()
+        assert plan.costate.scaling == plan.state.scaling
+        assert max(plan.bound, plan.costate.bound, plan.state.bound) <= step.ctx.tau
         monkeypatch.setattr(
             derivatives.StepEvaluator, "adjoint", lambda self, v: pytest.fail("adjoint ran")
         )
-        costate = lam.copy()
+        costate, psi = lam.copy(), psi_n.copy()
         step.pull_back(costate, psi)
-        # the last block's bottom block, which is H at +i dt under that block's plan
-        want = expm.apply(step.ctx.h_step, lam, block_plan, validate=False, scale=1j * step.ctx.dt)
+        back = 1j * step.ctx.dt
+        h = step.ctx.h_step
+        # stage by stage, the scalars and products of one application each
+        want = expm.apply(h, lam, plan.costate, validate=False, scale=back)
         assert np.array_equal(costate, want)
+        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
+
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("h_scale, dt", [(1.0, 0.3), (3.0, 0.6)])
+    def test_products_per_step_do_not_depend_on_channels(
+        self, rng, monkeypatch, storage, h_scale, dt
+    ):
+        d = 10
+        wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+        h0 = random_hermitian(rng, d, scale=h_scale)
+        hc = random_hermitian(rng, d, scale=0.05)
+        kind = type(wrap(h0))
+        real_matvec = kind.matvec
+        counted = []
+
+        def counting_matvec(self, v, out=None):
+            counted.append(self)
+            return real_matvec(self, v, out)
+
+        monkeypatch.setattr(kind, "matvec", counting_matvec)
+        per_step = []
+        for k in (1, 2, 5, 9):
+            # equal channel norms and, at zero amplitudes, the same step: one plan for every K
+            phases = np.exp(2j * np.pi * rng.random((k, d)))
+            controls = tuple(wrap(p[:, None] * hc * p.conj()[None, :]) for p in phases)
+            problem = costs.ControlProblem(wrap(h0), controls, Backend.SCALING_SQUARING, 1e-10)
+            step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, k, dt), 0)
+            plan = step._derivative_plan()
+            counted.clear()
+            step.pull_back(random_state(rng, d), random_state(rng, d))
+            products = sum(m is step.ctx.h_step for m in counted)
+            m, m_d, s = plan.state.order, plan.costate.order, plan.costate.scaling
+            assert products == plan.matvecs == m * s + (2 * m_d - 1) * s
+            per_step.append(products)
+        assert len(set(per_step)) == 1
+        assert (plan.costate.scaling > 1) == (h_scale > 1)
+
+    def test_dense_step_keeps_one_copy_of_its_hamiltonian(self, rng):
+        d, k = 64, 3
+        problem, field, step = make_overlap_step(rng, d, k, Backend.SCALING_SQUARING, "dense")
+        psi, lam = random_state(rng, d), random_state(rng, d)
+        step.forward(psi)  # plan the step first
+        assert problem._controls.stacks  # the problem's copy of its controls, built once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            step.pull_back(lam, psi)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a copy of H (or a d x 2d embedding row) per channel would add 16 d^2 bytes each
+        assert kept < 16 * d * d, kept
+
+
+class TestFrechetOracle:
+    """Overlaps against ``scipy.linalg.expm_frechet``: within ``tau`` for unit vectors."""
+
+    @staticmethod
+    def check(h_dense, hc_denses, dt, storage, tau):
+        d = h_dense.shape[0]
+        wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+        problem = costs.ControlProblem(
+            wrap(h_dense), tuple(wrap(hc) for hc in hc_denses), Backend.SCALING_SQUARING, tau
+        )
+        step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, len(hc_denses), dt), 0)
+        rng = np.random.default_rng(7)
+        psi_n, lam = random_state(rng, d), random_state(rng, d)
+        psi, costate = psi_n.copy(), lam.copy()
+        got = step.pull_back(costate, psi)
+        a = -1j * dt * h_dense
+        want = [
+            np.vdot(lam, expm_frechet(a, -1j * dt * hc, compute_expm=False) @ psi)
+            for hc in hc_denses
+        ]
+        assert np.abs(got - want).max() <= tau
+        back = scipy_expm(-a)
+        assert np.linalg.norm(psi - back @ psi_n) <= tau
+        assert np.linalg.norm(costate - back @ lam) <= tau
+        return step
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_single_stage(self, rng, storage):
+        d = 12
+        h, hcs = random_hermitian(rng, d), [random_hermitian(rng, d) for _ in range(3)]
+        step = self.check(h, hcs, 0.3, storage, 1e-10)
+        assert step._derivative_plan().costate.scaling == 1
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_several_stages(self, rng, storage):
+        d = 12
+        h = random_hermitian(rng, d, scale=3.0)
+        hcs = [random_hermitian(rng, d, scale=0.05) for _ in range(2)]
+        step = self.check(h, hcs, 0.6, storage, 1e-10)
+        plan = step._derivative_plan()
+        assert plan.costate.scaling == step._step_plan().scaling > 1
+        assert plan.state == step._step_plan()
+
+    def test_plan_at_the_edge_of_its_bound(self, rng):
+        d, tau = 10, 1e-10
+        h, hc = random_hermitian(rng, d), random_hermitian(rng, d)
+        sums = ControlOperators([sparse.from_dense(hc)])
+        h_csr = sparse.from_dense(h)
+        for dt in np.linspace(0.2, 0.4, 401):
+            step_plan = expm.make_plan(dt * h_csr.one_norm(), h_csr.max_row_nnz(), tau)
+            plan = expm.derivative_plan(step_plan, dt * sums.norm1, sums.max_row_nnz, d)
+            if plan.bound > 0.9 * tau:
+                break
+        assert plan.bound > 0.9 * tau
+        self.check(h, [hc], dt, "csr", tau)
 
 
 def real_step_problem(rng, d, storage):
@@ -504,7 +618,7 @@ class TestRealEigenbasis:
             return [
                 step.forward(psi),
                 step.adjoint(psi),
-                *(step.pull_back(lam.copy(), psi) for lam in costates),
+                *(step.pull_back(lam.copy(), psi.copy()) for lam in costates),
                 *(step.control_derivative(k, psi) for k in range(3)),
             ]
 

@@ -1,5 +1,7 @@
 """Certified application of the exponential action."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,92 @@ class TestApply:
         plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-8)
         with pytest.raises(ValueError):
             expm.apply(a, np.zeros(5, complex), plan)
+
+
+class TestTermSink:
+    def test_sink_receives_every_taylor_term_of_every_stage(self, rng):
+        d, dt = 9, 0.45
+        h_dense = random_hermitian(rng, d, scale=2.0)
+        h = csr_from(h_dense)
+        psi = random_state(rng, d)
+        plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
+        plan = dataclasses.replace(plan, scaling=3)
+        seen = []
+        counting = CountingOperator(h)
+        got = expm.apply(
+            counting, psi, plan, validate=False, scale=1j * dt,
+            sink=lambda j, term: seen.append((j, counting.calls, term.copy())),
+        )
+        assert counting.calls == plan.matvecs
+        assert np.array_equal(got, expm.apply(h, psi, plan, validate=False, scale=1j * dt))
+        m = plan.order
+        assert [j for j, _, _ in seen] == list(range(m + 1)) * 3
+        # the sink runs between products and none of its own
+        calls = [stage * m + j for stage in range(3) for j in range(m + 1)]
+        assert [c for _, c, _ in seen] == calls
+        b = 1j * dt / 3 * h_dense
+        start = psi
+        for stage in range(3):
+            power = start.copy()
+            for j in range(m + 1):
+                term = seen[stage * (m + 1) + j][2]
+                assert np.linalg.norm(term - power) <= 1e-13 * max(np.linalg.norm(power), 1.0)
+                power = b @ power / (j + 1)
+            start = sum(t for _, _, t in seen[stage * (m + 1) : (stage + 1) * (m + 1)])
+
+    def test_stages_run_one_application_bit_for_bit(self, rng):
+        d, dt = 12, 0.7
+        h = csr_from(random_hermitian(rng, d, scale=4.0))
+        psi = random_state(rng, d)
+        plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
+        assert plan.scaling > 1
+        stage = plan.stage()
+        assert (stage.order, stage.scaling) == (plan.order, 1)
+        norm1_b = plan.norm1 / plan.scaling
+        assert stage.bound == expm.error_bound(norm1_b, plan.order, 1, plan.sigma_prime)
+        v = psi
+        for _ in range(plan.scaling):
+            v = expm.apply(h, v, stage, validate=False, scale=-1j * dt / plan.scaling)
+        assert np.array_equal(v, expm.apply(h, psi, plan, validate=False, scale=-1j * dt))
+        single = expm.make_plan(0.5, 3, 1e-10)
+        assert single.scaling == 1 and single.stage() is single
+
+
+class TestDerivativePlan:
+    def test_keeps_the_step_plan_and_raises_the_costate_order(self):
+        step = expm.make_plan(2.0, 8, 1e-10)
+        plan = expm.derivative_plan(step, 1.5, 4, 100)
+        assert plan.state == step
+        assert plan.costate.scaling == step.scaling
+        assert plan.costate.order >= step.order
+        assert plan.bound <= 1e-10 and plan.costate.bound <= 1e-10
+        m, m_d, s = step.order, plan.costate.order, step.scaling
+        assert plan.matvecs == m * s + (2 * m_d - 1) * s
+        # the smallest certified co-state order
+        below = expm.derivative_bound(2.0, 1.5, m_d - 1, s, 8, 4, 100, m)
+        assert m_d == m or below > 1e-10
+
+    def test_bound_grows_with_the_direction_and_the_dimension(self):
+        args = dict(norm1_a=3.0, order=20, s=1, sigma_prime=10, sigma_e=5, state_order=18)
+        small = expm.derivative_bound(norm1_e=0.5, dim=10, **args)
+        assert expm.derivative_bound(norm1_e=1.0, dim=10, **args) == pytest.approx(2 * small)
+        assert expm.derivative_bound(norm1_e=0.5, dim=10**5, **args) > small
+        assert expm.derivative_bound(norm1_e=0.0, dim=10, **args) == 0.0
+
+    def test_zero_direction_needs_no_extra_order(self):
+        step = expm.make_plan(4.0, 6, 1e-8)
+        plan = expm.derivative_plan(step, 0.0, 0, 50)
+        assert plan.costate.order == step.order and plan.bound == 0.0
+
+    def test_non_finite_direction_refused(self):
+        step = expm.make_plan(1.0, 2, 1e-8)
+        with pytest.raises(ValueError, match="norm1_e"):
+            expm.derivative_plan(step, np.inf, 2, 10)
+
+    def test_uncertifiable_direction_is_a_planning_error(self):
+        step = expm.make_plan(1.0, 2, 1e-12)
+        with pytest.raises(expm.PlanningError, match="derivative"):
+            expm.derivative_plan(step, 1e6, 2, 10, s_max=4)
 
 
 class TestProperties:

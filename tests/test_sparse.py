@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from leangrape import bench, sparse
-from leangrape.derivatives import CHANNEL_BLOCK, ChannelBlock, OperatorSums
 from leangrape.models import TransmonCavityParams, build_transmon_cavity
 
 from conftest import random_sparse_dense_pair
@@ -107,22 +106,12 @@ class TestMatvec:
         v = rng.normal(size=16)
         assert np.array_equal(m.matvec(v), oracle @ v.astype(complex))
 
-    def test_matvec_add_accumulates(self, rng):
-        m, dense = random_sparse_dense_pair(rng, 12)
-        v = rng.normal(size=12) + 1j * rng.normal(size=12)
-        out = rng.normal(size=12) + 1j * rng.normal(size=12)
-        want = out + dense @ v
-        assert m.matvec_add(v, out) is out
-        assert np.abs(out - want).max() <= 1e-14 * np.abs(want).max()
-
     def test_overlapping_out_rejected(self):
         m = sparse.identity_csr(4)
         buf = np.arange(8, dtype=complex)
         for out in (buf[:4], buf[2:6]):
             with pytest.raises(sparse.SparseMatrixError, match="overlap"):
                 m.matvec(buf[:4], out=out)
-            with pytest.raises(sparse.SparseMatrixError, match="overlap"):
-                m.matvec_add(buf[:4], out)
         assert np.array_equal(buf, np.arange(8))
         m.matvec(buf[:4], out=buf[4:])  # adjacent halves of one buffer do not overlap
         assert np.array_equal(buf[4:], buf[:4])
@@ -132,40 +121,6 @@ class TestMatvec:
             sigma_x().matvec(np.ones(2, complex), out=np.zeros(2))
         with pytest.raises(sparse.SparseMatrixError):
             sigma_x().matvec(np.ones(2, complex), out=np.zeros(3, complex))
-
-
-class TestBlockKernel:
-    """``matmat`` and the stacked channel controls against ``matvec``, bit for bit.
-
-    The certificate of a fused channel block rests on each of its columns
-    running the arithmetic of the single-channel products.
-    """
-
-    def test_columns_and_stacked_controls_match_matvec(self, rng):
-        d, w = 23, CHANNEL_BLOCK
-        step = random_sparse_dense_pair(rng, d, density=0.3)[0]
-        controls = [random_sparse_dense_pair(rng, d, density=0.2)[0] for _ in range(w)]
-        block = ChannelBlock(tuple(OperatorSums(c) for c in controls))
-        v = rng.normal(size=(d, w + 1)) + 1j * rng.normal(size=(d, w + 1))
-        out = step.matmat(v, np.empty((d, w + 1), complex))
-        for t in range(w + 1):
-            assert np.array_equal(out[:, t], step.matvec(v[:, t].copy()))
-        block.stacked.matvec_add(v.ravel(), out.ravel())
-        y = v[:, 0].copy()
-        assert np.array_equal(out[:, 0], step.matvec(y))
-        for t, control in enumerate(controls):
-            want = control.matvec_add(y, step.matvec(v[:, 1 + t].copy()))
-            assert np.array_equal(out[:, 1 + t], want)
-
-    def test_matmat_refuses_bad_operands(self, rng):
-        a = random_sparse_dense_pair(rng, 5)[0]
-        v = np.ones((5, 3), complex)
-        with pytest.raises(sparse.SparseMatrixError, match="dimension"):
-            a.matmat(np.ones((4, 3), complex), np.empty((5, 3), complex))
-        with pytest.raises(sparse.SparseMatrixError, match="C-contiguous"):
-            a.matmat(v, out=np.empty((3, 5), complex).T)
-        with pytest.raises(sparse.SparseMatrixError, match="overlap"):
-            a.matmat(v, out=v)
 
 
 class TestNorms:
