@@ -48,6 +48,7 @@ __all__ = [
     "mu_vs_norm_sweep",
     "mu_vs_dim_sweep",
     "fit_power_law",
+    "fit_line",
     "strategy_advise",
     "records_to_csv",
     "BENCH_CSV_HEADER",
@@ -383,14 +384,19 @@ def fit_power_law(points) -> PowerLawFit:
         raise ValueError("power-law fit needs at least 4 points")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValueError("power-law fit needs positive data")
-    lx = np.log([x for x, _ in pts])
-    ly = np.log([y for _, y in pts])
-    exponent, intercept = np.polyfit(lx, ly, 1)
-    pred = exponent * lx + intercept
-    ss_res = float(((ly - pred) ** 2).sum())
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
+    return PowerLawFit(*fit_line(np.log([x for x, _ in pts]), np.log([y for _, y in pts])))
+
+
+def fit_line(xs, ys) -> tuple[float, float, float]:
+    """Least-squares ``y = slope * x + intercept``: ``(slope, intercept, r_squared)``."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    pred = slope * xs + intercept
+    ss_res = float(((ys - pred) ** 2).sum())
+    ss_tot = float(((ys - ys.mean()) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return PowerLawFit(float(exponent), float(intercept), float(r_squared))
+    return float(slope), float(intercept), float(r_squared)
 
 
 # ---------------------------------------------------------------------------

@@ -421,17 +421,8 @@ def _run_bench_mu(cfg: RunConfig, out_dir: str) -> int:
         fit = bench.fit_power_law([(r.d, r.matvecs) for r in feasible])
         summary["mu_vs_d"] = dataclasses.asdict(fit)
     if len(dts) >= 4 and len(sizes) == 1:
-        xs = np.array([r.norm1 for r in feasible])
-        ys = np.array([float(r.matvecs) for r in feasible])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        pred = slope * xs + intercept
-        ss_res = float(((ys - pred) ** 2).sum())
-        ss_tot = float(((ys - ys.mean()) ** 2).sum())
-        summary["mu_vs_norm1"] = {
-            "slope": float(slope),
-            "intercept": float(intercept),
-            "r_squared": 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot,
-        }
+        fit = bench.fit_line([r.norm1 for r in feasible], [r.matvecs for r in feasible])
+        summary["mu_vs_norm1"] = dict(zip(("slope", "intercept", "r_squared"), fit))
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0

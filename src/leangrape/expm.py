@@ -36,6 +36,14 @@ model, because the scale only enters the one scalar per Taylor term.
 overlaps ``<lambda| L(A, E) |psi>`` of the Fréchet derivative of
 ``exp(A)`` along a direction ``E``, contracted from the Taylor terms that
 :func:`apply` hands to a term sink (see :class:`DerivativePlan`).
+
+The working precision is IEEE binary64, the package's only one:
+``UNIT_ROUNDOFF`` is ``u = 2^-53`` and ``U_PRIME`` is ``u'``.  Both
+planners find the least certified order at a given scaling through one
+scan, over orders up to ``M_MAX = 60`` and scalings up to
+``S_MAX = 10_000``.  These limits are fixed, not parameters.  A scaling
+``s`` with ``s gamma_3 > tau`` is the rounding floor: neither it nor any
+larger scaling certifies, and both planners refuse it by that name.
 """
 
 from __future__ import annotations
@@ -51,8 +59,8 @@ import numpy as np
 from .sparse import Matrix, is_anti_hermitian
 
 __all__ = [
-    "ErrorModelConstants",
-    "BINARY64",
+    "UNIT_ROUNDOFF",
+    "U_PRIME",
     "ExpmPlan",
     "DerivativePlan",
     "PlanningError",
@@ -66,15 +74,18 @@ __all__ = [
     "derivative_plan",
     "apply",
     "expm_multiply",
-    "DEFAULT_M_MAX",
-    "DEFAULT_S_MAX",
 ]
+
+#: Unit roundoff of IEEE binary64 and its complex-arithmetic inflation
+#: ``u' = 2 sqrt(2) u / (1 - 2u)``.
+UNIT_ROUNDOFF = 2.0**-53
+U_PRIME = 2.0 * math.sqrt(2.0) * UNIT_ROUNDOFF / (1.0 - 2.0 * UNIT_ROUNDOFF)
 
 #: Search limits for the (m, s) selection.  They comfortably cover every
 #: generator norm exercised by the benchmark suite; the scan cost is
 #: negligible next to the matrix-vector products it certifies.
-DEFAULT_M_MAX = 60
-DEFAULT_S_MAX = 10_000
+M_MAX = 60
+S_MAX = 10_000
 
 _TAIL_TERM_LIMIT = 500
 _TAIL_REL_CUTOFF = 1e-20
@@ -86,24 +97,6 @@ class PlanningError(RuntimeError):
 
 class BoundInfeasibleError(ArithmeticError):
     """The rounding model breaks down (n * u' >= 1); treat as unbounded."""
-
-
-@dataclass(frozen=True)
-class ErrorModelConstants:
-    """Unit roundoff of the working precision and its complex-arithmetic inflation."""
-
-    u: float
-    u_prime: float
-
-    @classmethod
-    def from_unit_roundoff(cls, u: float) -> "ErrorModelConstants":
-        if not 0.0 < u < 0.5:
-            raise ValueError(f"unit roundoff must lie in (0, 0.5), got {u}")
-        return cls(u=u, u_prime=2.0 * math.sqrt(2.0) * u / (1.0 - 2.0 * u))
-
-
-#: Constants for IEEE binary64, the working precision of this package.
-BINARY64 = ErrorModelConstants.from_unit_roundoff(2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -187,17 +180,17 @@ def remainder_rm(x: float, m: int) -> float:
     return total
 
 
-def gamma_n(n: int, consts: ErrorModelConstants = BINARY64) -> float:
+def gamma_n(n: int) -> float:
     """Accumulated relative error factor ``n u' / (1 - n u')``."""
     if n < 0:
         raise ValueError("gamma_n expects a non-negative count")
-    nu = n * consts.u_prime
+    nu = n * U_PRIME
     if nu >= 1.0:
         raise BoundInfeasibleError(f"rounding model infeasible: n*u' = {nu} >= 1")
     return nu / (1.0 - nu)
 
 
-def _beta_sum(norm1_b: float, m: int, sigma_prime: int, consts: ErrorModelConstants) -> float:
+def _beta_sum(norm1_b: float, m: int, sigma_prime: int) -> float:
     """Accumulated per-application rounding amplitude.
 
     ``sum_{k=0}^m gamma_{k(sigma'+2)+m+2} * norm1_b^k / k!``; grows
@@ -209,17 +202,11 @@ def _beta_sum(norm1_b: float, m: int, sigma_prime: int, consts: ErrorModelConsta
     for k in range(m + 1):
         if k > 0:
             power *= norm1_b / k
-        beta += gamma_n(k * step + m + 2, consts) * power
+        beta += gamma_n(k * step + m + 2) * power
     return beta
 
 
-def rounding_bound(
-    norm1_b: float,
-    m: int,
-    s: int,
-    sigma_prime: int,
-    consts: ErrorModelConstants = BINARY64,
-) -> float:
+def rounding_bound(norm1_b: float, m: int, s: int, sigma_prime: int) -> float:
     """Upper bound on the rounding error of ``(T_m(B))^s @ psi``.
 
     Evaluates ``(alpha + beta)^s - alpha^s`` through the algebraically
@@ -231,7 +218,7 @@ def rounding_bound(
         return math.inf
     alpha = 1.0 + rm
     try:
-        beta = _beta_sum(norm1_b, m, sigma_prime, consts)
+        beta = _beta_sum(norm1_b, m, sigma_prime)
     except BoundInfeasibleError:
         return math.inf
     try:
@@ -255,21 +242,13 @@ def truncation_bound(norm1_b: float, m: int, s: int) -> float:
     return x * (1.0 - x**s) / (1.0 - x)
 
 
-def error_bound(
-    norm1_a: float,
-    m: int,
-    s: int,
-    sigma_prime: int,
-    consts: ErrorModelConstants = BINARY64,
-) -> float:
+def error_bound(norm1_a: float, m: int, s: int, sigma_prime: int) -> float:
     """Combined truncation plus rounding bound for ``exp(A) @ psi`` at ``(m, s)``."""
-    return _stage_bound(norm1_a / s, m, s, sigma_prime, consts)
+    return _stage_bound(norm1_a / s, m, s, sigma_prime)
 
 
 @lru_cache(maxsize=4096)
-def _stage_bound(
-    norm1_b: float, m: int, s: int, sigma_prime: int, consts: ErrorModelConstants
-) -> float:
+def _stage_bound(norm1_b: float, m: int, s: int, sigma_prime: int) -> float:
     """:func:`error_bound` of ``s`` stages, each with generator norm ``norm1_b``.
 
     Cached: a derivative plan reads its step plan's bound again.
@@ -277,72 +256,66 @@ def _stage_bound(
     trunc = truncation_bound(norm1_b, m, s)
     if math.isinf(trunc):
         return math.inf
-    return trunc + rounding_bound(norm1_b, m, s, sigma_prime, consts)
+    return trunc + rounding_bound(norm1_b, m, s, sigma_prime)
+
+
+#: Rounding floor per stage: for any order the rounding bound is at least
+#: ``s * beta >= s * gamma_3`` (binomial lower bound with ``alpha >= 1`` and
+#: the ``k = 0`` term of ``beta``), so a scaling with ``s * gamma_3 > tau``
+#: can never certify, nor can any larger one.
+_GAMMA_3 = gamma_n(3)
+
+
+def _least_order(norm1_a: float, s: int, sigma_prime: int, tau: float) -> ExpmPlan | None:
+    """The smallest certified order at scaling ``s``, as a plan; None if there is none.
+
+    Raises :class:`PlanningError` once ``s`` is at the rounding floor, where
+    no scaling from ``s`` on certifies.  The two prunes skip only orders
+    that cannot certify, so the result is that of trying every order up
+    to ``M_MAX`` in turn.
+    """
+    if s * _GAMMA_3 > tau:
+        raise PlanningError(
+            f"tolerance {tau:g} is below the rounding floor for "
+            f"norm1={norm1_a:g} in this working precision "
+            f"(every scaling >= {s} certifies at best {s * _GAMMA_3:.2e})"
+        )
+    norm1_b = norm1_a / s
+    # The truncation piece decreases monotonically with the order, so
+    # if it already exceeds tau at M_MAX this scaling is hopeless.
+    if truncation_bound(norm1_b, M_MAX, s) > tau:
+        return None
+    for m in range(1, M_MAX + 1):
+        # beta grows with the order, so once s * beta alone exceeds
+        # tau no larger order can rescue this scaling
+        try:
+            if s * _beta_sum(norm1_b, m, sigma_prime) > tau:
+                return None
+        except BoundInfeasibleError:
+            return None
+        bound = error_bound(norm1_a, m, s, sigma_prime)
+        if bound <= tau:
+            return ExpmPlan(m, s, tau, norm1_a, sigma_prime, bound)
+    return None
 
 
 @lru_cache(maxsize=8192)
-def _cached_plan(
-    norm1_a: float,
-    sigma_prime: int,
-    tau: float,
-    m_max: int,
-    s_max: int,
-    consts: ErrorModelConstants,
-) -> ExpmPlan:
-    # Hard floor of the whole search: for any order, the rounding bound is
-    # at least s * beta >= s * gamma_3 (binomial lower bound with alpha >= 1
-    # and the k = 0 term of beta), so scalings beyond tau / gamma_3 can
-    # never certify and the scan may stop there.
-    gamma3 = gamma_n(3, consts)
-    for s in range(1, s_max + 1):
-        if s * gamma3 > tau:
-            raise PlanningError(
-                f"tolerance {tau:g} is below the rounding floor for "
-                f"norm1={norm1_a:g} in this working precision "
-                f"(every scaling >= {s} certifies at best {s * gamma3:.2e})"
-            )
-        norm1_b = norm1_a / s
-        # The truncation piece decreases monotonically with the order, so
-        # if it already exceeds tau at m_max this scaling is hopeless.
-        if truncation_bound(norm1_b, m_max, s) > tau:
-            continue
-        for m in range(1, m_max + 1):
-            # beta grows with the order, so once s * beta alone exceeds
-            # tau no larger order can rescue this scaling
-            try:
-                if s * _beta_sum(norm1_b, m, sigma_prime, consts) > tau:
-                    break
-            except BoundInfeasibleError:
-                break
-            bound = error_bound(norm1_a, m, s, sigma_prime, consts)
-            if bound <= tau:
-                return ExpmPlan(
-                    order=m,
-                    scaling=s,
-                    tau=tau,
-                    norm1=norm1_a,
-                    sigma_prime=sigma_prime,
-                    bound=bound,
-                )
+def _cached_plan(norm1_a: float, sigma_prime: int, tau: float) -> ExpmPlan:
+    for s in range(1, S_MAX + 1):
+        plan = _least_order(norm1_a, s, sigma_prime, tau)
+        if plan is not None:
+            return plan
     raise PlanningError(
         f"no feasible (order, scaling) pair for norm1={norm1_a:g}, "
-        f"sigma_prime={sigma_prime}, tau={tau:g} within order<={m_max}, scaling<={s_max}"
+        f"sigma_prime={sigma_prime}, tau={tau:g} within order<={M_MAX}, scaling<={S_MAX}"
     )
 
 
-def make_plan(
-    norm1_a: float,
-    sigma_prime: int,
-    tau: float,
-    *,
-    m_max: int = DEFAULT_M_MAX,
-    s_max: int = DEFAULT_S_MAX,
-    consts: ErrorModelConstants = BINARY64,
-) -> ExpmPlan:
+def make_plan(norm1_a: float, sigma_prime: int, tau: float) -> ExpmPlan:
     """Select the smallest feasible scaling, then the smallest order for it.
 
     The scan ascends through scalings ``s = 1, 2, ...`` and inside each
-    through orders ``m = 1, ..., m_max``, returning the first pair whose
+    through orders ``m = 1, ..., M_MAX``, returning the first pair whose
     certified bound does not exceed ``tau``.  Minimizing the product
     ``m * s`` systematically would require evaluating the full frontier,
     which costs more than it saves; the smallest-scaling rule is used
@@ -354,7 +327,7 @@ def make_plan(
         raise ValueError("sigma_prime must be non-negative")
     if not 0.0 < tau < math.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    return _cached_plan(float(norm1_a), int(sigma_prime), float(tau), m_max, s_max, consts)
+    return _cached_plan(float(norm1_a), int(sigma_prime), float(tau))
 
 
 @dataclass(frozen=True)
@@ -399,7 +372,6 @@ def derivative_bound(
     sigma_e: int,
     dim: int,
     state_order: int,
-    consts: ErrorModelConstants = BINARY64,
 ) -> float:
     """Upper bound on the error of one overlap of a :class:`DerivativePlan`.
 
@@ -438,38 +410,19 @@ def derivative_bound(
         partial += term
     try:
         n = (order - 1) * (sigma_prime + 3) + sigma_e + dim + order + s + 4
-        rounding = gamma_n(n, consts) * partial
+        rounding = gamma_n(n) * partial
     except BoundInfeasibleError:
         return math.inf
     eps_lam = eps_psi = 0.0
     if s > 1:
-        eps_lam = _stage_bound(norm1_b, order, s - 1, sigma_prime, consts)
-        eps_psi = _stage_bound(norm1_b, state_order, s - 1, sigma_prime, consts)
-    nu = 1.0 + _stage_bound(norm1_b, state_order, s, sigma_prime, consts)
+        eps_lam = _stage_bound(norm1_b, order, s - 1, sigma_prime)
+        eps_psi = _stage_bound(norm1_b, state_order, s - 1, sigma_prime)
+    nu = 1.0 + _stage_bound(norm1_b, state_order, s, sigma_prime)
     return norm1_e * nu * ((trunc + rounding) * (1.0 + eps_lam) + eps_lam + eps_psi)
 
 
-def _order_at(
-    norm1_a: float, s: int, sigma_prime: int, tau: float, m_max: int,
-    consts: ErrorModelConstants,
-) -> ExpmPlan | None:
-    """The smallest certified order at scaling ``s``, as a plan; None if there is none."""
-    for m in range(1, m_max + 1):
-        bound = error_bound(norm1_a, m, s, sigma_prime, consts)
-        if bound <= tau:
-            return ExpmPlan(m, s, tau, norm1_a, sigma_prime, bound)
-    return None
-
-
 def _first_certified(
-    least: ExpmPlan,
-    norm1_e: float,
-    sigma_e: int,
-    dim: int,
-    m_max: int,
-    consts: ErrorModelConstants,
-    *,
-    raise_state: bool,
+    least: ExpmPlan, norm1_e: float, sigma_e: int, dim: int, *, raise_state: bool
 ) -> DerivativePlan | None:
     """The lowest co-state order at ``least``'s scaling whose plan certifies.
 
@@ -479,11 +432,11 @@ def _first_certified(
     """
     a, sigma, tau, s = least.norm1, least.sigma_prime, least.tau, least.scaling
     last = math.inf
-    for m in range(least.order, m_max + 1):
+    for m in range(least.order, M_MAX + 1):
         state_order = m if raise_state else least.order
-        bound = derivative_bound(a, norm1_e, m, s, sigma, sigma_e, dim, state_order, consts)
+        bound = derivative_bound(a, norm1_e, m, s, sigma, sigma_e, dim, state_order)
         if bound <= tau:
-            moved = ExpmPlan(m, s, tau, a, sigma, error_bound(a, m, s, sigma, consts))
+            moved = ExpmPlan(m, s, tau, a, sigma, error_bound(a, m, s, sigma))
             if moved.bound <= tau:
                 return DerivativePlan(moved if raise_state else least, moved, norm1_e, bound)
         if bound >= last:
@@ -494,43 +447,28 @@ def _first_certified(
 
 @lru_cache(maxsize=8192)
 def _cached_derivative_plan(
-    step: ExpmPlan,
-    norm1_e: float,
-    sigma_e: int,
-    dim: int,
-    m_max: int,
-    s_max: int,
-    consts: ErrorModelConstants,
+    step: ExpmPlan, norm1_e: float, sigma_e: int, dim: int
 ) -> DerivativePlan:
     a, sigma, tau = step.norm1, step.sigma_prime, step.tau
-    for s in range(step.scaling, s_max + 1):
-        if s * gamma_n(3, consts) > tau:
-            break
-        least = step if s == step.scaling else _order_at(a, s, sigma, tau, m_max, consts)
+    failure = (
+        f"no certified derivative plan for norm1={a:g}, direction norm1={norm1_e:g}, "
+        f"sigma_prime={sigma}, tau={tau:g}"
+    )
+    for s in range(step.scaling, S_MAX + 1):
+        try:
+            least = step if s == step.scaling else _least_order(a, s, sigma, tau)
+        except PlanningError as floor:
+            raise PlanningError(f"{failure}: {floor}") from None
         if least is None:
             continue
         for raise_state in (False, True) if s > 1 else (False,):
-            plan = _first_certified(
-                least, norm1_e, sigma_e, dim, m_max, consts, raise_state=raise_state
-            )
+            plan = _first_certified(least, norm1_e, sigma_e, dim, raise_state=raise_state)
             if plan is not None:
                 return plan
-    raise PlanningError(
-        f"no certified derivative plan for norm1={a:g}, direction norm1={norm1_e:g}, "
-        f"sigma_prime={sigma}, tau={tau:g} within order<={m_max}, scaling<={s_max}"
-    )
+    raise PlanningError(f"{failure} within order<={M_MAX}, scaling<={S_MAX}")
 
 
-def derivative_plan(
-    step: ExpmPlan,
-    norm1_e: float,
-    sigma_e: int,
-    dim: int,
-    *,
-    m_max: int = DEFAULT_M_MAX,
-    s_max: int = DEFAULT_S_MAX,
-    consts: ErrorModelConstants = BINARY64,
-) -> DerivativePlan:
+def derivative_plan(step: ExpmPlan, norm1_e: float, sigma_e: int, dim: int) -> DerivativePlan:
     """The cheapest certified :class:`DerivativePlan` for a step planned by ``step``.
 
     ``norm1_e`` is the largest one-norm of a direction ``E`` (the bound
@@ -541,13 +479,12 @@ def derivative_plan(
     until :func:`derivative_bound` and the moved co-state's bound are both
     at most ``tau``.  If no order certifies, ``psi`` moves at the co-state's
     order instead; only if that fails too does the scaling rise, starting
-    from its smallest certified order.
+    from its smallest certified order.  A scaling at the rounding floor
+    ends the search with a :class:`PlanningError` that names the floor.
     """
     if not 0.0 <= norm1_e < math.inf:
         raise ValueError(f"norm1_e must be finite and non-negative, got {norm1_e}")
-    return _cached_derivative_plan(
-        step, float(norm1_e), int(sigma_e), int(dim), m_max, s_max, consts
-    )
+    return _cached_derivative_plan(step, float(norm1_e), int(sigma_e), int(dim))
 
 
 def apply(
@@ -626,19 +563,7 @@ def apply(
     return current
 
 
-def expm_multiply(
-    a: Matrix,
-    psi: np.ndarray,
-    tau: float,
-    *,
-    validate: bool = True,
-    m_max: int = DEFAULT_M_MAX,
-    s_max: int = DEFAULT_S_MAX,
-    consts: ErrorModelConstants = BINARY64,
-) -> tuple[np.ndarray, int]:
+def expm_multiply(a: Matrix, psi: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
     """Plan-and-apply convenience; returns the result and the matvec count used."""
-    plan = make_plan(
-        a.one_norm(), a.max_row_nnz(), tau, m_max=m_max, s_max=s_max, consts=consts
-    )
-    result = apply(a, psi, plan, validate=validate)
-    return result, plan.matvecs
+    plan = make_plan(a.one_norm(), a.max_row_nnz(), tau)
+    return apply(a, psi, plan), plan.matvecs

@@ -83,20 +83,18 @@ class CsrMatrix:
         """``A v``, written into ``out`` when given; ``out`` must not overlap ``v``."""
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
-        self._check_operands(v, out)
-        out.fill(0.0)
-        return self._accumulate(v, out)
-
-    def _check_operands(self, v: np.ndarray, out: np.ndarray) -> None:
         # the kernel trusts both lengths, and it reads v while it writes out
         if v.shape != (self.n_cols,) or out.shape != (self.n_rows,):
             raise SparseMatrixError(
                 f"matvec dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
                 f"vector has shape {v.shape}, out has shape {out.shape}"
             )
-        _refuse_overlap(v, out)
-
-    def _accumulate(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # two arrays that each own their data overlap only if they are one array
+        if v is out or (
+            (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
+        ):
+            raise SparseMatrixError("out must not overlap the input vector")
+        out.fill(0.0)
         # raises ValueError itself when out is not a writeable complex128 array
         _sparsetools().csr_matvec(
             self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, v, out
@@ -107,13 +105,8 @@ class CsrMatrix:
         return np.bincount(self.col_indices, weights=np.abs(self.values), minlength=self.n_cols)
 
     def row_abs_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_rows)
-        if self.nnz:
-            sums = np.add.reduceat(
-                np.abs(self.values), np.minimum(self.row_offsets[:-1], self.nnz - 1)
-            )
-            sums[self.row_offsets[:-1] == self.row_offsets[1:]] = 0.0
-        return sums
+        rows = np.repeat(np.arange(self.n_rows), self.row_nnz_counts())
+        return np.bincount(rows, weights=np.abs(self.values), minlength=self.n_rows)
 
     def row_nnz_counts(self) -> np.ndarray:
         return np.diff(self.row_offsets)
@@ -246,15 +239,6 @@ class DenseMatrix:
 
 
 Matrix = CsrMatrix | DenseMatrix
-
-
-def _refuse_overlap(v: np.ndarray, out: np.ndarray) -> None:
-    # the kernels read v while they write out;
-    # two arrays that each own their data overlap only if they are one array
-    if v is out or (
-        (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
-    ):
-        raise SparseMatrixError("out must not overlap the input vector")
 
 
 def build_csr_arrays(rows, cols, vals, n_rows: int, n_cols: int) -> CsrMatrix:

@@ -136,6 +136,20 @@ class TestFitPowerLaw:
             bench.fit_power_law([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, -1.0)])
 
 
+class TestFitLine:
+    def test_exact_line(self):
+        slope, intercept, r_squared = bench.fit_line([0.5, 1.0, 2.0, 4.0], [2.0, 3.0, 5.0, 9.0])
+        assert slope == pytest.approx(2.0, abs=1e-12)
+        assert intercept == pytest.approx(1.0, abs=1e-12)
+        assert r_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_power_law_is_the_line_in_log_space(self):
+        pts = [(1.0, 3.0), (2.0, 7.0), (5.0, 40.0), (9.0, 150.0)]
+        fit = bench.fit_power_law(pts)
+        line = bench.fit_line(np.log([x for x, _ in pts]), np.log([y for _, y in pts]))
+        assert (fit.exponent, fit.log_prefactor, fit.r_squared) == line
+
+
 class TestStrategyAdvise:
     def test_memory_fits_prefers_full_ad(self):
         rec = bench.strategy_advise(

@@ -352,6 +352,21 @@ class TestBenchCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert "mu_vs_d" in summary
 
+    def test_bench_mu_fits_mu_against_the_norm(self, tmp_path):
+        cfg_path = tmp_path / "mu.cfg"
+        cfg_path.write_text(
+            "model.kind = three_transmons\nbench.sizes = 4\n"
+            "bench.dts = 0.1,0.2,0.4,0.8\ntau = 1e-8\n"
+        )
+        out = tmp_path / "bench"
+        assert cli.main(["bench-mu", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        dts = (0.1, 0.2, 0.4, 0.8)
+        records = [cli.bench.measure_mu("three_transmons", 4, dt, 1e-8) for dt in dts]
+        fit = cli.bench.fit_line([r.norm1 for r in records], [r.matvecs for r in records])
+        assert summary["mu_vs_norm1"] == dict(zip(("slope", "intercept", "r_squared"), fit))
+        assert "mu_vs_d" not in summary
+
     def test_bench_runtime_writes_fit(self, tmp_path):
         cfg_path = tmp_path / "rt.cfg"
         cfg_path.write_text(

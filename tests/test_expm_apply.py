@@ -205,7 +205,25 @@ class TestDerivativePlan:
     def test_uncertifiable_direction_is_a_planning_error(self):
         step = expm.make_plan(1.0, 2, 1e-12)
         with pytest.raises(expm.PlanningError, match="derivative"):
-            expm.derivative_plan(step, 1e6, 2, 10, s_max=4)
+            expm.derivative_plan(step, 1e6, 2, 10)
+
+    def test_rounding_floor_is_named(self):
+        # the scaling rises to 1062, where s * gamma_3 > tau, as in make_plan
+        step = expm.make_plan(1.0, 2, 1e-12)
+        floor = r"derivative plan .* below the rounding floor .*\(every scaling >= 1062"
+        with pytest.raises(expm.PlanningError, match=floor):
+            expm.derivative_plan(step, 1e6, 2, 10)
+
+    def test_scaling_rises_to_its_least_certified_order_and_raises_psi(self):
+        step = expm.make_plan(6.0, 5, 1e-10)
+        assert (step.order, step.scaling) == (31, 1)
+        plan = expm.derivative_plan(step, 3.0, 4, 64)
+        assert plan.costate.scaling == plan.state.scaling == 2
+        assert plan.state.order == plan.costate.order == 23
+        # the least certified order at s = 2 is 21, so psi's order was raised
+        least = [m for m in range(1, 61) if expm.error_bound(6.0, m, 2, 5) <= 1e-10]
+        assert least[0] == 21
+        assert plan.bound <= 1e-10 and plan.state.bound <= 1e-10
 
 
 class TestProperties:

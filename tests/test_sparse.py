@@ -151,6 +151,27 @@ class TestNorms:
         )
         assert sx_kron_i.max_row_nnz() == 1
 
+    @pytest.mark.parametrize(
+        "triplets,shape",
+        [
+            ([(0, 0, 1.0), (0, 1, 2.0)], (2, 2)),  # trailing empty row
+            ([(1, 0, -1j), (1, 2, 3.0), (3, 1, 0.5)], (6, 3)),  # leading, interior, trailing
+            ([(2, 2, 4.0)], (3, 3)),  # one element in the last row
+            ([], (3, 2)),
+        ],
+    )
+    def test_row_abs_sums_with_empty_rows_vs_dense(self, triplets, shape):
+        m = sparse.build_csr(triplets, *shape)
+        want = np.abs(m.to_dense()).sum(axis=1)
+        assert np.array_equal(m.row_abs_sums(), want)
+        assert m.inf_norm() == want.max(initial=0.0)
+
+    def test_row_abs_sums_random_empty_rows_vs_dense(self, rng):
+        dense = rng.normal(size=(12, 7)) + 1j * rng.normal(size=(12, 7))
+        dense[[0, 4, 5, 10, 11]] = 0.0
+        m = sparse.from_dense(dense)
+        assert np.allclose(m.row_abs_sums(), np.abs(dense).sum(axis=1), rtol=1e-15, atol=0)
+
     def test_max_row_nnz_h1_vs_dense(self):
         h = h1_fixture()
         dense = h.to_dense()
