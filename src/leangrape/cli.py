@@ -70,12 +70,11 @@ def _schema() -> dict[str, _Spec]:
     opt = ("optimize",)
     b_mu = ("bench_mu",)
     b_rt = ("bench_runtime",)
-    model_cmds = ("optimize",)
     schema: dict[str, _Spec] = {
-        "model.kind": _Spec("str", model_cmds + b_mu + b_rt, required=model_cmds + b_mu + b_rt,
+        "model.kind": _Spec("str", opt + b_mu + b_rt, required=opt + b_mu + b_rt,
                             choices=tuple(sorted(_MODELS)) + ("zero",)),
         "steps.n": _Spec("int", opt, required=opt, positive=True),
-        "steps.dt": _Spec("float", opt + b_mu + b_rt, required=opt, positive=True),
+        "steps.dt": _Spec("float", opt + b_rt, required=opt, positive=True),
         "tau": _Spec("float", opt + b_mu + b_rt + ("expm",), positive=True),
         "backend": _Spec("str", opt, choices=("scaling_squaring", "diagonalization")),
         "seed": _Spec("int", opt),
@@ -109,12 +108,13 @@ def _schema() -> dict[str, _Spec]:
         "expm.matrix": _Spec("str", ("expm",), required=("expm",)),
         "expm.vector": _Spec("str", ("expm",), required=("expm",)),
     }
+    # the bench sweeps build their own models from bench.sizes: parameters are optimize's
     for cls, _ in _MODELS.values():
         for fld in dataclasses.fields(cls):
             key = f"model.{fld.name}"
             kind_spec = "int" if fld.type in ("int", int) else "float"
             if key not in schema:
-                schema[key] = _Spec(kind_spec, model_cmds + b_mu + b_rt)
+                schema[key] = _Spec(kind_spec, opt)
     for key in _COST_KEYS:
         schema[key] = _Spec("float", opt)
     return schema

@@ -24,9 +24,10 @@ step before its co-states start.
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
 its :class:`GradientResult`.  A step stores its Hamiltonian once, and
-the problem its controls once, whatever ``dt`` (on dense storage a
+the problem its controls once, whatever ``dt``; the first
 scaling-and-squaring gradient adds one row-stacked copy of the
-controls, per problem).  The engine takes the time step as a scale.
+controls, per problem, on CSR as on dense storage.  The engine takes
+the time step as a scale.
 The propagation engine itself adds a per-call scratch overhead that is
 not metered: three work vectors for a product, and for one pull-back,
 besides that, ``m_d + 1`` Taylor terms of its derivative plan (the
@@ -122,14 +123,16 @@ class ControlProblem:
 
     ``initial_state`` seeds state-transfer costs evaluated through
     :func:`composite_grad`; gate costs use ``basis`` (computational basis
-    when omitted).
+    when omitted).  A given basis is checked here, once: ``dim`` states,
+    each finite and normalized, orthonormal together; the checked states
+    are kept as a tuple of complex arrays.
 
     Step Hamiltonians of CSR problems are assembled on the union
     sparsity pattern of ``h_static`` and ``h_controls``, built on first
     use and kept on the instance; dense problems use
     :func:`leangrape.sparse.linear_combine`.  The control operators are
-    wrapped once, with their abs-sums and, once a scaling-and-squaring
-    gradient has built them, their row-stacked channel blocks.
+    wrapped once; the first scaling-and-squaring gradient adds their
+    row-stacked channel blocks.
     None of this depends on ``dt``: a step takes its time step as the
     propagation engine's scale, so fields with different ``dt`` share it.
     """
@@ -151,6 +154,18 @@ class ControlProblem:
                 raise ValueError(f"control operator {k} has mismatched shape")
             if not is_hermitian(hc, 1e-12 * max(1.0, hc.one_norm())):
                 raise ValueError(f"control operator {k} is not Hermitian")
+        if self.basis is not None:
+            object.__setattr__(self, "basis", self._checked_basis(self.basis))
+
+    def _checked_basis(self, basis) -> tuple[np.ndarray, ...]:
+        d = self.dim
+        if len(basis) != d:
+            raise ValueError(f"basis must contain {d} states, got {len(basis)}")
+        states = tuple(_as_state(b, d, f"basis[{i}]") for i, b in enumerate(basis))
+        b = np.stack(states, axis=1)
+        if np.abs(b.conj().T @ b - np.eye(d)).max() > 1e-10:
+            raise ValueError("gate basis is not orthonormal")
+        return states
 
     @property
     def dim(self) -> int:
@@ -423,25 +438,17 @@ def c3_state_grad(
 
 
 def _gate_inputs(
-    problem: ControlProblem, u_target: np.ndarray, basis
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Checked target gate and the basis states (computational when omitted)."""
+    problem: ControlProblem, u_target: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Checked target gate and the problem's basis states (computational when omitted)."""
     d = problem.dim
     u_target = np.asarray(u_target, dtype=np.complex128)
     if u_target.shape != (d, d):
         raise ValueError("target gate dimension mismatch")
-    if basis is None:
-        basis = problem.basis
-    if basis is None:
+    if problem.basis is None:
         eye = np.eye(d, dtype=np.complex128)
-        return u_target, [eye[:, h] for h in range(d)]
-    states = [_as_state(b, d, f"basis[{i}]") for i, b in enumerate(basis)]
-    if len(states) != d:
-        raise ValueError(f"basis must contain {d} states, got {len(states)}")
-    gram = np.array([[np.vdot(x, y) for y in states] for x in states])
-    if np.abs(gram - np.eye(d)).max() > 1e-10:
-        raise ValueError("gate basis is not orthonormal")
-    return u_target, states
+        return u_target, tuple(eye[:, h] for h in range(d))
+    return u_target, problem.basis
 
 
 def _gate_cost(traces: np.ndarray, d: int, running: bool) -> float:
@@ -455,7 +462,7 @@ def _gate_forward(
     step: Callable[[int], StepEvaluator],
     a: ControlField,
     u_target: np.ndarray,
-    states: list[np.ndarray],
+    states: tuple[np.ndarray, ...],
     running: bool,
     meter: VectorMeter,
 ) -> tuple[np.ndarray, float]:
@@ -485,7 +492,6 @@ def _gate_pass(
     problem: ControlProblem,
     a: ControlField,
     u_target: np.ndarray,
-    basis,
     running: bool,
 ) -> GradientResult:
     """Gate gradient from one forward-backward pair per basis state.
@@ -504,7 +510,7 @@ def _gate_pass(
     overlap accumulator and the gradient, all allocated before the first
     sweep.
     """
-    u_target, states = _gate_inputs(problem, u_target, basis)
+    u_target, states = _gate_inputs(problem, u_target)
     d = problem.dim
     n_steps, n_channels = a.n_steps, a.n_channels
     step = _step_evaluators(problem, a)
@@ -545,18 +551,14 @@ def _gate_pass(
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
 
 
-def c1_gate_grad(
-    problem: ControlProblem, a: ControlField, u_target: np.ndarray, basis=None
-) -> GradientResult:
+def c1_gate_grad(problem: ControlProblem, a: ControlField, u_target: np.ndarray) -> GradientResult:
     """Gate infidelity ``1 - |tr(U_T^+ U_R)/d|^2`` and its gradient."""
-    return _gate_pass(problem, a, u_target, basis, running=False)
+    return _gate_pass(problem, a, u_target, running=False)
 
 
-def c3_gate_grad(
-    problem: ControlProblem, a: ControlField, u_target: np.ndarray, basis=None
-) -> GradientResult:
+def c3_gate_grad(problem: ControlProblem, a: ControlField, u_target: np.ndarray) -> GradientResult:
     """Running gate infidelity ``1 - sum_n |tr(U_T^+ U_{n,1})|^2 / (N d^2)``."""
-    return _gate_pass(problem, a, u_target, basis, running=True)
+    return _gate_pass(problem, a, u_target, running=True)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +599,7 @@ def composite_grad(
         peak = max(peak, result.live_vector_peak)
     for term in gate_terms:
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
-        result = _gate_pass(problem, a, term.target_gate, None, running=running)
+        result = _gate_pass(problem, a, term.target_gate, running=running)
         total_cost += term.weight * result.cost
         total_grad += term.weight * result.grad
         peak = max(peak, result.live_vector_peak)
@@ -613,7 +615,7 @@ def composite_cost(problem: ControlProblem, a: ControlField, terms: list[CostTer
     if state_terms:
         total += _state_forward(step, a, psi0, state_terms, meter)[1]
     for term in gate_terms:
-        u_target, states = _gate_inputs(problem, term.target_gate, None)
+        u_target, states = _gate_inputs(problem, term.target_gate)
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
         total += term.weight * _gate_forward(step, a, u_target, states, running, meter)[1]
     return float(total)

@@ -54,7 +54,6 @@ from .sparse import CsrMatrix, DenseMatrix, Matrix
 __all__ = [
     "Backend",
     "DiagFactorization",
-    "OperatorSums",
     "ControlOperators",
     "CHANNEL_BLOCK",
     "BlockDerivativeOperator",
@@ -122,23 +121,6 @@ class DiagFactorization:
         return np.outer(half, half) * np.sinc(gap / (2 * np.pi))
 
 
-class OperatorSums:
-    """A Hermitian operator with its column and row abs-sums and per-row element counts.
-
-    These are the pieces the norms and the per-row element count of a
-    block embedding are assembled from; they are computed once here.  The
-    matrix is the operator itself, not a copy scaled by ``-i dt``.
-    """
-
-    __slots__ = ("matrix", "col_abs_sums", "row_abs_sums", "row_nnz")
-
-    def __init__(self, matrix: Matrix):
-        self.matrix = matrix
-        self.col_abs_sums = matrix.col_abs_sums()
-        self.row_abs_sums = matrix.row_abs_sums()
-        self.row_nnz = matrix.row_nnz_counts()
-
-
 def _row_stack(mats: tuple[Matrix, ...]) -> Matrix:
     """The matrix whose row ``t d + i`` is row ``i`` of ``mats[t]``.
 
@@ -166,34 +148,33 @@ def _row_stack(mats: tuple[Matrix, ...]) -> Matrix:
 class ControlOperators:
     """The control operators ``h_k`` of one problem, as the overlaps read them.
 
-    ``operators[k]`` is channel ``k``, holding the problem's own matrix.
-    ``stacks`` row-stacks consecutive channels :data:`CHANNEL_BLOCK` at a
-    time, the last stack possibly narrower, so that one product gives
-    ``h_k y`` for every channel of a stack: a ``(w d) x d`` matrix whose
-    row ``t d + i`` is row ``i`` of channel ``t`` (see :func:`_row_stack`).
-    On dense storage the stacks are a second copy of the controls,
-    one per problem, built by the first scaling-and-squaring gradient.
-    ``norm1`` and ``max_row_nnz`` are the largest over the channels, which
-    is what a derivative plan is certified for.  Nothing here depends on
-    ``dt``, so every step of the problem shares one instance, whatever its
-    time step.
+    ``matrices[k]`` is channel ``k``, the problem's own matrix.  ``stacks``
+    row-stacks consecutive channels :data:`CHANNEL_BLOCK` at a time, the
+    last stack possibly narrower, so that one product gives ``h_k y`` for
+    every channel of a stack: a ``(w d) x d`` matrix whose row ``t d + i``
+    is row ``i`` of channel ``t`` (see :func:`_row_stack`).  The stacks are
+    a second copy of the controls, on CSR as on dense storage, one per
+    problem, built by the first scaling-and-squaring gradient.  ``norm1``
+    and ``max_row_nnz`` are the largest over the channels, which is what a
+    derivative plan is certified for.  Nothing here depends on ``dt``, so
+    every step of the problem shares one instance, whatever its time step.
     """
 
     def __init__(self, h_controls):
-        self.operators = tuple(OperatorSums(hc) for hc in h_controls)
+        self.matrices = tuple(h_controls)
 
     @cached_property
     def stacks(self) -> tuple[Matrix, ...]:
-        mats, w = [c.matrix for c in self.operators], CHANNEL_BLOCK
-        return tuple(_row_stack(tuple(mats[k : k + w])) for k in range(0, len(mats), w))
+        mats, w = self.matrices, CHANNEL_BLOCK
+        return tuple(_row_stack(mats[k : k + w]) for k in range(0, len(mats), w))
 
     @cached_property
     def norm1(self) -> float:
-        return max((float(c.col_abs_sums.max(initial=0.0)) for c in self.operators), default=0.0)
+        return max((m.one_norm() for m in self.matrices), default=0.0)
 
     @cached_property
     def max_row_nnz(self) -> int:
-        return max((int(c.row_nnz.max(initial=0)) for c in self.operators), default=0)
+        return max((m.max_row_nnz() for m in self.matrices), default=0)
 
 
 class BlockDerivativeOperator:
@@ -210,19 +191,20 @@ class BlockDerivativeOperator:
     references to ``H`` and ``h_k``, no copies.
 
     ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the embedding's,
-    assembled exactly from column and row sums, in Hamiltonian units:
-    ``dt`` times them is the generator's.  ``max_row_nnz`` is the largest
-    ``n_H + n_k`` of a top row: a top entry is the sum of two partial sums
-    over those elements, whose depth the count covers.
+    assembled exactly from the column and row sums of ``H`` and ``h_k``
+    when the embedding is planned, in Hamiltonian units: ``dt`` times them
+    is the generator's.  ``max_row_nnz`` is the largest ``n_H + n_k`` of a
+    top row: a top entry is the sum of two partial sums over those
+    elements, whose depth the count covers.
     """
 
-    def __init__(self, step: OperatorSums, control: OperatorSums):
+    def __init__(self, step: Matrix, control: Matrix):
         self.step = step
         self.control = control
-        d = step.matrix.n_rows
+        d = step.n_rows
         self.n_rows = self.n_cols = 2 * d
         self.shape = (self.n_rows, self.n_cols)
-        self.nnz = 2 * step.matrix.nnz + control.matrix.nnz
+        self.nnz = 2 * step.nnz + control.nnz
 
     def stack(self, psi: np.ndarray) -> np.ndarray:
         """The start vector: ``psi`` in the bottom block, a zero derivative on top."""
@@ -232,7 +214,7 @@ class BlockDerivativeOperator:
 
     def split(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Views of ``v`` as the top block ``x`` and the bottom block ``y``."""
-        d = self.step.matrix.n_rows
+        d = self.step.n_rows
         return v[:d], v[d:]
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -241,21 +223,21 @@ class BlockDerivativeOperator:
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
         (x, y), (top, bottom) = self.split(v), self.split(out)
-        self.step.matrix.matvec(x, out=top)
-        top += self.control.matrix.matvec(y)
-        self.step.matrix.matvec(y, out=bottom)
+        self.step.matvec(x, out=top)
+        top += self.control.matvec(y)
+        self.step.matvec(y, out=bottom)
         return out
 
     # a top row or column holds every element of the bottom block's, and more
 
     def one_norm(self) -> float:
-        return float((self.step.col_abs_sums + self.control.col_abs_sums).max(initial=0.0))
+        return float((self.step.col_abs_sums() + self.control.col_abs_sums()).max(initial=0.0))
 
     def inf_norm(self) -> float:
-        return float((self.step.row_abs_sums + self.control.row_abs_sums).max(initial=0.0))
+        return float((self.step.row_abs_sums() + self.control.row_abs_sums()).max(initial=0.0))
 
     def max_row_nnz(self) -> int:
-        return int((self.step.row_nnz + self.control.row_nnz).max(initial=0))
+        return int((self.step.row_nnz_counts() + self.control.row_nnz_counts()).max(initial=0))
 
 
 def aux_plan(aux: BlockDerivativeOperator, dt: float, tau: float) -> expm.ExpmPlan:
@@ -365,8 +347,9 @@ class StepEvaluator:
     ``controls`` are the problem's control operators (see
     :class:`ControlOperators`), shared by every step of the problem.
     Nothing here scales with the number of time steps; the block
-    embeddings of :meth:`control_derivative`, the reference path, keep
-    references to ``H`` and the controls only.
+    embedding of :meth:`control_derivative`, the reference path, is
+    built and planned on each call and keeps references to ``H`` and the
+    control only.
     """
 
     def __init__(self, ctx: StepContext, controls: ControlOperators):
@@ -375,8 +358,6 @@ class StepEvaluator:
         self._fact: DiagFactorization | None = None
         self._plan: expm.ExpmPlan | None = None
         self._dplan: expm.DerivativePlan | None = None
-        self._sums: OperatorSums | None = None
-        self._aux: dict[int, tuple[BlockDerivativeOperator, expm.ExpmPlan]] = {}
 
     def _factorization(self) -> DiagFactorization:
         if self._fact is None:
@@ -470,7 +451,7 @@ class StepEvaluator:
         g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
         g *= fact.kernel
         w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
-        out = np.array([_trace_product(w, c.matrix) for c in self._controls.operators])
+        out = np.array([_trace_product(w, m) for m in self._controls.matrices])
         out *= -1j * self.ctx.dt
         costate[...] = self.adjoint(costate)
         return out
@@ -516,7 +497,7 @@ class StepEvaluator:
         """
         stacks = self._controls.stacks
         buf = np.empty(max(op.n_rows for op in stacks), dtype=np.complex128)
-        parts = np.empty(len(self._controls.operators), dtype=np.complex128)
+        parts = np.empty(len(self._controls.matrices), dtype=np.complex128)
         out, k = [], 0
         for op in stacks:
             w = op.n_rows // d
@@ -533,18 +514,14 @@ class StepEvaluator:
         :class:`BlockDerivativeOperator`), applied to ``(0, psi)``, carries
         the derivative in its top block.
         """
-        operators = self._controls.operators
-        if not 0 <= channel < len(operators):
+        matrices = self._controls.matrices
+        if not 0 <= channel < len(matrices):
             raise IndexError(f"control channel {channel} out of range")
-        control = operators[channel]
+        control = matrices[channel]
         scale = -1j * self.ctx.dt
         if self.ctx.backend is Backend.DIAGONALIZATION:
-            return scale * derivative_action_diag(self._factorization(), control.matrix, psi)
-        if channel not in self._aux:
-            if self._sums is None:
-                self._sums = OperatorSums(self.ctx.h_step)
-            aux = BlockDerivativeOperator(self._sums, control)
-            self._aux[channel] = aux, aux_plan(aux, self.ctx.dt, self.ctx.tau)
-        aux, plan = self._aux[channel]
+            return scale * derivative_action_diag(self._factorization(), control, psi)
+        aux = BlockDerivativeOperator(self.ctx.h_step, control)
+        plan = aux_plan(aux, self.ctx.dt, self.ctx.tau)
         x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False, scale=scale))
         return x.copy()

@@ -455,6 +455,16 @@ def _cached_derivative_plan(
         f"sigma_prime={sigma}, tau={tau:g}"
     )
     for s in range(step.scaling, S_MAX + 1):
+        # every order's bound is at least its order-1 rounding term, which grows with s
+        try:
+            direction_floor = norm1_e * gamma_n(sigma_e + dim + s + 5)
+        except BoundInfeasibleError:
+            direction_floor = math.inf
+        if direction_floor > tau:
+            raise PlanningError(
+                f"{failure}: tau is below the direction's rounding floor "
+                f"(every scaling >= {s} certifies at best {direction_floor:.2e})"
+            )
         try:
             least = step if s == step.scaling else _least_order(a, s, sigma, tau)
         except PlanningError as floor:
@@ -480,7 +490,11 @@ def derivative_plan(step: ExpmPlan, norm1_e: float, sigma_e: int, dim: int) -> D
     at most ``tau``.  If no order certifies, ``psi`` moves at the co-state's
     order instead; only if that fails too does the scaling rise, starting
     from its smallest certified order.  A scaling at the rounding floor
-    ends the search with a :class:`PlanningError` that names the floor.
+    ends the search with a :class:`PlanningError` that names the floor,
+    and so does one at the direction's rounding floor: every overlap bound
+    at scaling ``s`` is at least ``norm1_e gamma_{sigma_e + dim + s + 5}``,
+    its order-1 rounding term, so once that exceeds ``tau`` neither ``s``
+    nor any larger scaling certifies.
     """
     if not 0.0 <= norm1_e < math.inf:
         raise ValueError(f"norm1_e must be finite and non-negative, got {norm1_e}")

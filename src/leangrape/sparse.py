@@ -373,8 +373,7 @@ class FixedPatternSum:
         keys = np.concatenate([r * np.int64(n_cols) + c for r, c, _ in triplets])
         terms = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
         union, position = np.unique(keys, return_inverse=True)
-        self.rows = union // n_cols
-        self.row_offsets = _row_offsets(self.rows, n_rows)
+        self.row_offsets = _row_offsets(union // n_cols, n_rows)
         self.col_indices = union % n_cols
         self.coef = build_csr_arrays(
             position, terms, np.concatenate([v for _, _, v in triplets]),
@@ -388,7 +387,8 @@ class FixedPatternSum:
         keep = values != 0
         if keep.all():
             return CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
-        offsets = _row_offsets(self.rows[keep], n_rows)
+        # a row's new offset counts the kept elements before its old one
+        offsets = np.concatenate(([0], np.cumsum(keep)))[self.row_offsets]
         return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])
 
 

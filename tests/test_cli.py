@@ -81,6 +81,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="model.d_cavity"):
             parse_config(RABI_CFG + "\nmodel.d_cavity = 10\n", "optimize")
 
+    @pytest.mark.parametrize("key", ["model.g = 5.0", "model.d_each = 9", "steps.dt = 0.02"])
+    def test_key_bench_mu_never_reads_rejected(self, key):
+        text = "model.kind = three_transmons\nbench.sizes = 3\nbench.dts = 0.2\n"
+        with pytest.raises(ConfigError, match="does not apply to subcommand 'bench_mu'"):
+            parse_config(text + key + "\n", "bench_mu")
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(RABI_CFG + "\nseed = 4\n", "optimize")
@@ -392,3 +398,56 @@ class TestBenchCommands:
         assert rc == 0
         body = (out / "bench.csv").read_text()
         assert ",0.0001," in body
+
+
+class TestEveryAcceptedKeyIsRead:
+    """A key the schema accepts for a subcommand changes what that subcommand does.
+
+    Each config below holds every key its subcommand accepts; the run must
+    read each one through ``RunConfig.get`` or ``RunConfig.has``.
+    """
+
+    CONFIGS = {
+        "bench_mu": {
+            "model.kind": "three_transmons", "bench.sizes": "3", "bench.dts": "0.2",
+            "tau": "1e-8",
+        },
+        "bench_runtime": {
+            "model.kind": "qubit_chain", "bench.sizes": "2", "bench.reps": "1",
+            "bench.task": "state_transfer", "bench.storage": "dense", "steps.dt": "0.1",
+            "tau": "1e-8",
+        },
+        "advise": {
+            "advise.d": "64", "advise.n": "100", "advise.kappa": "quadratic",
+            "advise.mu": "linear_or_worse", "advise.task": "gate", "advise.memory_ok": "true",
+            "advise.gradients_available": "true",
+        },
+        "expm": {"expm.matrix": "rot.mat", "expm.vector": "psi.vec", "tau": "1e-10"},
+    }
+
+    @pytest.mark.parametrize("subcommand", sorted(CONFIGS))
+    def test_every_accepted_key_is_read(self, tmp_path, monkeypatch, subcommand):
+        values = self.CONFIGS[subcommand]
+        accepted = {k for k, spec in cli._SCHEMA.items() if subcommand in spec.subcommands}
+        assert set(values) == accepted
+        if subcommand == "expm":
+            TestExpmCommand.rotation_config(tmp_path)
+            values = {**values, "expm.matrix": str(tmp_path / "rot.mat"),
+                      "expm.vector": str(tmp_path / "psi.vec")}
+        cfg = parse_config("".join(f"{k} = {v}\n" for k, v in values.items()), subcommand)
+
+        read = set()
+        get, has = cli.RunConfig.get, cli.RunConfig.has
+
+        def recording_get(self, key, default=None):
+            read.add(key)
+            return get(self, key, default)
+
+        def recording_has(self, key):
+            read.add(key)
+            return has(self, key)
+
+        monkeypatch.setattr(cli.RunConfig, "get", recording_get)
+        monkeypatch.setattr(cli.RunConfig, "has", recording_has)
+        assert cli.run(cfg, str(tmp_path / "out")) == 0
+        assert accepted - read == set()

@@ -14,7 +14,6 @@ from leangrape.derivatives import (
     BlockDerivativeOperator,
     ControlOperators,
     DiagFactorization,
-    OperatorSums,
     aux_plan,
     derivative_action_diag,
     diag_prepare,
@@ -97,9 +96,7 @@ class TestAuxDerivative:
         du = step.control_derivative(0, psi)
         assert np.linalg.norm(du) <= 1e-12
         # the embedding's bottom block carries U psi
-        aux = BlockDerivativeOperator(
-            OperatorSums(step.ctx.h_step), OperatorSums(sparse.build_csr([], d, d))
-        )
+        aux = BlockDerivativeOperator(step.ctx.h_step, sparse.build_csr([], d, d))
         plan = aux_plan(aux, 0.3, step.ctx.tau)
         out = expm.apply(aux, aux.stack(psi), plan, validate=False, scale=-1j * 0.3)
         u_psi = aux.split(out)[1]
@@ -134,7 +131,7 @@ class TestAuxDerivative:
         d, dt = 9, 0.37
         h = sparse.from_dense(random_hermitian(rng, d))
         hc = sparse.from_dense(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(OperatorSums(h), OperatorSums(hc))
+        op = BlockDerivativeOperator(h, hc)
         # the materialized embedding is the generator: -i dt times the operator
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
@@ -149,7 +146,7 @@ class TestAuxDerivative:
         d, dt = 7, 0.29
         h = sparse.DenseMatrix(random_hermitian(rng, d))
         hc = sparse.DenseMatrix(random_hermitian(rng, d))
-        op = BlockDerivativeOperator(OperatorSums(h), OperatorSums(hc))
+        op = BlockDerivativeOperator(h, hc)
         aux = sparse.aux_embed(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         out = np.full(2 * d, np.nan + 0j)

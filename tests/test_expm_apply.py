@@ -208,11 +208,24 @@ class TestDerivativePlan:
             expm.derivative_plan(step, 1e6, 2, 10)
 
     def test_rounding_floor_is_named(self):
-        # the scaling rises to 1062, where s * gamma_3 > tau, as in make_plan
+        # 1e6 gamma_{2 + 10 + 1 + 5} > tau: the direction alone sinks scaling 1 and above
         step = expm.make_plan(1.0, 2, 1e-12)
-        floor = r"derivative plan .* below the rounding floor .*\(every scaling >= 1062"
+        floor = r"derivative plan .* below the direction's rounding floor .*\(every scaling >= 1 "
         with pytest.raises(expm.PlanningError, match=floor):
             expm.derivative_plan(step, 1e6, 2, 10)
+
+    def test_direction_floor_refuses_where_the_scaling_reaches_it(self):
+        step = expm.make_plan(1.0, 2, 1e-8)
+        # the order-1 rounding term of every overlap bound, at scalings 14 and 15
+        assert 1e6 * expm.gamma_n(2 + 10 + 14 + 5) <= 1e-8 < 1e6 * expm.gamma_n(2 + 10 + 15 + 5)
+        with pytest.raises(expm.PlanningError, match=r"\(every scaling >= 15 certifies"):
+            expm.derivative_plan(step, 1e6, 2, 10)
+
+    @pytest.mark.parametrize("s", [1, 2, 7])
+    def test_direction_floor_bounds_every_order(self, s):
+        floor = 3.0 * expm.gamma_n(4 + 50 + s + 5)
+        for order in range(1, 40):
+            assert expm.derivative_bound(2.0, 3.0, order, s, 6, 4, 50, order) >= floor
 
     def test_scaling_rises_to_its_least_certified_order_and_raises_psi(self):
         step = expm.make_plan(6.0, 5, 1e-10)

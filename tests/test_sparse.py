@@ -213,6 +213,27 @@ class TestLinearCombine:
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
+class TestFixedPatternSum:
+    def test_dropped_zeros_match_linear_combine(self, rng):
+        # small integers add exactly, so entries cancel to exact zeros; some
+        # rows are empty in every term, the last ones included
+        n_rows, n_cols = 9, 7
+        for _ in range(50):
+            mats = []
+            for _ in range(3):
+                mask = rng.random((n_rows, n_cols)) < 0.4
+                dense = rng.integers(-2, 3, size=(n_rows, n_cols)) * mask
+                dense[rng.random(n_rows) < 0.3] = 0
+                dense[-2:] = 0
+                mats.append(sparse.from_dense(dense.astype(complex)))
+            pattern = sparse.FixedPatternSum(mats)
+            coeffs = rng.integers(-1, 2, size=3).astype(complex)
+            got, want = pattern.combine(coeffs), sparse.linear_combine(coeffs, mats)
+            assert np.array_equal(got.row_offsets, want.row_offsets)
+            assert np.array_equal(got.col_indices, want.col_indices)
+            assert np.array_equal(got.values, want.values)
+
+
 class TestAuxEmbed:
     def test_zero_control_is_block_diagonal(self):
         h = sigma_x()
