@@ -31,6 +31,7 @@ from .costs import (
     c3_gate_grad,
     composite_grad,
     composite_cost,
+    SweepRecord,
 )
 from .optimizer import OptimizerConfig, OptimizationTrace, grape_optimize
 
@@ -63,6 +64,7 @@ __all__ = [
     "c3_gate_grad",
     "composite_grad",
     "composite_cost",
+    "SweepRecord",
     "OptimizerConfig",
     "OptimizationTrace",
     "grape_optimize",

@@ -24,6 +24,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -516,27 +517,39 @@ def _write(out_dir: str, name: str, content: str) -> None:
 class _OutputLock:
     """One run at a time per output directory.
 
-    The lockfile holds the PID of the run that owns it.  A lockfile naming
-    a process that no longer exists is left by a crashed run: it is removed
-    and the lock is tried once more.  An empty or unreadable lockfile blocks.
+    The lockfile holds the PID of the run that owns it from the moment it
+    exists: the PID is written to a private temporary file, which is then
+    hard-linked to the lockfile's name (the link fails if that name is
+    taken) and removed.  A failed write therefore leaves no lockfile.  A
+    lockfile naming a process that no longer exists is left by a crashed
+    run: it is removed and the lock is tried once more.  An empty or
+    unreadable lockfile blocks.
     """
 
     def __init__(self, out_dir: str):
         self.path = os.path.join(out_dir, ".leangrape.lock")
-        self.fd: int | None = None
+        self.held = False
 
     def __enter__(self):
-        for retry in (False, True):
+        fd, staged = tempfile.mkstemp(prefix=".leangrape.lock.", dir=os.path.dirname(self.path))
+        try:
             try:
-                self.fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if retry or not self._owner_is_gone():
-                    raise RuntimeError(
-                        f"output directory is locked by another run: {self.path}"
-                    ) from None
-                os.unlink(self.path)
-        os.write(self.fd, f"{os.getpid()}\n".encode("ascii"))
+                os.write(fd, f"{os.getpid()}\n".encode("ascii"))
+            finally:
+                os.close(fd)
+            for retry in (False, True):
+                try:
+                    os.link(staged, self.path)
+                    break
+                except FileExistsError:
+                    if retry or not self._owner_is_gone():
+                        raise RuntimeError(
+                            f"output directory is locked by another run: {self.path}"
+                        ) from None
+                    os.unlink(self.path)
+        finally:
+            os.unlink(staged)
+        self.held = True
         return self
 
     def _owner_is_gone(self) -> bool:
@@ -553,8 +566,7 @@ class _OutputLock:
         return False
 
     def __exit__(self, *exc):
-        if self.fd is not None:
-            os.close(self.fd)
+        if self.held:
             os.unlink(self.path)
         return False
 

@@ -21,6 +21,12 @@ each basis state forward once and back once; only the running gate cost
 runs an extra forward sweep first, to collect the trace factor of every
 step before its co-states start.
 
+A line search evaluates cost-only trials (:func:`composite_cost`) and then
+the gradient at the accepted one.  A :class:`SweepRecord` carries the
+accepted trial's state sweep, its final state ``psi_N`` and cost, to
+:func:`composite_grad`, which then runs only the backward pass: one
+forward sweep per trial and one backward sweep per gradient.
+
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
 its :class:`GradientResult`.  A step stores its Hamiltonian once, and
@@ -67,6 +73,7 @@ __all__ = [
     "c3_gate_grad",
     "composite_grad",
     "composite_cost",
+    "SweepRecord",
 ]
 
 
@@ -87,7 +94,11 @@ _STATE_KINDS = (
 
 @dataclass(frozen=True)
 class ControlField:
-    """Piecewise-constant control amplitudes on ``n_steps x n_channels``."""
+    """Piecewise-constant control amplitudes on ``n_steps x n_channels``.
+
+    ``amplitudes`` is a private, read-only float64 copy of the given array,
+    so a field never changes after construction.
+    """
 
     n_steps: int
     n_channels: int
@@ -95,7 +106,8 @@ class ControlField:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        amps = np.array(self.amplitudes, dtype=np.float64)
+        amps.flags.writeable = False
         if amps.shape != (self.n_steps, self.n_channels):
             raise ValueError(
                 f"amplitudes shape {amps.shape} does not match "
@@ -378,19 +390,21 @@ def _drive(
             lam += (-2.0 * term.weight / n_steps * z) * np.asarray(term.target_state)
 
 
-def _state_pass(
-    problem: ControlProblem,
+def _state_backward(
+    step: Callable[[int], StepEvaluator],
     a: ControlField,
-    psi0: np.ndarray,
+    psi: np.ndarray,
+    cost: float,
     terms: list[CostTerm],
+    meter: VectorMeter,
 ) -> GradientResult:
-    n_steps, n_channels = a.n_steps, a.n_channels
-    step = _step_evaluators(problem, a)
-    meter = VectorMeter(problem.dim)
-    psi, cost = _state_forward(step, a, psi0, terms, meter)
+    """Backward sweep of the state costs from ``psi_N`` and their cost.
 
-    # ---- backward sweep: adjoint-propagate psi_N and the one co-state
-    lam = meter.grab(np.zeros(problem.dim, dtype=np.complex128))
+    ``psi`` is held on ``meter`` and is moved back in place, together with
+    the one co-state, by adjoint propagation.
+    """
+    n_steps, n_channels = a.n_steps, a.n_channels
+    lam = meter.grab(np.zeros(psi.size, dtype=np.complex128))
     for term in terms:
         if term.kind is CostKind.STATE_INFIDELITY:
             z = np.vdot(term.target_state, psi)  # <phi_T | psi_N>
@@ -403,6 +417,18 @@ def _state_pass(
         if n > 0:
             _drive(lam, terms, psi, n_steps, meter)
     return GradientResult(cost=float(cost), grad=grad, live_vector_peak=meter.peak)
+
+
+def _state_pass(
+    problem: ControlProblem,
+    a: ControlField,
+    psi0: np.ndarray,
+    terms: list[CostTerm],
+) -> GradientResult:
+    step = _step_evaluators(problem, a)
+    meter = VectorMeter(problem.dim)
+    psi, cost = _state_forward(step, a, psi0, terms, meter)
+    return _state_backward(step, a, psi, cost, terms, meter)
 
 
 def c1_state_grad(
@@ -567,33 +593,111 @@ def c3_gate_grad(problem: ControlProblem, a: ControlField, u_target: np.ndarray)
 # State-transfer terms are fused into one state pass (they share the
 # trajectory); each gate term runs its own basis sweep.  The cost-only and
 # gradient entry points split the terms the same way and share the sweeps.
+# A cost-only call can keep its state sweep in a SweepRecord, so that the
+# gradient at the same point runs only the backward pass.
+
+
+class SweepRecord:
+    """The state terms' forward sweep of one :func:`composite_cost` call.
+
+    ``composite_cost(problem, a, terms, record)`` empties the record, runs
+    its sweeps and keeps here the problem, field and terms it ran, the
+    state terms' weighted cost, their final state ``psi_N`` and the step
+    memo that reached it.  ``composite_grad(problem, a, terms, record)``
+    on the same field object, problem and terms then runs only the
+    backward pass, moving that ``psi_N`` back in place, and empties the
+    record; it refuses a record made for anything else, or an empty one.
+    Gate terms keep nothing here (a gate sweep ends in ``d`` states), so
+    their gradients still run their own forward sweeps.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.problem = self.field = self.terms = None
+        self.step = self.psi = None
+        self.cost = 0.0
+
+    def _keep(self, problem, a, terms, step, psi, cost) -> None:
+        self.problem, self.field, self.terms = problem, a, tuple(terms)
+        self.step, self.psi, self.cost = step, psi, cost
+
+    def _take(
+        self, problem: ControlProblem, a: ControlField, terms: list[CostTerm]
+    ) -> tuple[Callable[[int], StepEvaluator], np.ndarray | None, float]:
+        """The step memo, ``psi_N`` and state cost kept for exactly this point; empties."""
+        if self.field is None:
+            raise ValueError("sweep record is empty: it holds no composite_cost sweep")
+        if self.problem is not problem:
+            raise ValueError("sweep record was made for another problem")
+        if self.field is not a:
+            raise ValueError("sweep record was made for another field")
+        if len(self.terms) != len(terms) or any(
+            mine is not given for mine, given in zip(self.terms, terms)
+        ):
+            raise ValueError("sweep record was made for other terms")
+        kept = self.step, self.psi, self.cost
+        self.clear()
+        return kept
 
 
 def _split_terms(
     problem: ControlProblem, terms: list[CostTerm]
 ) -> tuple[np.ndarray | None, list[CostTerm], list[CostTerm]]:
-    """Checked initial state with the state terms, and the gate terms."""
+    """Checked initial state with the state terms, and the gate terms.
+
+    A state term whose target or penalty operator does not fit
+    ``problem.dim`` is refused here, by its index, before any sweep runs.
+    """
     if not terms:
         raise ValueError("composite cost needs at least one term")
+    d = problem.dim
+    for i, term in enumerate(terms):
+        if term.kind in (CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY):
+            shape = np.shape(term.target_state)
+            if shape != (d,):
+                raise ValueError(
+                    f"terms[{i}] ({term.kind.value}): target_state has shape {shape}, "
+                    f"expected ({d},)"
+                )
+        elif term.kind is CostKind.STATE_PENALTY and term.penalty_op.shape != (d, d):
+            raise ValueError(
+                f"terms[{i}] ({term.kind.value}): penalty_op has shape "
+                f"{term.penalty_op.shape}, expected ({d}, {d})"
+            )
     state_terms = [t for t in terms if t.kind in _STATE_KINDS]
     psi0 = None
     if state_terms:
         if problem.initial_state is None:
             raise ValueError("state-transfer terms require problem.initial_state")
-        psi0 = _as_state(problem.initial_state, problem.dim, "initial_state")
+        psi0 = _as_state(problem.initial_state, d, "initial_state")
     return psi0, state_terms, [t for t in terms if t.kind not in _STATE_KINDS]
 
 
 def composite_grad(
-    problem: ControlProblem, a: ControlField, terms: list[CostTerm]
+    problem: ControlProblem,
+    a: ControlField,
+    terms: list[CostTerm],
+    record: SweepRecord | None = None,
 ) -> GradientResult:
-    """Weighted sum of cost terms and gradients."""
+    """Weighted sum of cost terms and gradients.
+
+    With a ``record`` filled by :func:`composite_cost` at this very point
+    (see :class:`SweepRecord`), the state terms skip their forward sweep.
+    """
     psi0, state_terms, gate_terms = _split_terms(problem, terms)
+    if record is not None:
+        step, psi, cost = record._take(problem, a, terms)
     total_cost = 0.0
     total_grad = np.zeros((a.n_steps, a.n_channels))
     peak = 0
     if state_terms:
-        result = _state_pass(problem, a, psi0, state_terms)
+        if record is None:
+            result = _state_pass(problem, a, psi0, state_terms)
+        else:
+            meter = VectorMeter(problem.dim)
+            result = _state_backward(step, a, meter.grab(psi), cost, state_terms, meter)
         total_cost += result.cost
         total_grad += result.grad
         peak = max(peak, result.live_vector_peak)
@@ -606,16 +710,31 @@ def composite_grad(
     return GradientResult(cost=float(total_cost), grad=total_grad, live_vector_peak=peak)
 
 
-def composite_cost(problem: ControlProblem, a: ControlField, terms: list[CostTerm]) -> float:
-    """Weighted cost only (forward sweeps, no gradient); used by line searches."""
+def composite_cost(
+    problem: ControlProblem,
+    a: ControlField,
+    terms: list[CostTerm],
+    record: SweepRecord | None = None,
+) -> float:
+    """Weighted cost only (forward sweeps, no gradient); used by line searches.
+
+    A given ``record`` is emptied first and, once the sweeps complete,
+    keeps the state terms' sweep for :func:`composite_grad`.
+    """
+    if record is not None:
+        record.clear()
     psi0, state_terms, gate_terms = _split_terms(problem, terms)
     step = _step_evaluators(problem, a)
     meter = VectorMeter(problem.dim)
     total = 0.0
+    psi, state_cost = None, 0.0
     if state_terms:
-        total += _state_forward(step, a, psi0, state_terms, meter)[1]
+        psi, state_cost = _state_forward(step, a, psi0, state_terms, meter)
+        total += state_cost
     for term in gate_terms:
         u_target, states = _gate_inputs(problem, term.target_gate)
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
         total += term.weight * _gate_forward(step, a, u_target, states, running, meter)[1]
+    if record is not None:
+        record._keep(problem, a, terms, step, psi, state_cost)
     return float(total)

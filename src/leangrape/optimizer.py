@@ -15,7 +15,11 @@ Three schedules move the control amplitudes ``a``:
 * ``constant`` is steepest descent at a fixed ``eta0``.
 
 ``lbfgs`` and ``backtracking`` accept a step only when the cost does not
-rise, so their recorded cost sequences are non-increasing.  The last two
+rise, so their recorded cost sequences are non-increasing.  Each of their
+iterations runs one forward sweep per line-search trial and one backward
+sweep: the accepted trial's state sweep is kept in a
+:class:`~leangrape.costs.SweepRecord`, and the gradient starts its
+backward pass from it (gate terms still sweep forward again).  The last two
 are kept unchanged as the reproduction baseline.
 """
 
@@ -29,7 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import ControlField, ControlProblem, CostTerm, composite_cost, composite_grad
+from .costs import (
+    ControlField,
+    ControlProblem,
+    CostTerm,
+    SweepRecord,
+    composite_cost,
+    composite_grad,
+)
 
 __all__ = [
     "OptimizerConfig",
@@ -159,6 +170,7 @@ def _line_search(
     slope: float,
     cfg: OptimizerConfig,
     trace: OptimizationTrace,
+    record: SweepRecord,
 ) -> tuple[ControlField, float] | None:
     """First trial ``current + length * direction`` with sufficient decrease.
 
@@ -166,12 +178,14 @@ def _line_search(
     ``cost + ARMIJO_C1 * length * slope``; ``slope = 0`` asks for simple
     decrease.  ``length`` shrinks by ``cfg.shrink`` after each rejected
     trial.  Returns the accepted field and length, or None when
-    ``cfg.max_backtracks`` trials were all rejected.
+    ``cfg.max_backtracks`` trials were all rejected.  ``record`` keeps the
+    last trial's state sweep, so the gradient at an accepted field starts
+    from it.
     """
     for _ in range(cfg.max_backtracks):
         candidate = current.replace_amplitudes(current.amplitudes + length * direction)
         trace.cost_evals += 1
-        if composite_cost(problem, candidate, terms) <= cost + ARMIJO_C1 * slope * length:
+        if composite_cost(problem, candidate, terms, record) <= cost + ARMIJO_C1 * slope * length:
             return candidate, length
         length *= cfg.shrink
     return None
@@ -189,10 +203,12 @@ def grape_optimize(
     drops to ``stop_cost``, or until the gradient infinity norm drops to
     ``stop_grad_norm``.  Every record is exactly one ``composite_grad``
     call, made only at an accepted point; line-search trials call
-    ``composite_cost`` and are counted in ``trace.cost_evals``.  The
-    L-BFGS history lives in control space (``2 * LBFGS_MEMORY`` arrays of
-    ``n_steps x n_channels`` floats), so the live state vectors of a
-    gradient, and the paper's bound on them, are unchanged.  Runs are
+    ``composite_cost`` and are counted in ``trace.cost_evals``.  After a
+    line search the gradient starts from the accepted trial's state sweep,
+    so it propagates backward only.  The L-BFGS history lives in control
+    space (``2 * LBFGS_MEMORY`` arrays of ``n_steps x n_channels``
+    floats), so the live state vectors of a gradient, and the paper's
+    bound on them, are unchanged.  Runs are
     deterministic for identical inputs: every reduction happens in a
     fixed order.
     """
@@ -203,6 +219,7 @@ def grape_optimize(
     eta = cfg.eta0
     lbfgs = cfg.eta_schedule == "lbfgs"
     history = _LbfgsHistory()
+    record = SweepRecord()
     accepted_length = 0.0
     start = time.perf_counter()
 
@@ -255,7 +272,7 @@ def grape_optimize(
                     if quasi_newton:
                         direction, length, slope = qn_direction, 1.0, qn_slope
             found = _line_search(
-                problem, terms, current, result.cost, direction, length, slope, cfg, trace
+                problem, terms, current, result.cost, direction, length, slope, cfg, trace, record
             )
             if found is None:
                 trace.stop_reason = "line_search_stalled"
@@ -263,7 +280,7 @@ def grape_optimize(
                 break
             previous, previous_grad = current, result.grad
             current, accepted_length = found
-            result = composite_grad(problem, current, terms)
+            result = composite_grad(problem, current, terms, record)
             if not quasi_newton:
                 eta = accepted_length * cfg.grow
             if lbfgs:

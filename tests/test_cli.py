@@ -173,6 +173,19 @@ class TestOptimizeCommand:
         cli.run(parse_config(RABI_CFG, "optimize"), str(tmp_path / "run"))
         assert seen == [f"{os.getpid()}\n"]
 
+    def test_failed_pid_write_leaves_no_lockfile(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        out.mkdir()
+
+        def fail(fd, data):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "write", fail)
+        with pytest.raises(OSError, match="No space left"):
+            cli.run(parse_config(RABI_CFG, "optimize"), str(out))
+        monkeypatch.undo()
+        assert list(out.iterdir()) == []
+
     def test_lock_released_after_run(self, tmp_path):
         cfg_path = tmp_path / "rabi.cfg"
         cfg_path.write_text(RABI_CFG)

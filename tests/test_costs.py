@@ -446,6 +446,18 @@ class TestControlFieldValidation:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             costs.ControlField.constant(0.1, 2, 1, dt)
 
+    def test_source_array_does_not_change_the_field(self):
+        source = np.full((2, 1), 0.3)
+        field = costs.ControlField(2, 1, 0.5, source)
+        source[0, 0] = 7.0
+        assert field.amplitudes[0, 0] == 0.3
+
+    def test_amplitudes_are_read_only(self):
+        field = costs.ControlField(2, 1, 0.5, np.full((2, 1), 0.3))
+        with pytest.raises(ValueError, match="read-only"):
+            field.amplitudes[0, 0] = 7.0
+        assert field.amplitudes[0, 0] == 0.3
+
 
 class TestStateValidation:
     """States that make a certified cost meaningless are refused by name."""
@@ -482,6 +494,120 @@ class TestStateValidation:
         for evaluate in (costs.composite_cost, costs.composite_grad):
             with pytest.raises(ValueError, match="initial_state"):
                 evaluate(problem, field, terms)
+
+
+class TestStateTermShapes:
+    """A state term that does not fit the problem is refused by name, before any sweep."""
+
+    @staticmethod
+    def refuse_sweeps(monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a sweep ran before the terms were checked")
+
+        monkeypatch.setattr(costs.ControlProblem, "step_evaluator", no_step)
+
+    @pytest.mark.parametrize("kind", [CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY])
+    @pytest.mark.parametrize("evaluate", [costs.composite_cost, costs.composite_grad])
+    def test_target_of_wrong_length_refused(self, rng, monkeypatch, kind, evaluate):
+        problem = make_problem(rng, 2, 1, psi0=random_state(rng, 2))
+        field = costs.ControlField.constant(0.3, 3, 1, 0.2)
+        terms = [
+            CostTerm(CostKind.STATE_INFIDELITY, target_state=random_state(rng, 2)),
+            CostTerm(kind, target_state=random_state(rng, 3)),
+        ]
+        self.refuse_sweeps(monkeypatch)
+        with pytest.raises(
+            ValueError, match=rf"terms\[1\] \({kind.value}\): target_state has shape \(3,\)"
+        ):
+            evaluate(problem, field, terms)
+
+    @pytest.mark.parametrize("evaluate", [costs.composite_cost, costs.composite_grad])
+    def test_penalty_of_wrong_shape_refused(self, rng, monkeypatch, evaluate):
+        problem = make_problem(rng, 2, 1, psi0=random_state(rng, 2))
+        field = costs.ControlField.constant(0.3, 3, 1, 0.2)
+        omega = sparse.from_dense(random_hermitian(rng, 3))
+        terms = [CostTerm(CostKind.STATE_PENALTY, penalty_op=omega)]
+        self.refuse_sweeps(monkeypatch)
+        with pytest.raises(
+            ValueError, match=r"terms\[0\] \(state_penalty\): penalty_op has shape \(3, 3\)"
+        ):
+            evaluate(problem, field, terms)
+
+
+class TestSweepRecord:
+    """A cost-only sweep handed to the gradient at the same point."""
+
+    @staticmethod
+    def point(rng, backend=Backend.SCALING_SQUARING, gate=False):
+        d, n, k = 5, 6, 2
+        problem = make_problem(rng, d, k, backend, psi0=random_state(rng, d))
+        terms = state_terms(rng, d)
+        if gate:
+            u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            terms.append(CostTerm(CostKind.GATE_INFIDELITY, 0.5, target_gate=u_target))
+        field = costs.ControlField(n, k, 0.25, rng.normal(scale=0.5, size=(n, k)))
+        return problem, field, terms
+
+    @pytest.mark.parametrize("gate", [False, True], ids=["state", "state+gate"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_gradient_from_record_is_bit_identical(self, rng, backend, gate):
+        problem, field, terms = self.point(rng, backend, gate)
+        plain = costs.composite_grad(problem, field, terms)
+        record = costs.SweepRecord()
+        cost = costs.composite_cost(problem, field, terms, record)
+        seeded = costs.composite_grad(problem, field, terms, record)
+        assert cost == seeded.cost == plain.cost
+        assert np.array_equal(seeded.grad, plain.grad)
+        assert seeded.live_vector_peak == plain.live_vector_peak
+
+    def test_record_is_emptied_by_the_gradient(self, rng):
+        problem, field, terms = self.point(rng)
+        record = costs.SweepRecord()
+        costs.composite_cost(problem, field, terms, record)
+        costs.composite_grad(problem, field, terms, record)
+        assert record.psi is None and record.field is None
+        with pytest.raises(ValueError, match="sweep record is empty"):
+            costs.composite_grad(problem, field, terms, record)
+
+    def test_other_field_problem_or_terms_refused(self, rng):
+        problem, field, terms = self.point(rng)
+        record = costs.SweepRecord()
+        costs.composite_cost(problem, field, terms, record)
+        same_values = field.replace_amplitudes(field.amplitudes)
+        other_problem = dataclasses.replace(problem)
+        refusals = [
+            (problem, same_values, terms, "another field"),
+            (other_problem, field, terms, "another problem"),
+            (problem, field, terms[:2], "other terms"),
+            (problem, field, [*terms[:2], dataclasses.replace(terms[2])], "other terms"),
+        ]
+        for got_problem, got_field, got_terms, reason in refusals:
+            with pytest.raises(ValueError, match=f"sweep record was made for {reason}"):
+                costs.composite_grad(got_problem, got_field, got_terms, record)
+        # a refusal leaves the record for its own point
+        assert costs.composite_grad(problem, field, list(terms), record).cost == (
+            costs.composite_grad(problem, field, terms).cost
+        )
+
+    def test_a_new_trial_replaces_the_record(self, rng):
+        problem, field, terms = self.point(rng)
+        record = costs.SweepRecord()
+        costs.composite_cost(problem, field, terms, record)
+        trial = field.replace_amplitudes(field.amplitudes * 0.5)
+        costs.composite_cost(problem, trial, terms, record)
+        with pytest.raises(ValueError, match="another field"):
+            costs.composite_grad(problem, field, terms, record)
+
+    def test_failed_trial_leaves_an_empty_record(self, rng):
+        problem, field, terms = self.point(rng)
+        record = costs.SweepRecord()
+        costs.composite_cost(problem, field, terms, record)
+        with pytest.raises(ValueError, match="channels"):
+            costs.composite_cost(
+                problem, costs.ControlField.constant(0.1, 6, 3, 0.25), terms, record
+            )
+        with pytest.raises(ValueError, match="sweep record is empty"):
+            costs.composite_grad(problem, field, terms, record)
 
 
 class TestInvariantsAndInstrumentation:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from leangrape import costs, optimizer, sparse
+from leangrape import costs, models, optimizer, sparse
 from leangrape.costs import CostKind, CostTerm
+from leangrape.derivatives import StepEvaluator
 
 from conftest import random_hermitian, random_state
 
@@ -254,3 +255,76 @@ class TestLbfgs:
         assert seen
         assert max(n for n, _, _ in seen) <= optimizer.LBFGS_MEMORY
         assert {shape for _, s, y in seen for shape in (s, y)} == {(n_steps, 1)}
+
+
+def chain3_problem(gate=False):
+    """``qubit_chain(3)``, ``|000> -> |111>``, and a seeded start (the benchmark's solve)."""
+    h_static, h_controls = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+    d = h_static.n_rows
+    problem = costs.ControlProblem(
+        h_static, tuple(h_controls), tau=1e-8, initial_state=models.fock_state(d, 0)
+    )
+    terms = [CostTerm(CostKind.STATE_INFIDELITY, 1.0, target_state=models.fock_state(d, d - 1))]
+    if gate:
+        omega = sparse.from_dense(np.diag(np.linspace(0.0, 1.0, d)).astype(complex))
+        terms += [
+            CostTerm(CostKind.STATE_PENALTY, 0.1, penalty_op=omega),
+            CostTerm(CostKind.GATE_INFIDELITY, 0.3, target_gate=np.eye(d, dtype=complex)),
+        ]
+    rng = np.random.default_rng(1)
+    k = len(h_controls)
+    a0 = costs.ControlField(20, k, 0.1, 0.5 * (1.0 + 0.1 * rng.standard_normal((20, k))))
+    return problem, terms, a0
+
+
+class TestSweepHandOver:
+    """The accepted trial's state sweep seeds the gradient's backward pass."""
+
+    @staticmethod
+    def solve(problem, terms, a0, schedule):
+        cfg = optimizer.OptimizerConfig(
+            max_iters=30, eta0=0.1, eta_schedule=schedule, stop_cost=1e-4
+        )
+        trace = optimizer.grape_optimize(problem, terms, a0, cfg)
+        return (
+            [(r.cost, r.grad_inf_norm, r.eta_used) for r in trace.records],
+            trace.final_field.amplitudes.tobytes(),
+            trace.stop_reason,
+            trace.cost_evals,
+        )
+
+    @pytest.mark.parametrize("case", ["rabi", "chain3", "chain3+gate"])
+    @pytest.mark.parametrize("schedule", ["backtracking", "lbfgs"])
+    def test_trace_bit_identical_to_fresh_gradients(self, monkeypatch, schedule, case):
+        if case == "rabi":
+            problem, terms = rabi_problem()
+            a0 = costs.ControlField.constant(0.1, 10, 1, 0.1)
+        else:
+            problem, terms, a0 = chain3_problem(gate=case.endswith("gate"))
+        handed_over = self.solve(problem, terms, a0, schedule)
+        # the gradient without the record sweeps forward itself
+        monkeypatch.setattr(
+            optimizer, "composite_grad", lambda *args: costs.composite_grad(*args[:3])
+        )
+        fresh = self.solve(problem, terms, a0, schedule)
+        assert handed_over == fresh
+        assert len(handed_over[0]) > 2
+
+    @pytest.mark.parametrize("schedule", ["backtracking", "lbfgs"])
+    def test_one_forward_sweep_per_trial(self, monkeypatch, schedule):
+        problem, terms, a0 = chain3_problem()
+        calls = {"forward": 0, "pull_back": 0}
+        for name in calls:
+            original = getattr(StepEvaluator, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(StepEvaluator, name, counted)
+        cfg = optimizer.OptimizerConfig(max_iters=30, eta0=0.1, eta_schedule=schedule)
+        trace = optimizer.grape_optimize(problem, terms, a0, cfg)
+        n = a0.n_steps
+        assert trace.cost_evals > 0
+        assert calls["forward"] == (trace.cost_evals + 1) * n
+        assert calls["pull_back"] == len(trace.records) * n
