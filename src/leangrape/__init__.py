@@ -12,7 +12,6 @@ from .sparse import (
     from_dense,
     identity_csr,
     linear_combine,
-    aux_embed,
     is_hermitian,
 )
 from .expm import ExpmPlan, PlanningError, make_plan, apply, expm_multiply
@@ -42,7 +41,6 @@ __all__ = [
     "from_dense",
     "identity_csr",
     "linear_combine",
-    "aux_embed",
     "is_hermitian",
     "ExpmPlan",
     "PlanningError",

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import costs, expm, models
 from .derivatives import Backend
-from .sparse import CsrMatrix, DenseMatrix, Matrix, build_csr, linear_combine
+from .sparse import CsrMatrix, DenseMatrix, Matrix, build_csr
 
 __all__ = [
     "BenchRecord",
@@ -205,7 +205,8 @@ def _build_fluxonium_pair(size: int):
 
 
 def _build_zero(size: int):
-    return build_csr([], size, size), [], []
+    # one empty control at zero amplitude: a control field needs a channel
+    return build_csr([], size, size), [build_csr([], size, size)], [0.0]
 
 
 _MODEL_BUILDERS = {
@@ -237,29 +238,32 @@ def _kappa(h_static: Matrix, h_controls) -> int:
     return h_static.nnz + sum(hc.nnz for hc in h_controls)
 
 
-def _fixture_generator(h_static, h_controls, amplitudes, dt: float) -> Matrix:
-    if h_controls:
-        combined = linear_combine([1.0, *amplitudes], [h_static, *h_controls])
-    else:
-        combined = h_static
-    return combined.scaled(-1j * dt)
+def _step_plan_record(problem: costs.ControlProblem, field: costs.ControlField):
+    """``(norm1, sigma', mu)`` of the plan step 0 of ``field`` runs under.
+
+    ``mu`` is None when planning fails; ``norm1`` and ``sigma'`` are then
+    the ones the plan was asked for.
+    """
+    step = problem.step_evaluator(field, 0)
+    try:
+        plan = step._step_plan()
+    except expm.PlanningError:
+        h = step.ctx.h_step
+        return field.dt * h.one_norm(), h.max_row_nnz(), None
+    return plan.norm1, plan.sigma_prime, plan.matvecs
 
 
 def measure_mu(model: str, size: int, dt: float, tau: float) -> BenchRecord:
     """Plan one propagator-state product and record its matvec count.
 
-    A planning failure (tolerance unreachable at this norm in working
-    precision) is recorded with ``matvecs=None`` rather than raised.
+    The record carries the plan of the model's first step at its fixture
+    amplitudes.  A planning failure (tolerance unreachable at this norm in
+    working precision) is recorded with ``matvecs=None`` rather than raised.
     """
     h_static, h_controls, amps = build_model(model, size)
-    gen = _fixture_generator(h_static, h_controls, amps, dt)
-    norm1 = gen.one_norm()
-    sigma = gen.max_row_nnz()
-    try:
-        plan = expm.make_plan(norm1, sigma, tau)
-        matvecs = plan.matvecs
-    except expm.PlanningError:
-        matvecs = None
+    problem = costs.ControlProblem(h_static, tuple(h_controls), Backend.SCALING_SQUARING, tau)
+    field = costs.ControlField(1, len(h_controls), dt, np.reshape(amps, (1, -1)))
+    norm1, sigma, matvecs = _step_plan_record(problem, field)
     return BenchRecord(
         model=model,
         d=h_static.n_rows,
@@ -342,19 +346,14 @@ def measure_step_runtime(
             samples.append(time.perf_counter_ns() - t0)
     wall = int(np.median(samples))
 
-    gen = _fixture_generator(h_static, h_controls, amps, dt)
-    try:
-        plan = expm.make_plan(gen.one_norm(), gen.max_row_nnz(), tau)
-        matvecs = plan.matvecs
-    except expm.PlanningError:
-        matvecs = None
+    norm1, sigma, matvecs = _step_plan_record(problem, field)
     return BenchRecord(
         model=model,
         d=h_static.n_rows,
         n_steps=n_steps,
         tau=tau,
-        norm1=gen.one_norm(),
-        sigma_prime=gen.max_row_nnz(),
+        norm1=norm1,
+        sigma_prime=sigma,
         matvecs=matvecs,
         kappa=_kappa(h_static, h_controls),
         wall_ns=wall,

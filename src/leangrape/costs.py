@@ -31,9 +31,10 @@ Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
 its :class:`GradientResult`.  A step stores its Hamiltonian once, and
 the problem its controls once, whatever ``dt``; the first
-scaling-and-squaring gradient adds one row-stacked copy of the
-controls, per problem, on CSR as on dense storage.  The engine takes
-the time step as a scale.
+scaling-and-squaring gradient adds the controls' row stacks, per
+problem: on CSR storage views of the values the problem's step pattern
+holds, which add only their indices, and on dense storage a second copy
+of the controls.  The engine takes the time step as a scale.
 The propagation engine itself adds a per-call scratch overhead that is
 not metered: three work vectors for a product, and for one pull-back,
 besides that, ``m_d + 1`` Taylor terms of its derivative plan (the
@@ -140,11 +141,13 @@ class ControlProblem:
     are kept as a tuple of complex arrays.
 
     Step Hamiltonians of CSR problems are assembled on the union
-    sparsity pattern of ``h_static`` and ``h_controls``, built on first
-    use and kept on the instance; dense problems use
-    :func:`leangrape.sparse.linear_combine`.  The control operators are
-    wrapped once; the first scaling-and-squaring gradient adds their
-    row-stacked channel blocks.
+    sparsity pattern of ``h_static`` and ``h_controls``
+    (:class:`~leangrape.sparse.FixedPatternSum`), built on first use and
+    kept on the instance; it holds every stored value once.  Dense
+    problems use :func:`leangrape.sparse.linear_combine`.  The control
+    operators are wrapped once, with the pattern; the first
+    scaling-and-squaring gradient adds their row-stacked channel blocks,
+    views of the pattern's values on CSR storage.
     None of this depends on ``dt``: a step takes its time step as the
     propagation engine's scale, so fields with different ``dt`` share it.
     """
@@ -198,7 +201,7 @@ class ControlProblem:
     @cached_property
     def _controls(self) -> ControlOperators:
         """The control operators shared by every step evaluator of this problem."""
-        return ControlOperators(self.h_controls)
+        return ControlOperators(self.h_controls, self._pattern)
 
     def step_evaluator(self, a: ControlField, n: int) -> StepEvaluator:
         """Evaluator for step ``n`` with the step's amplitudes folded in."""

@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expm
-from .sparse import CsrMatrix, DenseMatrix, Matrix
+from .sparse import DenseMatrix, FixedPatternSum, Matrix
 
 __all__ = [
     "Backend",
@@ -121,28 +121,14 @@ class DiagFactorization:
         return np.outer(half, half) * np.sinc(gap / (2 * np.pi))
 
 
-def _row_stack(mats: tuple[Matrix, ...]) -> Matrix:
-    """The matrix whose row ``t d + i`` is row ``i`` of ``mats[t]``.
+def _row_stack(mats: tuple[Matrix, ...]) -> DenseMatrix:
+    """The dense matrix whose row ``t d + i`` is row ``i`` of ``mats[t]``.
 
-    CSR controls stack into one CSR matrix, keeping each row's elements in
-    order, so row ``t d + i`` runs exactly the running sum of row ``i`` of
-    ``mats[t]``.  A group with a dense control stacks into one dense
-    matrix: the same products, summed in whatever order BLAS picks, which
-    the ``gamma_n`` model covers.
+    The same products as each control's own, summed in whatever order
+    BLAS picks, which the ``gamma_n`` model covers.
     """
-    d = mats[0].n_rows
-    if any(isinstance(m, DenseMatrix) for m in mats):
-        dense = [m.array if isinstance(m, DenseMatrix) else m.to_dense() for m in mats]
-        return DenseMatrix._trusted(np.concatenate(dense, axis=0, dtype=np.complex128).copy("F"))
-    starts = np.cumsum([0] + [m.nnz for m in mats])
-    offsets = np.concatenate(
-        [m.row_offsets[:-1] + start for m, start in zip(mats, starts)] + [starts[-1:]]
-    )
-    return CsrMatrix(
-        d * len(mats), mats[0].n_cols, offsets,
-        np.concatenate([m.col_indices for m in mats]),
-        np.concatenate([m.values for m in mats]),
-    )
+    dense = [m.array if isinstance(m, DenseMatrix) else m.to_dense() for m in mats]
+    return DenseMatrix._trusted(np.concatenate(dense, axis=0, dtype=np.complex128).copy("F"))
 
 
 class ControlOperators:
@@ -152,21 +138,33 @@ class ControlOperators:
     row-stacks consecutive channels :data:`CHANNEL_BLOCK` at a time, the
     last stack possibly narrower, so that one product gives ``h_k y`` for
     every channel of a stack: a ``(w d) x d`` matrix whose row ``t d + i``
-    is row ``i`` of channel ``t`` (see :func:`_row_stack`).  The stacks are
-    a second copy of the controls, on CSR as on dense storage, one per
-    problem, built by the first scaling-and-squaring gradient.  ``norm1``
-    and ``max_row_nnz`` are the largest over the channels, which is what a
+    is row ``i`` of channel ``t``.  With a ``pattern``, the problem's
+    :class:`~leangrape.sparse.FixedPatternSum` whose last terms are the
+    controls, the stacks are CSR views of the values it holds
+    (:meth:`~leangrape.sparse.FixedPatternSum.stack`): each row runs
+    exactly the running sum of its channel's row, and no control value is
+    stored twice.  Without one they are dense (see :func:`_row_stack`), a
+    second copy of the controls.  Either way they are built by the first
+    scaling-and-squaring gradient, one set per problem.  ``norm1`` and
+    ``max_row_nnz`` are the largest over the channels, which is what a
     derivative plan is certified for.  Nothing here depends on ``dt``, so
     every step of the problem shares one instance, whatever its time step.
     """
 
-    def __init__(self, h_controls):
+    def __init__(self, h_controls, pattern: FixedPatternSum | None = None):
         self.matrices = tuple(h_controls)
+        self._pattern = pattern
 
     @cached_property
     def stacks(self) -> tuple[Matrix, ...]:
-        mats, w = self.matrices, CHANNEL_BLOCK
-        return tuple(_row_stack(mats[k : k + w]) for k in range(0, len(mats), w))
+        mats, w, pattern = self.matrices, CHANNEL_BLOCK, self._pattern
+        if pattern is None:
+            return tuple(_row_stack(mats[k : k + w]) for k in range(0, len(mats), w))
+        first = pattern.term_offsets.size - 1 - len(mats)
+        return tuple(
+            pattern.stack(first + k, first + min(k + w, len(mats)))
+            for k in range(0, len(mats), w)
+        )
 
     @cached_property
     def norm1(self) -> float:
@@ -183,12 +181,11 @@ class BlockDerivativeOperator:
     The reference that :meth:`StepEvaluator.control_derivative` applies
     and :meth:`StepEvaluator.pull_back` is tested against.  The embedding
     ``E = [[H, h_k], [0, H]]``, in Hamiltonian units, acts on ``(x, y)``
-    stacked as one ``2d`` vector and maps it to ``(H x + h_k y, H y)``.  Its
-    generator ``-i dt E`` is the :func:`leangrape.sparse.aux_embed` matrix,
-    and ``exp(-i dt E)`` applied to ``(0, psi)`` is
-    ``((dU/da_k) psi, U psi)``; the engine takes ``-i dt`` as its
-    ``scale``, so that generator is never stored, and the operator keeps
-    references to ``H`` and ``h_k``, no copies.
+    stacked as one ``2d`` vector and maps it to ``(H x + h_k y, H y)``.
+    ``exp(-i dt E)`` applied to ``(0, psi)`` is ``((dU/da_k) psi, U psi)``;
+    the engine takes ``-i dt`` as its ``scale``, so the generator
+    ``-i dt E`` is never stored, and the operator keeps references to ``H``
+    and ``h_k``, no copies.
 
     ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the embedding's,
     assembled exactly from the column and row sums of ``H`` and ``h_k``
@@ -409,11 +406,14 @@ class StepEvaluator:
         at ``+i dt`` whose term sink keeps its Taylor terms ``u_i``, then
         runs a Horner pass at ``-i dt`` over the stage's ``psi`` (``m_d - 1``
         products), contracting each ``Y_i`` against ``conj(u_i)``, weighted
-        by ``1 / (i + 1)``, through the row-stacked controls, :data:`CHANNEL_BLOCK` channels per
-        product (:attr:`ControlOperators.stacks`).  A step costs
-        ``m s + (2 m_d - 1) s`` products with ``H``, whatever the number of
-        channels.  Stage by stage runs the scalars and products of one
-        application, so the moved co-state is
+        by ``1 / (i + 1)``, through the row-stacked controls,
+        :data:`CHANNEL_BLOCK` channels per product
+        (:attr:`ControlOperators.stacks`).  Each stage sums its overlaps
+        from zero and the stage sums are added last: the accumulation
+        depth ``m_d + s`` that :func:`leangrape.expm.derivative_bound`
+        charges.  A step costs ``m s + (2 m_d - 1) s`` products with ``H``,
+        whatever the number of channels.  Stage by stage runs the scalars
+        and products of one application, so the moved co-state is
         ``expm.apply(h_step, lambda, dplan.costate, scale=+i dt)`` and the
         moved ``psi`` is ``expm.apply(h_step, psi_n, dplan.state, scale=+i
         dt)``, bit for bit; ``dplan.state`` is the step's plan whenever that
@@ -467,7 +467,10 @@ class StepEvaluator:
         y = np.empty(d, dtype=np.complex128)
         work = np.empty(d, dtype=np.complex128)
         stacks, parts = self._contraction(d)
+        # each stage sums its terms from zero, then the stage sums add up:
+        # the depth m_d + s that expm.derivative_bound charges
         acc = np.zeros(len(parts), dtype=np.complex128)
+        stage_acc = np.empty_like(acc)
         for _ in range(scaling):
             psi[...] = expm.apply(h, psi, state, validate=False, scale=back)
             costate[...] = expm.apply(
@@ -475,16 +478,18 @@ class StepEvaluator:
             )
             np.conjugate(terms, out=terms)
             np.copyto(y, psi)  # Y_{m_d - 1}
+            stage_acc.fill(0.0)
             for i in range(order - 1, -1, -1):
                 for matvec, out, rows, part in stacks:
                     matvec(y, out=out)
                     np.dot(rows, terms[i], out=part)
                 parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
-                acc += parts
+                stage_acc += parts
                 if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
                     h.matvec(y, out=work)
                     np.multiply(work, ahead / (i + 1), out=y)
                     y += psi
+            acc += stage_acc
         acc *= ahead
         return acc
 

@@ -7,7 +7,12 @@ time so that the stored-element count is an honest measure of memory and
 of per-row work in the rounding-error model.
 
 CSR products run on scipy's compiled ``csr_matvec`` kernel, which
-accumulates each row as one running sum into the output vector.
+accumulates each row as one running sum into the output vector.  Weighted
+sums of CSR matrices (:class:`FixedPatternSum`, and through it
+:func:`linear_combine`) run on its transpose-product kernel
+``csc_matvec``: the terms' values, stored once and term by term, are the
+columns of a ``(union position x term)`` matrix, and the kernel adds each
+position's terms in term order.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ __all__ = [
     "identity_csr",
     "linear_combine",
     "FixedPatternSum",
-    "aux_embed",
     "is_hermitian",
     "is_anti_hermitian",
     "save_matrix",
@@ -334,55 +338,52 @@ def linear_combine(coeffs, mats) -> Matrix:
             total = np.zeros(shape, dtype=np.complex128, order="F")
         return DenseMatrix._trusted(total)
 
-    rows_all, cols_all, vals_all = [], [], []
-    for c, m in zip(coeffs, mats):
-        if c == 0 or m.nnz == 0:
-            continue
-        r, k, v = m.triplets()
-        rows_all.append(r)
-        cols_all.append(k)
-        vals_all.append(c * v)
-    if not rows_all:
-        return build_csr([], shape[0], shape[1])
-    return build_csr_arrays(
-        np.concatenate(rows_all), np.concatenate(cols_all), np.concatenate(vals_all),
-        shape[0], shape[1],
-    )
+    combined = FixedPatternSum(mats).combine(coeffs)
+    if not np.isfinite(combined.values).all():
+        raise SparseMatrixError("matrix entries must be finite")
+    return combined
 
 
 class FixedPatternSum:
     """Weighted sums ``sum_i c_i M_i`` of fixed CSR matrices on their union pattern.
 
-    The union sparsity pattern and a sparse ``(nnz_union x n_terms)``
-    coefficient matrix holding every stored value are built once; each
-    sum is then one product ``coef @ c`` on that pattern.  Within a
-    position the terms are added in matrix order, as in
-    :func:`linear_combine`, and entries that come out exactly zero are
-    dropped, so the result carries the same stored elements.
+    Every stored value of every term is kept once, term by term, in
+    ``values``; term ``i``'s values are ``values[term_offsets[i]:
+    term_offsets[i + 1]]``, in its own CSR order, and ``positions`` gives
+    the union position each value adds into.  ``(term_offsets, positions,
+    values)`` is a compressed-column ``(nnz_union x n_terms)`` matrix, so
+    each sum is one scipy ``csc_matvec`` onto the union pattern
+    ``(row_offsets, col_indices)``: within a position the terms are added
+    in term order, and entries that come out exactly zero are dropped.
+    :meth:`stack` row-stacks consecutive terms as views of ``values``.
     """
 
     def __init__(self, mats):
-        mats = list(mats)
+        self._mats = mats = tuple(mats)
         if not mats:
             raise SparseMatrixError("FixedPatternSum of no matrices")
         self.shape = mats[0].shape
         if any(m.shape != self.shape for m in mats):
             raise SparseMatrixError("shape mismatch in FixedPatternSum")
         n_rows, n_cols = self.shape
-        triplets = [m.triplets() for m in mats]
-        keys = np.concatenate([r * np.int64(n_cols) + c for r, c, _ in triplets])
-        terms = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])
-        union, position = np.unique(keys, return_inverse=True)
+        self.term_offsets = np.array([0] + [m.nnz for m in mats], dtype=np.int64).cumsum()
+        self.values = np.concatenate([m.values for m in mats])
+        rows = [np.repeat(np.arange(n_rows), m.row_nnz_counts()) for m in mats]
+        keys = np.concatenate([r * n_cols + m.col_indices for r, m in zip(rows, mats)])
+        union, self.positions = np.unique(keys, return_inverse=True)
         self.row_offsets = _row_offsets(union // n_cols, n_rows)
         self.col_indices = union % n_cols
-        self.coef = build_csr_arrays(
-            position, terms, np.concatenate([v for _, _, v in triplets]),
-            union.size, len(mats),
-        )
 
     def combine(self, coeffs: np.ndarray) -> CsrMatrix:
         """``sum_i coeffs[i] * M_i`` as a CSR matrix without stored zeros."""
-        values = self.coef.matvec(np.asarray(coeffs, dtype=np.complex128))
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        n_terms = len(self._mats)
+        if coeffs.shape != (n_terms,):  # the kernel trusts the length
+            raise SparseMatrixError(f"need {n_terms} coefficients, got shape {coeffs.shape}")
+        values = np.zeros(self.col_indices.size, dtype=np.complex128)
+        _sparsetools().csc_matvec(
+            values.size, n_terms, self.term_offsets, self.positions, self.values, coeffs, values
+        )
         n_rows, n_cols = self.shape
         keep = values != 0
         if keep.all():
@@ -391,40 +392,22 @@ class FixedPatternSum:
         offsets = np.concatenate(([0], np.cumsum(keep)))[self.row_offsets]
         return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])
 
+    def stack(self, first: int, stop: int) -> CsrMatrix:
+        """Terms ``first .. stop - 1`` row-stacked, as :class:`CsrMatrix`.
 
-def aux_embed(h_step: Matrix, h_control: Matrix, dt: float) -> Matrix:
-    """Block embedding whose exponential action yields propagator derivatives.
-
-    Returns the ``2d x 2d`` matrix ``[[-i*h_step*dt, -i*h_control*dt],
-    [0, -i*h_step*dt]]``.  Applying the exponential of this matrix to a
-    stacked vector ``(0, psi)`` produces the derivative of the short-time
-    propagator with respect to the control amplitude in the top block and
-    the propagated state in the bottom block.  Propagation never forms
-    this matrix: :class:`leangrape.derivatives.BlockDerivativeOperator`
-    applies ``[[h_step, h_control], [0, h_step]]`` and the engine scales
-    it by ``-i*dt``; the materialized form is the reference it is tested
-    against.
-    """
-    if h_step.shape != h_control.shape or h_step.n_rows != h_step.n_cols:
-        raise SparseMatrixError("aux_embed expects two square matrices of equal dimension")
-    d = h_step.n_rows
-    scale = -1j * dt
-    if isinstance(h_step, DenseMatrix) or isinstance(h_control, DenseMatrix):
-        step_arr = h_step.array if isinstance(h_step, DenseMatrix) else h_step.to_dense()
-        ctrl_arr = (
-            h_control.array if isinstance(h_control, DenseMatrix) else h_control.to_dense()
+        Row ``t d + i`` is row ``i`` of term ``first + t``.  ``values`` is
+        a view into this sum's ``values``; each row keeps its term's
+        elements in order, so it runs exactly that row's running sum.
+        """
+        mats, starts = self._mats[first:stop], self.term_offsets[first : stop + 1]
+        offsets = np.concatenate(
+            [m.row_offsets[:-1] + start for m, start in zip(mats, starts)] + [starts[-1:]]
         )
-        embedded = np.zeros((2 * d, 2 * d), dtype=np.complex128, order="F")
-        embedded[:d, :d] = scale * step_arr
-        embedded[:d, d:] = scale * ctrl_arr
-        embedded[d:, d:] = embedded[:d, :d]
-        return DenseMatrix._trusted(embedded)
-    hr, hc, hv = h_step.triplets()
-    cr, cc, cv = h_control.triplets()
-    rows = np.concatenate([hr, cr, hr + d])
-    cols = np.concatenate([hc, cc + d, hc + d])
-    vals = scale * np.concatenate([hv, cv, hv])
-    return build_csr_arrays(rows, cols, vals, 2 * d, 2 * d)
+        return CsrMatrix(
+            self.shape[0] * len(mats), self.shape[1], offsets - starts[0],
+            np.concatenate([m.col_indices for m in mats]),
+            self.values[starts[0] : starts[-1]],
+        )
 
 
 def _max_abs_combination(a: Matrix, b_coeff: complex) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from leangrape import bench, expm
+from leangrape import bench, costs, expm, sparse
 from leangrape.bench import KappaScaling, MuScaling, StrategyMethod, Task
 
 
@@ -43,6 +43,47 @@ class TestMeasureMu:
         pred = slope * xs + intercept
         r2 = 1 - ((ys - pred) ** 2).sum() / ((ys - ys.mean()) ** 2).sum()
         assert r2 >= 0.98
+
+
+def step_plan(model, size, dt, storage="sparse"):
+    """The plan of step 0 of a one-step field at the model's fixture amplitudes."""
+    h_static, h_controls, amps = bench.build_model(model, size)
+    if storage == "dense":
+        h_static = sparse.DenseMatrix(h_static.to_dense())
+        h_controls = [sparse.DenseMatrix(hc.to_dense()) for hc in h_controls]
+    problem = costs.ControlProblem(h_static, tuple(h_controls), tau=1e-8)
+    field = costs.ControlField(1, len(h_controls), dt, np.reshape(amps, (1, -1)))
+    return problem.step_evaluator(field, 0)._step_plan()
+
+
+class TestRecordedPlan:
+    """A record carries the norm, ``sigma'`` and ``mu`` of the plan its step runs under."""
+
+    @pytest.mark.parametrize(
+        "model, size, dt",
+        [
+            ("qubit_chain", 4, 0.37),  # the scaled copy of H read one ulp off at these points
+            ("three_transmons", 3, 0.2),
+            ("fluxonium_pair", 4, 0.1),
+            ("transmon_cavity", 10, 0.05),
+        ],
+    )
+    def test_mu_records_the_step_plan(self, model, size, dt):
+        rec = bench.measure_mu(model, size, dt, 1e-8)
+        plan = step_plan(model, size, dt)
+        assert (rec.norm1, rec.sigma_prime, rec.matvecs) == (
+            plan.norm1, plan.sigma_prime, plan.matvecs
+        )
+
+    @pytest.mark.parametrize("storage", ["sparse", "dense"])
+    def test_runtime_records_the_step_plan(self, storage):
+        rec = bench.measure_step_runtime(
+            "qubit_chain", 3, Task.STATE_TRANSFER, 1e-8, reps=1, dt=0.37, storage=storage
+        )
+        plan = step_plan("qubit_chain", 3, 0.37, storage)
+        assert (rec.norm1, rec.sigma_prime, rec.matvecs) == (
+            plan.norm1, plan.sigma_prime, plan.matvecs
+        )
 
 
 class TestMeasureStepRuntime:

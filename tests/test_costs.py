@@ -775,7 +775,10 @@ class TestBytesIndependentOfSteps:
 
 
 class TestHeldBytes:
-    """After its first gradient a CSR problem holds its step pattern and its row stacks only.
+    """After its first gradient a CSR problem holds its step pattern and its stacks' indices only.
+
+    The pattern holds every stored value once; the row stacks are views of
+    those values and add only their own row offsets and column indices.
 
     Everything else a gradient builds is freed when it returns.  The plan
     caches are shared by every problem, so an earlier problem on the same
@@ -808,12 +811,16 @@ class TestHeldBytes:
         finally:
             tracemalloc.stop()
 
-        def nbytes(m):
-            return m.row_offsets.nbytes + m.col_indices.nbytes + m.values.nbytes
-
-        pattern = problem._pattern
-        arrays = sum(nbytes(m) for m in problem._controls.stacks)
-        arrays += pattern.row_offsets.nbytes + pattern.col_indices.nbytes + nbytes(pattern.coef)
+        pattern, stacks = problem._pattern, problem._controls.stacks
+        assert stacks and all(np.shares_memory(m.values, pattern.values) for m in stacks)
+        arrays = sum(m.row_offsets.nbytes + m.col_indices.nbytes for m in stacks)
+        arrays += sum(
+            a.nbytes
+            for a in (
+                pattern.values, pattern.positions, pattern.term_offsets,
+                pattern.row_offsets, pattern.col_indices,
+            )
+        )
         assert held <= arrays + 8192, (held, arrays)
 
 

@@ -28,6 +28,12 @@ from conftest import (
 )
 
 
+def dense_embedding(h, hc, dt):
+    """The derivative generator ``-i dt [[H, h_k], [0, H]]`` as a dense array."""
+    gen, ctrl = -1j * dt * h.to_dense(), -1j * dt * hc.to_dense()
+    return np.block([[gen, ctrl], [np.zeros_like(gen), gen]])
+
+
 def fd_derivative(h_dense, hc_dense, a, dt, psi, eps=1e-6):
     up = scipy_expm(-1j * (h_dense + (a + eps) * hc_dense) * dt) @ psi
     dn = scipy_expm(-1j * (h_dense + (a - eps) * hc_dense) * dt) @ psi
@@ -133,28 +139,28 @@ class TestAuxDerivative:
         hc = sparse.from_dense(random_hermitian(rng, d))
         op = BlockDerivativeOperator(h, hc)
         # the materialized embedding is the generator: -i dt times the operator
-        aux = sparse.aux_embed(h, hc, dt)
+        aux = dense_embedding(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         got = -1j * dt * op.matvec(v)
-        assert np.linalg.norm(got - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
-        assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
-        assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
+        assert np.linalg.norm(got - aux @ v) <= 1e-13 * np.linalg.norm(v)
+        assert dt * op.one_norm() == pytest.approx(np.abs(aux).sum(axis=0).max(), rel=1e-13)
+        assert dt * op.inf_norm() == pytest.approx(np.abs(aux).sum(axis=1).max(), rel=1e-13)
         # each top-block row sums over both blocks' elements
-        assert op.max_row_nnz() == aux.max_row_nnz()
+        assert op.max_row_nnz() == (aux != 0).sum(axis=1).max()
 
     def test_dense_block_operator_matches_materialized_embedding(self, rng):
         d, dt = 7, 0.29
         h = sparse.DenseMatrix(random_hermitian(rng, d))
         hc = sparse.DenseMatrix(random_hermitian(rng, d))
         op = BlockDerivativeOperator(h, hc)
-        aux = sparse.aux_embed(h, hc, dt)
+        aux = dense_embedding(h, hc, dt)
         v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
         out = np.full(2 * d, np.nan + 0j)
         assert op.matvec(v, out=out) is out
-        assert np.linalg.norm(-1j * dt * out - aux.matvec(v)) <= 1e-13 * np.linalg.norm(v)
-        assert dt * op.one_norm() == pytest.approx(aux.one_norm(), rel=1e-13)
-        assert dt * op.inf_norm() == pytest.approx(aux.inf_norm(), rel=1e-13)
-        assert op.max_row_nnz() == aux.max_row_nnz() == 2 * d
+        assert np.linalg.norm(-1j * dt * out - aux @ v) <= 1e-13 * np.linalg.norm(v)
+        assert dt * op.one_norm() == pytest.approx(np.abs(aux).sum(axis=0).max(), rel=1e-13)
+        assert dt * op.inf_norm() == pytest.approx(np.abs(aux).sum(axis=1).max(), rel=1e-13)
+        assert op.max_row_nnz() == (aux != 0).sum(axis=1).max() == 2 * d
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     def test_row_stacked_controls_run_each_channels_arithmetic(self, rng, storage):
@@ -164,9 +170,15 @@ class TestAuxDerivative:
             wrap(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(10.0 ** (t % 3 - 1)))
             for t in range(k)
         ]
-        ops = ControlOperators(controls)
+        pattern = None
+        if storage == "csr":  # a problem's pattern: the static term first, then the controls
+            static = random_sparse_dense_pair(rng, d, 0.3)[0]
+            pattern = sparse.FixedPatternSum([static, *controls])
+        ops = ControlOperators(controls, pattern)
         assert [s.n_rows for s in ops.stacks] == [CHANNEL_BLOCK * d, 2 * d]
         assert all(type(s) is type(controls[0]) for s in ops.stacks)
+        if storage == "csr":
+            assert all(np.shares_memory(s.values, pattern.values) for s in ops.stacks)
         y = rng.normal(size=d) + 1j * rng.normal(size=d)
         rows = np.concatenate([s.matvec(y) for s in ops.stacks]).reshape(k, d)
         for t, control in enumerate(controls):
@@ -348,7 +360,7 @@ class TestControlOverlaps:
         h_step = step.ctx.h_step
         stacked = np.concatenate([np.zeros(d, complex), psi])
         for k, hc in enumerate(problem.h_controls):
-            exact = scipy_expm(sparse.aux_embed(h_step, hc, dt).to_dense()) @ stacked
+            exact = scipy_expm(dense_embedding(h_step, hc, dt)) @ stacked
             assert np.linalg.norm(derivs[:, k] - exact[:d]) <= tau
         # one plan for every channel, certified for the largest control norm
         plan = step._derivative_plan()
@@ -443,6 +455,37 @@ class TestPullBack:
         assert np.array_equal(costate, want)
         assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
 
+    @pytest.mark.parametrize("n_channels", [2, 5])
+    def test_each_stage_sums_its_overlaps_from_zero(self, rng, n_channels):
+        # the accumulation depth m_d + s that expm.derivative_bound charges, not m_d * s
+        d = 8
+        problem, _, step = make_overlap_step(
+            rng, d, n_channels, Backend.SCALING_SQUARING, "csr", dt=1.5, scales=(1.0, 3.0)
+        )
+        plan = step._derivative_plan()
+        s, m_d = plan.costate.scaling, plan.costate.order
+        assert s >= 2
+        psi_n, lam = random_state(rng, d), random_state(rng, d)
+        got = step.pull_back(lam.copy(), psi_n.copy())
+
+        h, back, ahead = step.ctx.h_step, 1j * step.ctx.dt / s, -1j * step.ctx.dt / s
+        terms = np.empty((m_d + 1, d), dtype=complex)
+        psi, want = psi_n, np.zeros(n_channels, dtype=complex)
+        for _ in range(s):
+            psi = expm.apply(h, psi, plan.state.stage(), validate=False, scale=back)
+            lam = expm.apply(
+                h, lam, plan.costate.stage(), validate=False, scale=back, sink=terms.__setitem__
+            )
+            y, stage = psi.copy(), np.zeros(n_channels, dtype=complex)
+            for i in range(m_d - 1, -1, -1):
+                stage += np.concatenate(
+                    [np.dot(op.matvec(y).reshape(-1, d), terms[i].conj())
+                     for op in problem._controls.stacks]
+                ) * (1.0 / (i + 1))
+                if i:
+                    y = h.matvec(y) * (ahead / (i + 1)) + psi
+            want += stage
+        assert np.array_equal(got, want * ahead)
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     @pytest.mark.parametrize("h_scale, dt", [(1.0, 0.3), (3.0, 0.6)])

@@ -213,70 +213,67 @@ class TestLinearCombine:
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
+def integer_terms(rng, n_rows, n_cols, n_terms):
+    """CSR terms with small integer entries, so their sums are exact and cancel to exact zeros.
+
+    Some rows are empty in every term, the last ones included.
+    """
+    denses = []
+    for _ in range(n_terms):
+        mask = rng.random((n_rows, n_cols)) < 0.4
+        dense = (rng.integers(-2, 3, size=(n_rows, n_cols)) * mask).astype(complex)
+        dense[rng.random(n_rows) < 0.3] = 0
+        dense[-2:] = 0
+        denses.append(dense)
+    return [sparse.from_dense(d) for d in denses], denses
+
+
 class TestFixedPatternSum:
-    def test_dropped_zeros_match_linear_combine(self, rng):
-        # small integers add exactly, so entries cancel to exact zeros; some
-        # rows are empty in every term, the last ones included
+    def test_linear_combine_matches_dense_sum_with_dropped_zeros(self, rng):
         n_rows, n_cols = 9, 7
         for _ in range(50):
-            mats = []
-            for _ in range(3):
-                mask = rng.random((n_rows, n_cols)) < 0.4
-                dense = rng.integers(-2, 3, size=(n_rows, n_cols)) * mask
-                dense[rng.random(n_rows) < 0.3] = 0
-                dense[-2:] = 0
-                mats.append(sparse.from_dense(dense.astype(complex)))
-            pattern = sparse.FixedPatternSum(mats)
+            mats, denses = integer_terms(rng, n_rows, n_cols, 3)
             coeffs = rng.integers(-1, 2, size=3).astype(complex)
-            got, want = pattern.combine(coeffs), sparse.linear_combine(coeffs, mats)
-            assert np.array_equal(got.row_offsets, want.row_offsets)
-            assert np.array_equal(got.col_indices, want.col_indices)
-            assert np.array_equal(got.values, want.values)
+            want = sparse.from_dense(sum(c * d for c, d in zip(coeffs, denses)))
+            pattern = sparse.FixedPatternSum(mats)
+            for got in (sparse.linear_combine(coeffs, mats), pattern.combine(coeffs)):
+                assert np.array_equal(got.row_offsets, want.row_offsets)
+                assert np.array_equal(got.col_indices, want.col_indices)
+                assert np.array_equal(got.values, want.values)
+                assert (got.values != 0).all()
 
+    def test_terms_are_added_in_order(self):
+        # (1e16 + 1) - 1e16 is 0 in floating point; 1e16 - 1e16 + 1 is 1
+        mats = [sparse.build_csr([(0, 0, v)], 1, 1) for v in (1e16, 1.0, -1e16)]
+        assert sparse.linear_combine([1.0, 1.0, 1.0], mats).nnz == 0
+        assert sparse.linear_combine([1.0, 1.0, 1.0], [mats[0], mats[2], mats[1]]).values[0] == 1.0
 
-class TestAuxEmbed:
-    def test_zero_control_is_block_diagonal(self):
-        h = sigma_x()
-        zero = sparse.build_csr([], 2, 2)
-        aux = sparse.aux_embed(h, zero, 0.5)
-        dense = aux.to_dense()
-        block = -1j * 0.5 * h.to_dense()
-        assert np.allclose(dense[:2, :2], block)
-        assert np.allclose(dense[2:, 2:], block)
-        assert np.allclose(dense[:2, 2:], 0)
-        assert np.allclose(dense[2:, :2], 0)
+    def test_non_finite_result_refused(self):
+        big = sparse.build_csr([(0, 1, 1e308), (1, 0, 1.0)], 2, 2)
+        with pytest.raises(sparse.SparseMatrixError, match="finite"):
+            sparse.linear_combine([10.0], [big])
+        with pytest.raises(sparse.SparseMatrixError, match="finite"):
+            sparse.linear_combine([1.0, 1.0], [big, big])  # finite terms, overflowing sum
 
-    def test_block_placement_entrywise(self):
-        h = sparse.build_csr([(0, 0, 2.0), (1, 0, 1.0)], 2, 2)
-        hc = sparse.build_csr([(0, 1, 3.0)], 2, 2)
-        aux = sparse.aux_embed(h, hc, 1.0)
-        dense = aux.to_dense()
-        want = np.zeros((4, 4), complex)
-        want[0, 0] = want[2, 2] = -2j
-        want[1, 0] = want[3, 2] = -1j
-        want[0, 3] = -3j
-        assert np.allclose(dense, want)
+    def test_coefficient_count_checked(self, rng):
+        pattern = sparse.FixedPatternSum(integer_terms(rng, 4, 4, 2)[0])
+        with pytest.raises(sparse.SparseMatrixError, match="coefficients"):
+            pattern.combine(np.ones(3))
 
-    def test_one_norm_vs_dense_oracle(self, rng):
-        m1, d1 = random_sparse_dense_pair(rng, 12)
-        m2, d2 = random_sparse_dense_pair(rng, 12)
-        h1 = sparse.from_dense(d1 + d1.conj().T)
-        h2 = sparse.from_dense(d2 + d2.conj().T)
-        aux = sparse.aux_embed(h1, h2, 0.3)
-        dense = np.block(
-            [
-                [-0.3j * h1.to_dense(), -0.3j * h2.to_dense()],
-                [np.zeros((12, 12)), -0.3j * h1.to_dense()],
-            ]
-        )
-        assert aux.one_norm() == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
-
-    def test_one_norm_subadditive_in_blocks(self, rng):
-        m1, d1 = random_sparse_dense_pair(rng, 10)
-        h = sparse.from_dense(d1 + d1.conj().T)
-        aux = sparse.aux_embed(h, h, 0.7)
-        bound = h.scaled(-0.7j).one_norm() + h.scaled(-0.7j).one_norm()
-        assert aux.one_norm() <= bound + 1e-14
+    def test_stack_is_a_view_of_the_terms(self, rng):
+        d = 9
+        mats, denses = integer_terms(rng, d, d, 5)
+        pattern = sparse.FixedPatternSum(mats)
+        assert pattern.values.size == pattern.positions.size == sum(m.nnz for m in mats)
+        for first, stop in ((0, 5), (1, 4), (2, 3), (4, 5)):
+            stack = pattern.stack(first, stop)
+            assert stack.shape == ((stop - first) * d, d)
+            assert np.shares_memory(stack.values, pattern.values)
+            assert np.array_equal(stack.to_dense(), np.concatenate(denses[first:stop]))
+            y = rng.normal(size=d) + 1j * rng.normal(size=d)
+            rows = stack.matvec(y).reshape(stop - first, d)
+            for t, m in enumerate(mats[first:stop]):
+                assert np.array_equal(rows[t], m.matvec(y))
 
 
 class TestHermiticity:
