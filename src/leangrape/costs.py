@@ -36,14 +36,19 @@ problem: on CSR storage views of the values the problem's step pattern
 holds, which add only their indices, and on dense storage a second copy
 of the controls.  The engine takes the time step as a scale.
 The propagation engine itself adds a per-call scratch overhead that is
-not metered: three work vectors for a product, and for one pull-back,
-besides that, ``m_d + 1`` Taylor terms of its derivative plan (the
-last is written by the term sink but never read), three work vectors
-(the Horner vector, its product and the moved vector) and one
-contraction buffer of ``min(K, CHANNEL_BLOCK) * d`` elements.  The
-state and the co-state are moved back in their own arrays.  None of
-this depends on the number of time steps, of channels or of cost
-terms.
+not metered: three work vectors for a product.  One pull-back on scaling
+and squaring holds the ``m_d`` Taylor terms of its derivative plan that
+it reads and, besides them, either those three vectors, while the state
+or the co-state moves, or, after both moves, the Horner vector (the
+moved state's own array) and one contraction buffer of
+``min(K, CHANNEL_BLOCK) * d`` elements that the Horner product shares:
+``(m_d + max(3, 1 + min(K, CHANNEL_BLOCK))) * d`` elements at its peak.
+On the diagonalization backend a pull-back holds, besides the step's
+Hamiltonian and eigenbasis, at most two and a half complex ``d x d``
+arrays: the matrix it contracts, one product and the kernel's cached
+real factor.  The state and the co-state are moved back in their own
+arrays.  None of this depends on the number of time steps, of channels
+or of cost terms.
 """
 
 from __future__ import annotations

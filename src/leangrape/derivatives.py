@@ -26,9 +26,10 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   ``-i dt tr(W h_k)`` of every channel in one Frobenius form.  A step
   whose Hamiltonian has no nonzero imaginary part is factorized by the
   real symmetric solver: its eigenbasis is float64 and every eigenbasis
-  product runs as a real matrix product.  The divided-difference kernel
-  the derivatives need is built on first use, so a forward sweep never
-  builds it.
+  product runs as a real matrix product.  The real factor of the
+  divided-difference kernel the derivatives need is built on first use,
+  so a forward sweep never builds it, and the complex kernel is formed
+  only a block of rows at a time.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
 or differentiates a step.  Gradients call its
@@ -67,6 +68,10 @@ __all__ = [
 #: backward step holds ``CHANNEL_BLOCK`` state vectors.
 CHANNEL_BLOCK = 4
 
+#: Entries of the complex divided-difference kernel formed at once
+#: (:meth:`DiagFactorization.scale_by_kernel`): 64 KiB.
+_KERNEL_BLOCK = 4096
+
 
 class Backend(Enum):
     SCALING_SQUARING = "scaling_squaring"
@@ -102,10 +107,14 @@ class DiagFactorization:
     eigenvalues of ``A`` and ``exp_eigvals`` their elementwise
     exponentials.  ``kernel[i, j]`` is the divided difference of ``exp``
     at ``eigvals[i]`` and ``eigvals[j]``; with ``eigvals = -i w`` it is
-    ``exp(-i (w_i + w_j) / 2) sinc((w_j - w_i) / 2)``, which is symmetric,
-    tends to ``exp_eigvals[i]`` as the two eigenvalues meet and needs no
-    degeneracy threshold.  Only derivatives read it, so it is built on
-    first use.
+    ``half[i] half[j] sinc[i, j]``, ``half = exp(eigvals / 2)`` and
+    ``sinc[i, j] = sinc((w_j - w_i) / 2)``, which is symmetric, tends to
+    ``exp_eigvals[i]`` as the two eigenvalues meet and needs no degeneracy
+    threshold.  Only derivatives read it, so ``half`` and the real
+    ``d x d`` ``sinc`` are built on first use and cached, and
+    :meth:`scale_by_kernel` forms the complex kernel a block of rows at a
+    time: the step never stores it.  ``kernel`` builds it whole, on each
+    access, for the reference derivative.
     """
 
     dim: int
@@ -114,11 +123,38 @@ class DiagFactorization:
     exp_eigvals: np.ndarray = field(repr=False)
 
     @cached_property
-    def kernel(self) -> np.ndarray:
+    def half(self) -> np.ndarray:
+        return np.exp(0.5 * self.eigvals)
+
+    @cached_property
+    def sinc(self) -> np.ndarray:
+        """``np.sinc((w_j - w_i) / (2 pi))``, by numpy's own steps run in place."""
         w = -self.eigvals.imag
-        half = np.exp(0.5 * self.eigvals)
-        gap = w[None, :] - w[:, None]
-        return np.outer(half, half) * np.sinc(gap / (2 * np.pi))
+        y = w[None, :] - w[:, None]
+        y /= 2 * np.pi
+        y *= np.pi
+        y[y == 0] = np.finfo(np.float64).eps
+        s = np.sin(y)
+        s /= y
+        return s
+
+    @property
+    def kernel(self) -> np.ndarray:
+        return np.outer(self.half, self.half) * self.sinc
+
+    def scale_by_kernel(self, g: np.ndarray) -> None:
+        """``g *= kernel`` in place, :data:`_KERNEL_BLOCK` kernel entries at a time.
+
+        Each block ``outer(half[b], half) * sinc[b]`` rounds every entry as
+        :attr:`kernel` does, so ``g`` comes out the same bit for bit.
+        """
+        half, sinc = self.half, self.sinc
+        rows = max(1, _KERNEL_BLOCK // self.dim)
+        for start in range(0, self.dim, rows):
+            b = slice(start, start + rows)
+            block = np.outer(half[b], half)
+            block *= sinc[b]
+            g[b] *= block
 
 
 def _row_stack(mats: tuple[Matrix, ...]) -> DenseMatrix:
@@ -269,13 +305,8 @@ def diag_prepare(ctx: StepContext) -> DiagFactorization:
     )
 
 
-def _adjoint(s: np.ndarray) -> np.ndarray:
-    """``S^dagger``: the view ``S^T`` of a real eigenbasis, a conjugate copy otherwise."""
-    return s.T if s.dtype == np.float64 else s.conj().T
-
-
 def _basis_product(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``S M`` for an eigenbasis matrix ``S`` (or its adjoint) and a complex ``M``.
+    """``S M`` for an eigenbasis matrix ``S`` (or its transpose) and a complex ``M``.
 
     A real ``S`` multiplies the float64 view of a C-contiguous ``M``: one
     real product over the interleaved real and imaginary columns, where
@@ -284,17 +315,53 @@ def _basis_product(s: np.ndarray, m: np.ndarray) -> np.ndarray:
     if s.dtype != np.float64:
         return s @ m
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    prod = s @ m.view(np.float64).reshape(m.shape[0], -1)
-    return prod.view(np.complex128).reshape(s.shape[0], *m.shape[1:])
+    return (s @ _real_view(m)).view(np.complex128).reshape(s.shape[0], *m.shape[1:])
 
 
-def _real_congruence(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``T M T^T`` for a real ``T``, as the two left products ``T (T M^T)^T``."""
-    return _basis_product(t, _basis_product(t, m.T).T)
+def _real_view(m: np.ndarray) -> np.ndarray:
+    """The float64 view of a C-contiguous complex array, its rows two columns per entry."""
+    return m.view(np.float64).reshape(m.shape[0], -1)
+
+
+def _adjoint_product(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``S^dagger v`` without a conjugate copy of ``S``.
+
+    A real ``S`` multiplies by the view ``S^T``; a complex one runs
+    ``conj(S^T conj(v))``.  Conjugation is exact and every rounding is
+    symmetric under it, so that is the product with ``S^dagger`` bit for
+    bit.
+    """
+    if s.dtype == np.float64:
+        return _basis_product(s.T, v)
+    out = s.T @ v.conj()
+    np.conjugate(out, out=out)
+    return out
+
+
+def _transposed_congruence(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``S G^T S^dagger`` for a C-contiguous ``G``, whose buffer it overwrites.
+
+    One more ``d x d`` array holds the first product, and the second
+    writes into whichever of the two is free.  A real ``S`` runs the two
+    left products ``S (S G)^T``, the second reading ``(S G)^T`` from
+    ``G``'s buffer.  A complex ``S`` runs ``(S G^T) S^dagger`` as
+    ``conj(conj(S G^T) S^T)``, the same number bit for bit (see
+    :func:`_adjoint_product`).
+    """
+    if s.dtype == np.float64:
+        first = _basis_product(s, g)
+        np.copyto(g, first.T)
+        np.matmul(s, _real_view(g), out=_real_view(first))
+        return first
+    first = s @ g.T
+    np.conjugate(first, out=first)
+    np.matmul(first, s.T, out=g)
+    np.conjugate(g, out=g)
+    return g
 
 
 def _diag_propagate(fact: DiagFactorization, psi: np.ndarray, adjoint: bool) -> np.ndarray:
-    coeffs = _basis_product(_adjoint(fact.eigvecs), psi)
+    coeffs = _adjoint_product(fact.eigvecs, psi)
     phases = np.conj(fact.exp_eigvals) if adjoint else fact.exp_eigvals
     return _basis_product(fact.eigvecs, phases * coeffs)
 
@@ -316,8 +383,8 @@ def derivative_action_diag(
     if dense.shape != (fact.dim, fact.dim):
         raise ValueError("derivative generator dimension mismatch")
     s = fact.eigvecs
-    s_h = _adjoint(s)
-    inner = _real_congruence(s_h, dense) if s.dtype == np.float64 else s_h @ dense @ s
+    s_h = s.T if s.dtype == np.float64 else s.conj().T
+    inner = _transposed_congruence(s_h, dense.T.copy())
     inner *= fact.kernel
     return _basis_product(s, inner @ _basis_product(s_h, psi))
 
@@ -401,13 +468,13 @@ class StepEvaluator:
 
         On scaling and squaring the step runs its
         :class:`~leangrape.expm.DerivativePlan` ``(m_d, s)`` stage by stage,
-        from the last stage.  Each stage moves ``psi`` back under the step's
-        plan, then moves the co-state with one :func:`leangrape.expm.apply`
-        at ``+i dt`` whose term sink keeps its Taylor terms ``u_i``, then
-        runs a Horner pass at ``-i dt`` over the stage's ``psi`` (``m_d - 1``
-        products), contracting each ``Y_i`` against ``conj(u_i)``, weighted
-        by ``1 / (i + 1)``, through the row-stacked controls,
-        :data:`CHANNEL_BLOCK` channels per product
+        from the last stage.  Each stage moves the co-state with one
+        :func:`leangrape.expm.apply` at ``+i dt`` whose term sink keeps its
+        Taylor terms ``u_i``, then moves ``psi`` back under the step's plan,
+        then runs a Horner pass at ``-i dt`` over the stage's ``psi``
+        (``m_d - 1`` products), contracting each ``Y_i`` against
+        ``conj(u_i)``, weighted by ``1 / (i + 1)``, through the row-stacked
+        controls, :data:`CHANNEL_BLOCK` channels per product
         (:attr:`ControlOperators.stacks`).  Each stage sums its overlaps
         from zero and the stage sums are added last: the accumulation
         depth ``m_d + s`` that :func:`leangrape.expm.derivative_bound`
@@ -418,10 +485,12 @@ class StepEvaluator:
         moved ``psi`` is ``expm.apply(h_step, psi_n, dplan.state, scale=+i
         dt)``, bit for bit; ``dplan.state`` is the step's plan whenever that
         certifies, and ``psi`` then moves as :meth:`adjoint` moves it.
-        Scratch: ``m_d + 1`` terms (the sink writes ``u_{m_d}`` too, and it
-        is never read), the Horner vector and its product, and one
-        contraction buffer of ``min(K, CHANNEL_BLOCK) d``, besides the
-        engine's own.
+        Scratch: the ``m_d`` terms the pass reads (the sink drops
+        ``u_{m_d}``), and besides them either the engine's three vectors,
+        during a move, or, once both moves are done, the Horner vector (the
+        moved ``psi``'s own array) and one contraction buffer of
+        ``min(K, CHANNEL_BLOCK) d`` that the Horner product shares: at most
+        ``(m_d + max(3, 1 + min(K, CHANNEL_BLOCK))) d`` complex entries.
 
         On the diagonalization backend ``psi`` moves by :meth:`adjoint`
         first.  With ``l = S^H lambda``, ``p = S^H psi`` and the kernel
@@ -430,7 +499,12 @@ class StepEvaluator:
         ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
         whatever the number of channels, and one pass over the stored
         elements of each control, which is never densified.  The co-state
-        then moves by :meth:`adjoint`.
+        then moves by :meth:`adjoint`.  Scratch, besides the step's ``H``
+        and eigenbasis: ``G``, formed in place (the kernel scales it a
+        block of rows at a time, see :meth:`DiagFactorization.scale_by_kernel`),
+        one more ``d x d`` complex array for the products (see
+        :func:`_transposed_congruence`) and the factorization's cached real
+        ``sinc``: two and a half complex ``d x d`` arrays at most.
         """
         d = self.ctx.dim
         for name, v in (("costate", costate), ("psi", psi)):
@@ -447,10 +521,11 @@ class StepEvaluator:
         psi[...] = self.adjoint(psi)
         fact = self._factorization()
         s = fact.eigvecs
-        p = _basis_product(_adjoint(s), psi)
+        p = _adjoint_product(s, psi)
         g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T
-        g *= fact.kernel
-        w = _real_congruence(s, g.T) if s.dtype == np.float64 else s @ g.T @ _adjoint(s)
+        fact.scale_by_kernel(g)
+        w = _transposed_congruence(s, g)
+        del g  # a real basis leaves W in the other buffer; this one is spent
         out = np.array([_trace_product(w, m) for m in self._controls.matrices])
         out *= -1j * self.ctx.dt
         costate[...] = self.adjoint(costate)
@@ -462,43 +537,65 @@ class StepEvaluator:
         state, moves = plan.state.stage(), plan.costate.stage()
         back, ahead = 1j * self.ctx.dt / scaling, -1j * self.ctx.dt / scaling
         order = moves.order
-        # the sink writes term j into row j; the last, u_{m_d}, is never read
-        terms = np.empty((order + 1, d), dtype=np.complex128)
-        y = np.empty(d, dtype=np.complex128)
-        work = np.empty(d, dtype=np.complex128)
-        stacks, parts = self._contraction(d)
+        terms = np.empty((order, d), dtype=np.complex128)
+
+        def keep(j: int, term: np.ndarray) -> None:
+            if j < order:  # the last term, u_{m_d}, is never read
+                terms[j] = term
+
         # each stage sums its terms from zero, then the stage sums add up:
         # the depth m_d + s that expm.derivative_bound charges
-        acc = np.zeros(len(parts), dtype=np.complex128)
-        stage_acc = np.empty_like(acc)
+        acc = np.zeros(len(self._controls.matrices), dtype=np.complex128)
         for _ in range(scaling):
-            psi[...] = expm.apply(h, psi, state, validate=False, scale=back)
-            costate[...] = expm.apply(
-                h, costate, moves, validate=False, scale=back, sink=terms.__setitem__
-            )
+            costate[...] = expm.apply(h, costate, moves, validate=False, scale=back, sink=keep)
             np.conjugate(terms, out=terms)
-            np.copyto(y, psi)  # Y_{m_d - 1}
-            stage_acc.fill(0.0)
-            for i in range(order - 1, -1, -1):
-                for matvec, out, rows, part in stacks:
-                    matvec(y, out=out)
-                    np.dot(rows, terms[i], out=part)
-                parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
-                stage_acc += parts
-                if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
-                    h.matvec(y, out=work)
-                    np.multiply(work, ahead / (i + 1), out=y)
-                    y += psi
-            acc += stage_acc
+            acc += self._stage_overlaps(terms, psi, state, back, ahead)
         acc *= ahead
         return acc
 
+    def _stage_overlaps(
+        self,
+        terms: np.ndarray,
+        psi: np.ndarray,
+        state: expm.ExpmPlan,
+        back: complex,
+        ahead: complex,
+    ) -> np.ndarray:
+        """Move ``psi`` back one stage and sum the stage's overlaps from zero.
+
+        The moved state's own array is the Horner vector ``Y_{m_d - 1}``,
+        and the contraction buffer is allocated only once the engine's
+        scratch is freed; both are freed on return, before the next stage
+        moves.
+        """
+        h, d = self.ctx.h_step, self.ctx.dim
+        y = expm.apply(h, psi, state, validate=False, scale=back)
+        psi[...] = y
+        stacks, work, parts = self._contraction(d)
+        total = np.zeros(parts.size, dtype=np.complex128)
+        for i in range(len(terms) - 1, -1, -1):
+            for matvec, out, rows, part in stacks:
+                matvec(y, out=out)
+                np.dot(rows, terms[i], out=part)
+            parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
+            total += parts
+            if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
+                h.matvec(y, out=work)
+                np.multiply(work, ahead / (i + 1), out=y)
+                y += psi
+        return total
+
     def _contraction(self, d: int):
-        """One buffer of ``min(K, CHANNEL_BLOCK) d`` for the stacks' products.
+        """One buffer of ``min(K, CHANNEL_BLOCK) d`` for the stacks' and the Horner products.
 
         Returns, per stack, its ``matvec``, the buffer it writes ``h_k y``
         into, that buffer as ``(w, d)`` rows and the ``w`` entries of
-        ``parts`` the rows' overlaps with one Taylor term go to.
+        ``parts`` the rows' overlaps with one Taylor term go to; then the
+        buffer's first ``d`` entries, where the Horner product goes (each
+        stack's product is read before the next Horner product), and
+        ``parts``.  Where a product fills the whole buffer it writes into
+        the buffer itself, not a view, so it skips the overlap test
+        :meth:`~leangrape.sparse.CsrMatrix.matvec` runs on views.
         """
         stacks = self._controls.stacks
         buf = np.empty(max(op.n_rows for op in stacks), dtype=np.complex128)
@@ -506,10 +603,10 @@ class StepEvaluator:
         out, k = [], 0
         for op in stacks:
             w = op.n_rows // d
-            rows = buf[: op.n_rows]
+            rows = buf if op.n_rows == buf.size else buf[: op.n_rows]
             out.append((op.matvec, rows, rows.reshape(w, d), parts[k : k + w]))
             k += w
-        return out, parts
+        return out, buf if buf.size == d else buf[:d], parts
 
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.

@@ -12,7 +12,9 @@ sums of CSR matrices (:class:`FixedPatternSum`, and through it
 :func:`linear_combine`) run on its transpose-product kernel
 ``csc_matvec``: the terms' values, stored once and term by term, are the
 columns of a ``(union position x term)`` matrix, and the kernel adds each
-position's terms in term order.
+position's terms in term order.  The Hermiticity checks merge a matrix
+with its conjugate transpose (``csr_tocsc``) through ``csr_plus_csr`` or
+``csr_minus_csr``.
 """
 
 from __future__ import annotations
@@ -410,8 +412,8 @@ class FixedPatternSum:
         )
 
 
-def _max_abs_combination(a: Matrix, b_coeff: complex) -> float:
-    """max |a + b_coeff * a^dagger| over stored positions of the combination."""
+def _max_abs_combination(a: Matrix, b_coeff: float) -> float:
+    """max |a + b_coeff * a^dagger| of a square matrix, for ``b_coeff`` +1 or -1."""
     if isinstance(a, DenseMatrix):
         if not a.array.size:
             return 0.0
@@ -420,10 +422,22 @@ def _max_abs_combination(a: Matrix, b_coeff: complex) -> float:
         combined *= b_coeff
         combined += a.array
         return float(np.abs(combined).max())
-    combined = linear_combine([1.0, b_coeff], [a, a.conj_transpose()])
-    if combined.nnz == 0:
-        return 0.0
-    return float(np.abs(combined.values).max())
+    # a^T is a's compressed-column form, its row indices sorted; both operands
+    # are canonical, so the kernel merges the rows, one rounding per entry
+    kernels, n, nnz = _sparsetools(), a.n_rows, a.nnz
+    t_offsets, t_indices = np.empty(n + 1, np.int64), np.empty(nnz, np.int64)
+    t_values = np.empty(nnz, np.complex128)
+    kernels.csr_tocsc(n, n, a.row_offsets, a.col_indices, a.values, t_offsets, t_indices, t_values)
+    np.conjugate(t_values, out=t_values)
+    binop = kernels.csr_plus_csr if b_coeff == 1.0 else kernels.csr_minus_csr
+    offsets, indices = np.empty(n + 1, np.int64), np.empty(2 * nnz, np.int64)
+    values = np.empty(2 * nnz, np.complex128)
+    binop(
+        n, n, a.row_offsets, a.col_indices, a.values,
+        t_offsets, t_indices, t_values, offsets, indices, values,
+    )
+    # the kernel drops exact zeros; offsets[-1] counts what it kept
+    return float(np.abs(values[: offsets[-1]]).max(initial=0.0))
 
 
 def is_hermitian(m: Matrix, tol: float) -> bool:

@@ -34,6 +34,16 @@ def dense_embedding(h, hc, dt):
     return np.block([[gen, ctrl], [np.zeros_like(gen), gen]])
 
 
+def transient_peak(call) -> int:
+    """Bytes ``call()`` holds at its peak beyond what was allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def fd_derivative(h_dense, hc_dense, a, dt, psi, eps=1e-6):
     up = scipy_expm(-1j * (h_dense + (a + eps) * hc_dense) * dt) @ psi
     dn = scipy_expm(-1j * (h_dense + (a - eps) * hc_dense) * dt) @ psi
@@ -538,6 +548,38 @@ class TestPullBack:
         # a copy of H (or a d x 2d embedding row) per channel would add 16 d^2 bytes each
         assert kept < 16 * d * d, kept
 
+    @pytest.mark.parametrize("dt, scaling", [(0.05, 1), (1.0, 2)])
+    def test_taylor_step_peaks_at_terms_plus_moves_or_horner(self, dt, scaling):
+        # m_d terms, then the engine's three vectors or the Horner vector and
+        # the contraction buffer, never both
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=8))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.SCALING_SQUARING, 1e-10)
+        step = problem.step_evaluator(costs.ControlField.constant(0.3, 1, len(hcs), dt), 0)
+        d, w = problem.dim, min(len(hcs), CHANNEL_BLOCK)
+        psi, lam = models.fock_state(d, 0), models.fock_state(d, d - 1)
+        step.pull_back(lam.copy(), psi.copy())  # plans the step and builds the stacks
+        plan = step._derivative_plan()
+        m_d = plan.costate.order
+        assert plan.costate.scaling == scaling and w == CHANNEL_BLOCK
+        peak = transient_peak(lambda: step.pull_back(lam, psi))
+        assert peak <= 16 * d * (m_d + max(3, 1 + w)) + 8192, (peak, 16 * d)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_eigen_step_peaks_at_the_arrays_it_reads(self, rng, real):
+        # G, one more d x d array for the products and the kernel's real factor
+        d = 160
+        h = random_real_symmetric(rng, d) if real else random_hermitian(rng, d)
+        controls = tuple(sparse.DenseMatrix(random_real_symmetric(rng, d)) for _ in range(2))
+        problem = costs.ControlProblem(
+            sparse.DenseMatrix(h), controls, Backend.DIAGONALIZATION, 1e-10
+        )
+        step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, 2, 0.3), 0)
+        psi, lam = random_state(rng, d), random_state(rng, d)
+        step.forward(psi)  # a fresh factorization: the kernel is not built yet
+        assert (step._factorization().eigvecs.dtype == np.float64) == real
+        peak = transient_peak(lambda: step.pull_back(lam, psi))
+        assert peak <= 2.5 * 16 * d * d + 16 * 16 * d, (peak, 16 * d * d)
+
 
 class TestFrechetOracle:
     """Overlaps against ``scipy.linalg.expm_frechet``: within ``tau`` for unit vectors."""
@@ -680,14 +722,50 @@ class TestRealEigenbasis:
         psi = random_state(rng, d)
         step.adjoint(step.forward(psi))
         fact = step._factorization()
-        assert "kernel" not in fact.__dict__
+        assert "sinc" not in fact.__dict__
         step.pull_back(psi.copy(), psi)
-        assert "kernel" in fact.__dict__
+        # the kernel's real factor is cached; the complex kernel is never stored
+        assert "sinc" in fact.__dict__ and fact.sinc.dtype == np.float64
+        assert "kernel" not in fact.__dict__
         # the eager formula, from the eigenvalues of the solver diag_prepare picks for h
         w = np.linalg.eigh(h * dt)[0]
         half = np.exp(0.5 * fact.eigvals)
         eager = np.outer(half, half) * np.sinc((w[None, :] - w[:, None]) / (2 * np.pi))
         assert np.array_equal(fact.kernel, eager)
+
+
+class TestEigenbasisArithmetic:
+    """The in-place forms of the eigen backward step give the unshared forms' numbers."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_blocked_kernel_scaling_is_the_full_product(self, rng, real):
+        d = 150  # the last block of rows is partial
+        h = random_real_symmetric(rng, d) if real else random_hermitian(rng, d)
+        fact = diag_prepare(make_step(h, [], 0.4, Backend.DIAGONALIZATION).ctx)
+        g = np.multiply.outer(random_state(rng, d), random_state(rng, d))
+        # in place, as the product was written: numpy's complex product is not
+        # commutative bit for bit, and `g * kernel` may run as `kernel *= g`
+        want = g.copy()
+        want *= fact.kernel
+        fact.scale_by_kernel(g)
+        assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_shared_buffers_give_the_unshared_products(self, rng, real):
+        d = 40
+        h = random_real_symmetric(rng, d) if real else random_hermitian(rng, d)
+        s = diag_prepare(make_step(h, [], 0.4, Backend.DIAGONALIZATION).ctx).eigvecs
+        assert (s.dtype == np.float64) == real
+        g = np.multiply.outer(random_state(rng, d), random_state(rng, d))
+        v = random_state(rng, d)
+        if real:
+            basis = derivatives._basis_product
+            want = basis(s, basis(s, g).T)
+            assert np.array_equal(derivatives._adjoint_product(s, v), basis(s.T, v))
+        else:
+            want = s @ g.T @ s.conj().T
+            assert np.array_equal(derivatives._adjoint_product(s, v), s.conj().T @ v)
+        assert np.array_equal(derivatives._transposed_congruence(s, g), want)
 
 
 def fd_gradient(cost, field, eps=1e-6):

@@ -300,6 +300,25 @@ class TestHermiticity:
             assert got == sparse._max_abs_combination(sparse.from_dense(arr), b_coeff)
         assert sparse._max_abs_combination(sparse.DenseMatrix(np.zeros((0, 0))), b_coeff) == 0.0
 
+    @pytest.mark.parametrize("b_coeff", [-1.0, 1.0])
+    def test_csr_defect_matches_dense(self, rng, b_coeff):
+        d = 9
+        for density in (0.0, 0.2, 0.6):
+            arr = random_sparse_dense_pair(rng, d, density)[1]
+            arr[[2, 5]] = 0.0  # empty rows
+            # one pair that cancels exactly under b_coeff, and one that doubles
+            arr[0, 7], arr[7, 0] = 1.5 - 2j, -b_coeff * np.conj(1.5 - 2j)
+            arr[1, 3], arr[3, 1] = 0.25j, b_coeff * np.conj(0.25j)
+            for m in (arr, arr + b_coeff * arr.conj().T):
+                want = np.abs(m + b_coeff * m.conj().T).max()
+                assert sparse._max_abs_combination(sparse.from_dense(m), b_coeff) == want
+        assert sparse._max_abs_combination(sparse.build_csr([], d, d), b_coeff) == 0.0
+
+    def test_non_square_is_refused(self):
+        m = sparse.build_csr([(0, 0, 1.0), (1, 2, 1j)], 2, 3)
+        assert not sparse.is_hermitian(m, math.inf)
+        assert not sparse.is_anti_hermitian(m, math.inf)
+
 
 class TestDumpLoad:
     def test_round_trip(self, rng, tmp_path):
