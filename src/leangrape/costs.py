@@ -49,6 +49,16 @@ arrays: the matrix it contracts, one product and the kernel's cached
 real factor.  The state and the co-state are moved back in their own
 arrays.  None of this depends on the number of time steps, of channels
 or of cost terms.
+
+A gate cost or gradient adds, besides its per-step arrays, one target
+image ``U_T |psi_0^h>`` (which the final cost's co-state starts in) and
+no ``d x d`` array: a computational basis state is built when its sweep
+starts, its target image is a copy of one column of ``U_T``, a real
+``U_T`` is read as float64, and the target's unitarity check forms one
+column of ``U_T^dagger U_T`` at a time.  On CSR storage with scaling and
+squaring a gate gradient's bytes are therefore ``O(nnz + m_d d)``, like a
+state gradient's; the caller's ``U_T`` and a given basis are ``d x d``
+and held outside the sweeps.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .derivatives import Backend, ControlOperators, StepContext, StepEvaluator
+from .derivatives import Backend, ControlOperators, StepContext, StepEvaluator, _basis_product
 from .sparse import DenseMatrix, FixedPatternSum, Matrix, is_hermitian, linear_combine
 
 __all__ = [
@@ -143,7 +153,7 @@ class ControlProblem:
     :func:`composite_grad`; gate costs use ``basis`` (computational basis
     when omitted).  A given basis is checked here, once: ``dim`` states,
     each finite and normalized, orthonormal together; the checked states
-    are kept as a tuple of complex arrays.
+    are kept as a tuple of complex arrays, the rows of one ``d x d`` copy.
 
     Step Hamiltonians of CSR problems are assembled on the union
     sparsity pattern of ``h_static`` and ``h_controls``
@@ -181,11 +191,13 @@ class ControlProblem:
         d = self.dim
         if len(basis) != d:
             raise ValueError(f"basis must contain {d} states, got {len(basis)}")
-        states = tuple(_as_state(b, d, f"basis[{i}]") for i, b in enumerate(basis))
-        b = np.stack(states, axis=1)
-        if np.abs(b.conj().T @ b - np.eye(d)).max() > 1e-10:
+        rows = np.empty((d, d), dtype=np.complex128)
+        for i, b in enumerate(basis):
+            rows[i] = _as_state(b, d, f"basis[{i}]")
+        if _unitarity_defect(rows.T) > 1e-10:
             raise ValueError("gate basis is not orthonormal")
-        return states
+        rows.flags.writeable = False
+        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -250,10 +262,11 @@ class CostTerm:
             u = np.asarray(self.target_gate)
             if u.ndim != 2 or u.shape[0] != u.shape[1]:
                 raise ValueError(f"target gate must be square, got shape {u.shape}")
-            if not np.isfinite(u).all():
+            defect = _unitarity_defect(u)
+            # a finite gate whose products overflow is refused below, as not unitary
+            if not math.isfinite(defect) and not all(np.isfinite(c).all() for c in u.T):
                 raise ValueError("target gate has non-finite entries")
-            defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-            if defect > 1e-10:
+            if not defect <= 1e-10:
                 raise ValueError(f"target gate is not unitary (defect {defect:.2e})")
 
 
@@ -295,6 +308,25 @@ def _check_state(psi: np.ndarray, name: str) -> None:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"{name} is not normalized (norm {norm:.12g})")
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """``max |U^dagger U - 1|`` over the entries of a square ``U``; not finite unless ``U`` is.
+
+    Column ``j`` of ``U^dagger U`` is ``conj(U^T conj(u_j))``, a product
+    with the transpose view, so no conjugate copy of ``U`` and no other
+    ``d x d`` array is formed; the outer ``conj`` leaves the moduli alone
+    and is skipped.  A non-finite entry of column ``j`` makes diagonal
+    entry ``j`` non-finite, and ``np.maximum`` keeps it.
+    """
+    worst = np.zeros(u.shape[1])
+    modulus = np.empty(u.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reads a non-finite defect
+        for j, u_j in enumerate(u.T):
+            column = u.T @ np.conj(u_j)
+            column[j] -= 1.0
+            np.maximum(worst, np.abs(column, out=modulus), out=worst)
+    return float(worst.max())
 
 
 def _as_state(psi: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -344,12 +376,15 @@ def _state_forward(
     """Forward sweep of the state costs from a validated ``psi0``.
 
     Returns the final state (still held on ``meter``) and the weighted
-    cost of ``terms``.  With no terms this is plain propagation.
+    cost of ``terms``.  With no terms this is plain propagation.  Every
+    step returns a new array, so ``psi0`` is only read, and a state the
+    caller built for this sweep alone is freed by the first step.
     """
     n_steps = a.n_steps
     penalty_sums = {}
     overlap_sums = {}
-    psi = meter.grab(psi0.copy())
+    psi = meter.grab(psi0)
+    del psi0
     for n in range(n_steps):
         nxt = meter.grab(step(n).forward(psi))
         meter.release(psi)
@@ -471,18 +506,36 @@ def c3_state_grad(
 # gate costs
 
 
-def _gate_inputs(
-    problem: ControlProblem, u_target: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Checked target gate and the problem's basis states (computational when omitted)."""
-    d = problem.dim
-    u_target = np.asarray(u_target, dtype=np.complex128)
-    if u_target.shape != (d, d):
+def _gate_target(problem: ControlProblem, u_target: np.ndarray) -> np.ndarray:
+    """The target gate as float64 when real and complex128 otherwise, not copied when it is."""
+    u_target = np.asarray(u_target)
+    if u_target.shape != (problem.dim, problem.dim):
         raise ValueError("target gate dimension mismatch")
-    if problem.basis is None:
-        eye = np.eye(d, dtype=np.complex128)
-        return u_target, tuple(eye[:, h] for h in range(d))
-    return u_target, problem.basis
+    return np.asarray(u_target, np.complex128 if np.iscomplexobj(u_target) else np.float64)
+
+
+def _basis_state(basis: tuple[np.ndarray, ...] | None, d: int, h: int) -> np.ndarray:
+    """Basis state ``h``: the problem's own, or the computational one built for one sweep."""
+    if basis is not None:
+        return basis[h]
+    state = np.zeros(d, dtype=np.complex128)
+    state[h] = 1.0
+    return state
+
+
+def _target_image(
+    u_target: np.ndarray, basis: tuple[np.ndarray, ...] | None, h: int
+) -> np.ndarray:
+    """``U_T |psi_0^h>`` in a new complex array.
+
+    In the computational basis it is a copy of column ``h`` of ``U_T``,
+    with no product.  A real ``U_T`` multiplies a given basis state as
+    real products (:func:`~leangrape.derivatives._basis_product`), with no
+    complex copy of ``U_T``.
+    """
+    if basis is None:
+        return u_target[:, h].astype(np.complex128)
+    return _basis_product(u_target, basis[h])
 
 
 def _gate_cost(traces: np.ndarray, d: int, running: bool) -> float:
@@ -496,21 +549,23 @@ def _gate_forward(
     step: Callable[[int], StepEvaluator],
     a: ControlField,
     u_target: np.ndarray,
-    states: tuple[np.ndarray, ...],
+    basis: tuple[np.ndarray, ...] | None,
     running: bool,
     meter: VectorMeter,
 ) -> tuple[np.ndarray, float]:
     """Forward-propagate every basis state; return the trace factors and the cost.
 
     ``traces[n]`` is ``tr(U_T^+ U_{n,1})``, accumulated at every step for the
-    running cost and at the last step only otherwise.
+    running cost and at the last step only otherwise.  ``u_target`` comes
+    from :func:`_gate_target` and ``basis`` is the problem's (None for the
+    computational basis).
     """
-    d = len(states)
+    d = u_target.shape[0]
     n_steps = a.n_steps
     traces = np.zeros(n_steps, dtype=np.complex128)
     for h in range(d):
-        target_image = meter.grab(u_target @ states[h])  # U_T |psi_0^h>
-        psi = meter.grab(states[h].copy())
+        target_image = meter.grab(_target_image(u_target, basis, h))
+        psi = meter.grab(_basis_state(basis, d, h))  # only read: each step returns a new array
         for n in range(n_steps):
             nxt = meter.grab(step(n).forward(psi))
             meter.release(psi)
@@ -543,14 +598,23 @@ def _gate_pass(
     O(1); only the per-step arrays persist: N trace factors, the complex
     overlap accumulator and the gradient, all allocated before the first
     sweep.
+
+    In bytes, besides those arrays, a sweep holds what a state gradient
+    holds plus the target image, and no ``d x d`` array: a computational
+    basis state is built when its sweep starts and freed by its first
+    step, its target image is a copy of column ``h`` of ``U_T``, and a
+    real ``U_T`` is not copied to complex.  ``u_target`` is not checked
+    for unitarity here; the gate gradients check it through
+    :class:`CostTerm`, and a composite term was checked when it was made.
     """
-    u_target, states = _gate_inputs(problem, u_target)
+    u_target = _gate_target(problem, u_target)
+    basis = problem.basis
     d = problem.dim
     n_steps, n_channels = a.n_steps, a.n_channels
     step = _step_evaluators(problem, a)
     meter = VectorMeter(d)
     if running:
-        traces, cost = _gate_forward(step, a, u_target, states, True, meter)
+        traces, cost = _gate_forward(step, a, u_target, basis, True, meter)
     else:
         traces = np.zeros(n_steps, dtype=np.complex128)
 
@@ -558,8 +622,8 @@ def _gate_pass(
     # held from the start: the sweeps peak with every per-step array already live
     grad = np.empty((n_steps, n_channels))
     for h in range(d):
-        target_image = meter.grab(u_target @ states[h])
-        psi = _state_forward(step, a, states[h], [], meter)[0]
+        target_image = meter.grab(_target_image(u_target, basis, h))
+        psi = _state_forward(step, a, _basis_state(basis, d, h), [], meter)[0]
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:
@@ -587,12 +651,14 @@ def _gate_pass(
 
 def c1_gate_grad(problem: ControlProblem, a: ControlField, u_target: np.ndarray) -> GradientResult:
     """Gate infidelity ``1 - |tr(U_T^+ U_R)/d|^2`` and its gradient."""
-    return _gate_pass(problem, a, u_target, running=False)
+    term = CostTerm(CostKind.GATE_INFIDELITY, target_gate=u_target)
+    return _gate_pass(problem, a, term.target_gate, running=False)
 
 
 def c3_gate_grad(problem: ControlProblem, a: ControlField, u_target: np.ndarray) -> GradientResult:
     """Running gate infidelity ``1 - sum_n |tr(U_T^+ U_{n,1})|^2 / (N d^2)``."""
-    return _gate_pass(problem, a, u_target, running=True)
+    term = CostTerm(CostKind.GATE_RUNNING_INFIDELITY, target_gate=u_target)
+    return _gate_pass(problem, a, term.target_gate, running=True)
 
 
 # ---------------------------------------------------------------------------
@@ -740,9 +806,9 @@ def composite_cost(
         psi, state_cost = _state_forward(step, a, psi0, state_terms, meter)
         total += state_cost
     for term in gate_terms:
-        u_target, states = _gate_inputs(problem, term.target_gate)
+        u_target = _gate_target(problem, term.target_gate)
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
-        total += term.weight * _gate_forward(step, a, u_target, states, running, meter)[1]
+        total += term.weight * _gate_forward(step, a, u_target, problem.basis, running, meter)[1]
     if record is not None:
         record._keep(problem, a, terms, step, psi, state_cost)
     return float(total)

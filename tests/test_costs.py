@@ -289,6 +289,112 @@ class TestGateBasis:
         assert got.cost == pytest.approx(want.cost, abs=1e-12)
         assert np.abs(got.grad - want.grad).max() <= 1e-12
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_identity_basis_equals_the_computational_basis(self, rng, backend, gradient):
+        # built basis states and target columns give the numbers the stored ones give
+        d, n, k = 6, 3, 2
+        problem = make_problem(rng, d, k, backend)
+        given = dataclasses.replace(problem, basis=list(np.eye(d)))
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(scale=0.5, size=(n, k)))
+        want = gradient(given, field, u_target)
+        got = gradient(problem, field, u_target)
+        assert got.cost == want.cost
+        assert np.array_equal(got.grad, want.grad)
+
+
+class TestGateTargets:
+    """The gate gradients check their target as :class:`CostTerm` does, and read a real one as it is."""
+
+    @staticmethod
+    def chain_point():
+        h_static, h_controls = models.build_qubit_chain(models.QubitChainParams(n_qubits=2))
+        problem = costs.ControlProblem(h_static, tuple(h_controls))
+        k = len(h_controls)
+        return problem, costs.ControlField.constant(0.3, 3, k, 0.1)
+
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_non_finite_target_refused(self, gradient):
+        problem, field = self.chain_point()
+        target = np.eye(problem.dim, dtype=complex)
+        target[1, 2] = np.nan
+        with pytest.raises(ValueError, match="target gate has non-finite entries"):
+            gradient(problem, field, target)
+
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_non_unitary_target_refused(self, gradient):
+        problem, field = self.chain_point()
+        with pytest.raises(ValueError, match=r"target gate is not unitary \(defect 3.00e\+00\)"):
+            gradient(problem, field, 2.0 * np.eye(problem.dim))
+
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_non_square_target_refused(self, gradient):
+        problem, field = self.chain_point()
+        with pytest.raises(ValueError, match="target gate must be square"):
+            gradient(problem, field, np.eye(problem.dim, 3))
+
+    def test_composite_terms_are_not_checked_again(self, monkeypatch):
+        problem, field = self.chain_point()
+        term = CostTerm(CostKind.GATE_INFIDELITY, target_gate=np.eye(problem.dim))
+        checks = []
+        monkeypatch.setattr(costs, "_unitarity_defect", lambda u: checks.append(u) or 0.0)
+        costs.composite_grad(problem, field, [term])
+        costs.composite_cost(problem, field, [term])
+        assert not checks
+        costs.c1_gate_grad(problem, field, term.target_gate)
+        assert len(checks) == 1
+
+    @staticmethod
+    def real_target(rng, d):
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        return u
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_real_target_equals_its_complex_copy(self, rng, backend, gradient):
+        d, n, k = 5, 3, 2
+        problem = make_problem(rng, d, k, backend)
+        columns, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rotated = dataclasses.replace(problem, basis=list(columns.T))
+        u_real = self.real_target(rng, d)
+        field = costs.ControlField(n, k, 0.3, rng.normal(scale=0.5, size=(n, k)))
+        want = gradient(problem, field, u_real.astype(complex))
+        got = gradient(problem, field, u_real)
+        assert got.cost == want.cost
+        assert np.array_equal(got.grad, want.grad)
+        # a given basis multiplies the real target as real products
+        want = gradient(rotated, field, u_real.astype(complex))
+        got = gradient(rotated, field, u_real)
+        scale = np.abs(want.grad).max()
+        assert got.cost == pytest.approx(want.cost, rel=1e-14, abs=1e-15)
+        assert np.abs(got.grad - want.grad).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_real_target_adds_no_square_array(self, rng, rotated):
+        d, n, k = 96, 2, 2
+        band = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
+        controls = tuple(sparse.from_dense(random_hermitian(rng, d) * band) for _ in range(k))
+        problem = costs.ControlProblem(
+            sparse.from_dense(random_hermitian(rng, d) * band), controls, tau=1e-10
+        )
+        if rotated:
+            columns, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            problem = dataclasses.replace(problem, basis=list(columns.T))
+        u_real = self.real_target(rng, d)
+        u_complex = u_real.astype(complex)
+        field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.3, size=(n, k)))
+        peaks = []
+        for target in (u_complex, u_real):
+            costs.c1_gate_grad(problem, field, target)  # fill the caches first
+            peaks.append(
+                TestBytesIndependentOfSteps.traced_peak(
+                    lambda: costs.c1_gate_grad(problem, field, target)
+                )[0]
+            )
+        # a float64 copy of the target would add 8 d^2 bytes, a complex one 16 d^2
+        assert peaks[1] - peaks[0] <= 16 * d, peaks
+
 
 class TestC3Gate:
     def test_identity_everything(self, rng):
@@ -772,6 +878,51 @@ class TestBytesIndependentOfSteps:
                 step_arrays += 2 * result.grad.nbytes + 16 * field.n_steps
             net.append(peak - step_arrays)
         assert abs(net[1] - net[0]) <= 16 * d, net
+
+
+class TestGateBytesLinearInDimension:
+    """A gate cost or gradient holds no ``d x d`` array: its traced peak grows like ``d``.
+
+    On ``three_transmons`` with CSR storage and scaling and squaring the
+    step operators hold ``O(d)`` stored values, so the peak, minus the
+    per-step arrays, is the state vectors a sweep holds plus the step's
+    operators.  Going from d=27 to d=216 it may grow by at most 1.25 times
+    the ratio of dimensions; an identity matrix, a complex copy of the
+    target or a ``U^dagger U`` in its unitarity check would each add
+    ``16 d^2`` bytes, 729 KiB at d=216.  The target gate belongs to the
+    caller and is built outside the count.
+    """
+
+    @staticmethod
+    def net_peaks(d_each, n=4):
+        h_static, h_controls = models.build_three_transmons(
+            models.ThreeTransmonParams(d_each=d_each)
+        )
+        problem = costs.ControlProblem(h_static, tuple(h_controls), tau=1e-8)
+        k = len(h_controls)
+        field = costs.ControlField.constant(0.6, n, k, 0.02)
+        u_target = models.hadamard_target(3, d_each)
+        term = CostTerm(CostKind.GATE_INFIDELITY, target_gate=u_target)
+        # each gradient's step arrays: the gradient, its complex accumulator and the traces
+        step_arrays = 3 * 8 * n * k + 16 * n
+        calls = {
+            "c1_gate_grad": (lambda: costs.c1_gate_grad(problem, field, u_target), step_arrays),
+            "c3_gate_grad": (lambda: costs.c3_gate_grad(problem, field, u_target), step_arrays),
+            "composite_cost": (lambda: costs.composite_cost(problem, field, [term]), 16 * n),
+        }
+        net = {}
+        for name, (call, held) in calls.items():
+            call()  # fill the problem's and the planner's caches first
+            net[name] = TestBytesIndependentOfSteps.traced_peak(call)[0] - held
+        return problem.dim, net
+
+    def test_peak_grows_like_the_dimension(self):
+        d_small, small = self.net_peaks(3)
+        d_large, large = self.net_peaks(6)
+        assert (d_small, d_large) == (27, 216)
+        for name in small:
+            assert large[name] <= 1.25 * (d_large / d_small) * small[name], (name, small, large)
+            assert large[name] < 16 * d_large**2, (name, large)
 
 
 class TestHeldBytes:
