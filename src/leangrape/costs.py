@@ -29,8 +29,9 @@ forward sweep per trial and one backward sweep per gradient.
 
 Live-vector instrumentation: every gradient routine counts the state
 vectors it holds through a :class:`VectorMeter` and reports the peak in
-its :class:`GradientResult`.  A step stores its Hamiltonian once, and
-the problem its controls once, whatever ``dt``; the first
+its :class:`GradientResult`.  A step stores its Hamiltonian once (on
+the diagonalization backend only until it factorizes), and the problem
+its controls once, whatever ``dt``; the first
 scaling-and-squaring gradient adds the controls' row stacks, per
 problem: on CSR storage views of the values the problem's step pattern
 holds, which add only their indices, and on dense storage a second copy
@@ -43,11 +44,13 @@ or the co-state moves, or, after both moves, the Horner vector (the
 moved state's own array) and one contraction buffer of
 ``min(K, CHANNEL_BLOCK) * d`` elements that the Horner product shares:
 ``(m_d + max(3, 1 + min(K, CHANNEL_BLOCK))) * d`` elements at its peak.
-On the diagonalization backend a pull-back holds, besides the step's
-Hamiltonian and eigenbasis, at most two and a half complex ``d x d``
-arrays: the matrix it contracts, one product and the kernel's cached
-real factor.  The state and the co-state are moved back in their own
-arrays.  None of this depends on the number of time steps, of channels
+On the diagonalization backend the factorization consumes the step's
+Hamiltonian, scaling its assembled array in place as the eigensolver's
+input, so a step holds only its eigenbasis; a pull-back holds, besides
+it, at most two complex ``d x d`` arrays: the matrix it contracts and
+one product.  The divided-difference kernel is formed a block of rows
+at a time, never stored.  The state and the co-state are moved back in
+their own arrays.  None of this depends on the number of time steps, of channels
 or of cost terms.
 
 A gate cost or gradient adds, besides its per-step arrays, one target

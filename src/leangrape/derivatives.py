@@ -26,10 +26,12 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   ``-i dt tr(W h_k)`` of every channel in one Frobenius form.  A step
   whose Hamiltonian has no nonzero imaginary part is factorized by the
   real symmetric solver: its eigenbasis is float64 and every eigenbasis
-  product runs as a real matrix product.  The real factor of the
-  divided-difference kernel the derivatives need is built on first use,
-  so a forward sweep never builds it, and the complex kernel is formed
-  only a block of rows at a time.
+  product runs as a real matrix product.  The factorization consumes
+  the step's Hamiltonian: the solver's input is the step's own assembled
+  array, scaled by ``dt`` in place, and the step keeps only its
+  eigenbasis and eigenvalues.  The divided-difference kernel the
+  derivatives need, its real factor included, is formed per block of
+  rows, never stored.
 
 Both sit behind :class:`StepEvaluator`, the one object that propagates
 or differentiates a step.  Gradients call its
@@ -54,6 +56,7 @@ from .sparse import DenseMatrix, FixedPatternSum, Matrix
 
 __all__ = [
     "Backend",
+    "HamiltonianReleasedError",
     "DiagFactorization",
     "ControlOperators",
     "CHANNEL_BLOCK",
@@ -68,8 +71,9 @@ __all__ = [
 #: backward step holds ``CHANNEL_BLOCK`` state vectors.
 CHANNEL_BLOCK = 4
 
-#: Entries of the complex divided-difference kernel formed at once
-#: (:meth:`DiagFactorization.scale_by_kernel`): 64 KiB.
+#: Entries of the divided-difference kernel formed at once
+#: (:meth:`DiagFactorization.scale_by_kernel`): 64 KiB complex, and its
+#: real factor 32 KiB.
 _KERNEL_BLOCK = 4096
 
 
@@ -78,24 +82,46 @@ class Backend(Enum):
     DIAGONALIZATION = "diagonalization"
 
 
-@dataclass(frozen=True)
+class HamiltonianReleasedError(RuntimeError):
+    """A step's Hamiltonian was read after its factorization consumed it."""
+
+
 class StepContext:
     """One time step: combined Hamiltonian, dt and engine choice.
 
     ``h_step`` already contains the control amplitudes of the step, i.e.
     it is ``H_s + sum_k a_k h_k``; it is assembled by
     :meth:`leangrape.costs.ControlProblem.step_evaluator` from operators
-    checked there.
+    checked there, into an array of its own.  On the diagonalization
+    backend the step's first product consumes it (``diag_prepare(ctx,
+    consume=True)``): the array is overwritten by ``dt H`` and released,
+    and reading ``h_step`` from then on raises
+    :class:`HamiltonianReleasedError`.  Read it before the step's first
+    product.  ``dim`` is stored, so it outlives ``h_step``.
     """
 
-    h_step: Matrix
-    dt: float
-    backend: Backend
-    tau: float
+    __slots__ = ("_h_step", "dt", "backend", "tau", "dim")
+
+    def __init__(self, h_step: Matrix, dt: float, backend: Backend, tau: float):
+        self._h_step: Matrix | None = h_step
+        self.dt = dt
+        self.backend = backend
+        self.tau = tau
+        self.dim: int = h_step.n_rows
 
     @property
-    def dim(self) -> int:
-        return self.h_step.n_rows
+    def h_step(self) -> Matrix:
+        if self._h_step is None:
+            raise HamiltonianReleasedError(
+                "the step's Hamiltonian was consumed by its eigenfactorization"
+            )
+        return self._h_step
+
+    def release_hamiltonian(self) -> Matrix:
+        """``h_step``, which the step no longer holds once this returns."""
+        h = self.h_step
+        self._h_step = None
+        return h
 
 
 @dataclass(frozen=True)
@@ -110,11 +136,12 @@ class DiagFactorization:
     ``half[i] half[j] sinc[i, j]``, ``half = exp(eigvals / 2)`` and
     ``sinc[i, j] = sinc((w_j - w_i) / 2)``, which is symmetric, tends to
     ``exp_eigvals[i]`` as the two eigenvalues meet and needs no degeneracy
-    threshold.  Only derivatives read it, so ``half`` and the real
-    ``d x d`` ``sinc`` are built on first use and cached, and
-    :meth:`scale_by_kernel` forms the complex kernel a block of rows at a
-    time: the step never stores it.  ``kernel`` builds it whole, on each
-    access, for the reference derivative.
+    threshold.  Only derivatives read it, and they read it through
+    :meth:`scale_by_kernel`, which forms it, its real factor ``sinc``
+    included, a block of rows at a time from the eigenvalues: it is
+    formed per block, never stored.  ``half`` is a vector, built on first
+    use and cached.  ``kernel`` builds the whole kernel, on each access,
+    for the reference derivative.
     """
 
     dim: int
@@ -126,11 +153,10 @@ class DiagFactorization:
     def half(self) -> np.ndarray:
         return np.exp(0.5 * self.eigvals)
 
-    @cached_property
-    def sinc(self) -> np.ndarray:
-        """``np.sinc((w_j - w_i) / (2 pi))``, by numpy's own steps run in place."""
+    def _sinc_rows(self, rows: slice) -> np.ndarray:
+        """Rows of ``np.sinc((w_j - w_i) / (2 pi))``, by numpy's own steps run in place."""
         w = -self.eigvals.imag
-        y = w[None, :] - w[:, None]
+        y = w[None, :] - w[rows, None]
         y /= 2 * np.pi
         y *= np.pi
         y[y == 0] = np.finfo(np.float64).eps
@@ -140,7 +166,7 @@ class DiagFactorization:
 
     @property
     def kernel(self) -> np.ndarray:
-        return np.outer(self.half, self.half) * self.sinc
+        return np.outer(self.half, self.half) * self._sinc_rows(slice(None))
 
     def scale_by_kernel(self, g: np.ndarray) -> None:
         """``g *= kernel`` in place, :data:`_KERNEL_BLOCK` kernel entries at a time.
@@ -148,12 +174,12 @@ class DiagFactorization:
         Each block ``outer(half[b], half) * sinc[b]`` rounds every entry as
         :attr:`kernel` does, so ``g`` comes out the same bit for bit.
         """
-        half, sinc = self.half, self.sinc
+        half = self.half
         rows = max(1, _KERNEL_BLOCK // self.dim)
         for start in range(0, self.dim, rows):
             b = slice(start, start + rows)
             block = np.outer(half[b], half)
-            block *= sinc[b]
+            block *= self._sinc_rows(b)
             g[b] *= block
 
 
@@ -285,20 +311,29 @@ def aux_plan(aux: BlockDerivativeOperator, dt: float, tau: float) -> expm.ExpmPl
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
 
 
-def diag_prepare(ctx: StepContext) -> DiagFactorization:
+def diag_prepare(ctx: StepContext, consume: bool = False) -> DiagFactorization:
     """Dense eigenfactorization of ``-i H dt`` for the current step.
 
     A Hermitian ``H`` whose imaginary parts are all zero is that real
     symmetric matrix: the real solver reads the same lower triangle and
     its orthogonal eigenbasis is a unitary one, at a third of the
     complex solver's cost.
+
+    With ``consume`` the step gives up ``H`` (see
+    :meth:`StepContext.release_hamiltonian`) and its dense array, the
+    assembled one or the CSR matrix's densified copy, is scaled by ``dt``
+    in place (its real-part view for a real ``H``) and handed to the
+    solver: no second copy of ``H`` exists, and none is kept.  The
+    products are the same either way, so is the factorization, bit for bit.
     """
-    h = ctx.h_step
+    h = ctx.release_hamiltonian() if consume else ctx.h_step
     dense = h.array if isinstance(h, DenseMatrix) else h.to_dense()
-    if dense.imag.any():
-        w, vecs = np.linalg.eigh(dense * ctx.dt)
+    a = dense if dense.imag.any() else dense.real
+    if consume:
+        a *= ctx.dt
     else:
-        w, vecs = np.linalg.eigh(dense.real * ctx.dt)
+        a = a * ctx.dt
+    w, vecs = np.linalg.eigh(a)
     eigvals = -1j * w.astype(np.complex128)
     return DiagFactorization(
         dim=ctx.dim, eigvecs=vecs, eigvals=eigvals, exp_eigvals=np.exp(eigvals)
@@ -407,7 +442,9 @@ class StepEvaluator:
     step.  ``ctx.h_step`` is the one stored copy of the step's operator:
     every product scales it by ``-i dt`` or ``+i dt`` inside
     :func:`leangrape.expm.apply` or a Horner pass.  With the
-    diagonalization backend it holds the eigenfactorization.
+    diagonalization backend the first product factorizes the step and
+    consumes ``ctx.h_step`` (see :func:`diag_prepare`); from then on the
+    step holds its eigenfactorization only.
     ``controls`` are the problem's control operators (see
     :class:`ControlOperators`), shared by every step of the problem.
     Nothing here scales with the number of time steps; the block
@@ -425,7 +462,7 @@ class StepEvaluator:
 
     def _factorization(self) -> DiagFactorization:
         if self._fact is None:
-            self._fact = diag_prepare(self.ctx)
+            self._fact = diag_prepare(self.ctx, consume=True)
         return self._fact
 
     def _step_plan(self) -> expm.ExpmPlan:
@@ -499,12 +536,13 @@ class StepEvaluator:
         ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
         whatever the number of channels, and one pass over the stored
         elements of each control, which is never densified.  The co-state
-        then moves by :meth:`adjoint`.  Scratch, besides the step's ``H``
-        and eigenbasis: ``G``, formed in place (the kernel scales it a
-        block of rows at a time, see :meth:`DiagFactorization.scale_by_kernel`),
-        one more ``d x d`` complex array for the products (see
-        :func:`_transposed_congruence`) and the factorization's cached real
-        ``sinc``: two and a half complex ``d x d`` arrays at most.
+        then moves by :meth:`adjoint`.  Scratch, besides the step's
+        eigenbasis (the step holds no ``H`` once factorized): ``G``, formed
+        in place (the kernel scales it a block of rows at a time, see
+        :meth:`DiagFactorization.scale_by_kernel`) and one more ``d x d``
+        complex array for the products (see
+        :func:`_transposed_congruence`): two complex ``d x d`` arrays at
+        most.
         """
         d = self.ctx.dim
         for name, v in (("costate", costate), ("psi", psi)):
