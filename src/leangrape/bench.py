@@ -132,9 +132,6 @@ except ImportError:
     threadpool_limits = _openblas_limits
 
 
-#: Default time step (ns) for dimension sweeps of the matvec count.
-DEFAULT_SWEEP_DT = 0.1
-
 BENCH_CSV_HEADER = "model,d,N,tau,norm1,sigma_prime,mu,kappa,wall_ns,live_peak"
 
 
@@ -366,9 +363,7 @@ def mu_vs_norm_sweep(model: str, size: int, dts, tau: float) -> list[BenchRecord
     return [measure_mu(model, size, float(dt), tau) for dt in dts]
 
 
-def mu_vs_dim_sweep(
-    model: str, sizes, tau: float, dt: float = DEFAULT_SWEEP_DT
-) -> list[BenchRecord]:
+def mu_vs_dim_sweep(model: str, sizes, tau: float, dt: float) -> list[BenchRecord]:
     """Matvec counts across a dimension sweep at fixed time step."""
     return [measure_mu(model, int(size), dt, tau) for size in sizes]
 
@@ -387,9 +382,14 @@ def fit_power_law(points) -> PowerLawFit:
 
 
 def fit_line(xs, ys) -> tuple[float, float, float]:
-    """Least-squares ``y = slope * x + intercept``: ``(slope, intercept, r_squared)``."""
+    """Least-squares ``y = slope * x + intercept``: ``(slope, intercept, r_squared)``.
+
+    Requires at least two points.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if xs.size < 2:
+        raise ValueError(f"line fit needs at least 2 points, got {xs.size}")
     slope, intercept = np.polyfit(xs, ys, 1)
     pred = slope * xs + intercept
     ss_res = float(((ys - pred) ** 2).sum())

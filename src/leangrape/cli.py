@@ -417,11 +417,12 @@ def _run_bench_mu(cfg: RunConfig, out_dir: str) -> int:
     _write(out_dir, "bench.csv", f"# config_sha256={sha}\n" + bench.records_to_csv(records))
 
     summary: dict = {"config_sha256": sha, "subcommand": "bench_mu", "points": len(records)}
+    # a refused plan has no mu; a fit needs enough certified points or is left out
     feasible = [r for r in records if r.matvecs is not None]
-    if len(sizes) >= 4 and len(dts) == 1:
+    if len(sizes) >= 4 and len(dts) == 1 and len(feasible) >= 4:
         fit = bench.fit_power_law([(r.d, r.matvecs) for r in feasible])
         summary["mu_vs_d"] = dataclasses.asdict(fit)
-    if len(dts) >= 4 and len(sizes) == 1:
+    if len(dts) >= 4 and len(sizes) == 1 and len(feasible) >= 2:
         fit = bench.fit_line([r.norm1 for r in feasible], [r.matvecs for r in feasible])
         summary["mu_vs_norm1"] = dict(zip(("slope", "intercept", "r_squared"), fit))
     _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")

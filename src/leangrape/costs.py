@@ -54,14 +54,14 @@ their own arrays.  None of this depends on the number of time steps, of channels
 or of cost terms.
 
 A gate cost or gradient adds, besides its per-step arrays, one target
-image ``U_T |psi_0^h>`` (which the final cost's co-state starts in) and
+image ``U_T |h>`` (which the final cost's co-state starts in) and
 no ``d x d`` array: a computational basis state is built when its sweep
 starts, its target image is a copy of one column of ``U_T``, a real
 ``U_T`` is read as float64, and the target's unitarity check forms one
 column of ``U_T^dagger U_T`` at a time.  On CSR storage with scaling and
 squaring a gate gradient's bytes are therefore ``O(nnz + m_d d)``, like a
-state gradient's; the caller's ``U_T`` and a given basis are ``d x d``
-and held outside the sweeps.
+state gradient's; the caller's ``U_T`` is ``d x d`` and held outside the
+sweeps.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .derivatives import Backend, ControlOperators, StepContext, StepEvaluator, _basis_product
+from .derivatives import Backend, ControlOperators, StepContext, StepEvaluator
 from .sparse import DenseMatrix, FixedPatternSum, Matrix, is_hermitian, linear_combine
 
 __all__ = [
@@ -153,10 +153,7 @@ class ControlProblem:
     """Static Hamiltonian, control operators and engine configuration.
 
     ``initial_state`` seeds state-transfer costs evaluated through
-    :func:`composite_grad`; gate costs use ``basis`` (computational basis
-    when omitted).  A given basis is checked here, once: ``dim`` states,
-    each finite and normalized, orthonormal together; the checked states
-    are kept as a tuple of complex arrays, the rows of one ``d x d`` copy.
+    :func:`composite_grad`; gate costs sweep the computational basis.
 
     Step Hamiltonians of CSR problems are assembled on the union
     sparsity pattern of ``h_static`` and ``h_controls``
@@ -175,7 +172,6 @@ class ControlProblem:
     backend: Backend = Backend.SCALING_SQUARING
     tau: float = 1e-8
     initial_state: np.ndarray | None = None
-    basis: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "h_controls", tuple(self.h_controls))
@@ -187,20 +183,6 @@ class ControlProblem:
                 raise ValueError(f"control operator {k} has mismatched shape")
             if not is_hermitian(hc, 1e-12 * max(1.0, hc.one_norm())):
                 raise ValueError(f"control operator {k} is not Hermitian")
-        if self.basis is not None:
-            object.__setattr__(self, "basis", self._checked_basis(self.basis))
-
-    def _checked_basis(self, basis) -> tuple[np.ndarray, ...]:
-        d = self.dim
-        if len(basis) != d:
-            raise ValueError(f"basis must contain {d} states, got {len(basis)}")
-        rows = np.empty((d, d), dtype=np.complex128)
-        for i, b in enumerate(basis):
-            rows[i] = _as_state(b, d, f"basis[{i}]")
-        if _unitarity_defect(rows.T) > 1e-10:
-            raise ValueError("gate basis is not orthonormal")
-        rows.flags.writeable = False
-        return tuple(rows)
 
     @property
     def dim(self) -> int:
@@ -517,28 +499,16 @@ def _gate_target(problem: ControlProblem, u_target: np.ndarray) -> np.ndarray:
     return np.asarray(u_target, np.complex128 if np.iscomplexobj(u_target) else np.float64)
 
 
-def _basis_state(basis: tuple[np.ndarray, ...] | None, d: int, h: int) -> np.ndarray:
-    """Basis state ``h``: the problem's own, or the computational one built for one sweep."""
-    if basis is not None:
-        return basis[h]
+def _basis_state(d: int, h: int) -> np.ndarray:
+    """Computational basis state ``h``, built for one sweep."""
     state = np.zeros(d, dtype=np.complex128)
     state[h] = 1.0
     return state
 
 
-def _target_image(
-    u_target: np.ndarray, basis: tuple[np.ndarray, ...] | None, h: int
-) -> np.ndarray:
-    """``U_T |psi_0^h>`` in a new complex array.
-
-    In the computational basis it is a copy of column ``h`` of ``U_T``,
-    with no product.  A real ``U_T`` multiplies a given basis state as
-    real products (:func:`~leangrape.derivatives._basis_product`), with no
-    complex copy of ``U_T``.
-    """
-    if basis is None:
-        return u_target[:, h].astype(np.complex128)
-    return _basis_product(u_target, basis[h])
+def _target_image(u_target: np.ndarray, h: int) -> np.ndarray:
+    """``U_T |h>``: a complex copy of column ``h`` of ``U_T``, with no product."""
+    return u_target[:, h].astype(np.complex128)
 
 
 def _gate_cost(traces: np.ndarray, d: int, running: bool) -> float:
@@ -552,7 +522,6 @@ def _gate_forward(
     step: Callable[[int], StepEvaluator],
     a: ControlField,
     u_target: np.ndarray,
-    basis: tuple[np.ndarray, ...] | None,
     running: bool,
     meter: VectorMeter,
 ) -> tuple[np.ndarray, float]:
@@ -560,15 +529,14 @@ def _gate_forward(
 
     ``traces[n]`` is ``tr(U_T^+ U_{n,1})``, accumulated at every step for the
     running cost and at the last step only otherwise.  ``u_target`` comes
-    from :func:`_gate_target` and ``basis`` is the problem's (None for the
-    computational basis).
+    from :func:`_gate_target`.
     """
     d = u_target.shape[0]
     n_steps = a.n_steps
     traces = np.zeros(n_steps, dtype=np.complex128)
     for h in range(d):
-        target_image = meter.grab(_target_image(u_target, basis, h))
-        psi = meter.grab(_basis_state(basis, d, h))  # only read: each step returns a new array
+        target_image = meter.grab(_target_image(u_target, h))
+        psi = meter.grab(_basis_state(d, h))  # only read: each step returns a new array
         for n in range(n_steps):
             nxt = meter.grab(step(n).forward(psi))
             meter.release(psi)
@@ -591,7 +559,7 @@ def _gate_pass(
     The final gate cost needs one sweep over the basis states.  The trace
     factor ``tr(U_T^+ U_R)`` enters its gradient only as a common factor,
     so each forward pass adds its basis state's share to the trace, the
-    backward pass starts its co-state at ``U_T |psi_0^h>`` and the factor
+    backward pass starts its co-state at ``U_T |h>`` and the factor
     multiplies the accumulated overlaps once, after the last basis state.
     The running cost seeds every step's co-state with that step's trace
     factor, so it first runs :func:`_gate_forward` over all basis states
@@ -611,13 +579,12 @@ def _gate_pass(
     :class:`CostTerm`, and a composite term was checked when it was made.
     """
     u_target = _gate_target(problem, u_target)
-    basis = problem.basis
     d = problem.dim
     n_steps, n_channels = a.n_steps, a.n_channels
     step = _step_evaluators(problem, a)
     meter = VectorMeter(d)
     if running:
-        traces, cost = _gate_forward(step, a, u_target, basis, True, meter)
+        traces, cost = _gate_forward(step, a, u_target, True, meter)
     else:
         traces = np.zeros(n_steps, dtype=np.complex128)
 
@@ -625,8 +592,8 @@ def _gate_pass(
     # held from the start: the sweeps peak with every per-step array already live
     grad = np.empty((n_steps, n_channels))
     for h in range(d):
-        target_image = meter.grab(_target_image(u_target, basis, h))
-        psi = _state_forward(step, a, _basis_state(basis, d, h), [], meter)[0]
+        target_image = meter.grab(_target_image(u_target, h))
+        psi = _state_forward(step, a, _basis_state(d, h), [], meter)[0]
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:
@@ -811,7 +778,7 @@ def composite_cost(
     for term in gate_terms:
         u_target = _gate_target(problem, term.target_gate)
         running = term.kind is CostKind.GATE_RUNNING_INFIDELITY
-        total += term.weight * _gate_forward(step, a, u_target, problem.basis, running, meter)[1]
+        total += term.weight * _gate_forward(step, a, u_target, running, meter)[1]
     if record is not None:
         record._keep(problem, a, terms, step, psi, state_cost)
     return float(total)

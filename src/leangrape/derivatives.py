@@ -93,9 +93,9 @@ class StepContext:
     it is ``H_s + sum_k a_k h_k``; it is assembled by
     :meth:`leangrape.costs.ControlProblem.step_evaluator` from operators
     checked there, into an array of its own.  On the diagonalization
-    backend the step's first product consumes it (``diag_prepare(ctx,
-    consume=True)``): the array is overwritten by ``dt H`` and released,
-    and reading ``h_step`` from then on raises
+    backend the factorization consumes it (:func:`diag_prepare`, called
+    by the step's first product): the array is overwritten by ``dt H``
+    and released, and reading ``h_step`` from then on raises
     :class:`HamiltonianReleasedError`.  Read it before the step's first
     product.  ``dim`` is stored, so it outlives ``h_step``.
     """
@@ -311,28 +311,26 @@ def aux_plan(aux: BlockDerivativeOperator, dt: float, tau: float) -> expm.ExpmPl
     return expm.make_plan(surrogate, aux.max_row_nnz(), tau)
 
 
-def diag_prepare(ctx: StepContext, consume: bool = False) -> DiagFactorization:
-    """Dense eigenfactorization of ``-i H dt`` for the current step.
+def diag_prepare(ctx: StepContext) -> DiagFactorization:
+    """Dense eigenfactorization of ``-i H dt`` for the current step; consumes ``H``.
 
     A Hermitian ``H`` whose imaginary parts are all zero is that real
     symmetric matrix: the real solver reads the same lower triangle and
     its orthogonal eigenbasis is a unitary one, at a third of the
     complex solver's cost.
 
-    With ``consume`` the step gives up ``H`` (see
-    :meth:`StepContext.release_hamiltonian`) and its dense array, the
-    assembled one or the CSR matrix's densified copy, is scaled by ``dt``
-    in place (its real-part view for a real ``H``) and handed to the
-    solver: no second copy of ``H`` exists, and none is kept.  The
-    products are the same either way, so is the factorization, bit for bit.
+    The step gives up ``H`` (see :meth:`StepContext.release_hamiltonian`):
+    reading ``ctx.h_step`` afterwards raises
+    :class:`HamiltonianReleasedError`, while ``ctx.dim`` still reads
+    ``d``.  Its dense array, the assembled one or the CSR matrix's
+    densified copy, is scaled by ``dt`` in place (its real-part view for
+    a real ``H``) and handed to the solver: no second copy of ``H``
+    exists, and none is kept.
     """
-    h = ctx.release_hamiltonian() if consume else ctx.h_step
+    h = ctx.release_hamiltonian()
     dense = h.array if isinstance(h, DenseMatrix) else h.to_dense()
     a = dense if dense.imag.any() else dense.real
-    if consume:
-        a *= ctx.dt
-    else:
-        a = a * ctx.dt
+    a *= ctx.dt
     w, vecs = np.linalg.eigh(a)
     eigvals = -1j * w.astype(np.complex128)
     return DiagFactorization(
@@ -462,7 +460,7 @@ class StepEvaluator:
 
     def _factorization(self) -> DiagFactorization:
         if self._fact is None:
-            self._fact = diag_prepare(self.ctx, consume=True)
+            self._fact = diag_prepare(self.ctx)
         return self._fact
 
     def _step_plan(self) -> expm.ExpmPlan:

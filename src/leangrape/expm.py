@@ -543,10 +543,14 @@ def apply(
     product on ``A``.
 
     ``validate`` enforces the precondition under which the certified
-    bound holds: ``scale A`` is anti-Hermitian.  Callers applying the
-    block-embedded derivative generator disable it and certify through
-    the generalized two-norm surrogate instead (see
-    :mod:`leangrape.derivatives`).
+    bound holds: ``scale A`` is anti-Hermitian.  Every product of a
+    :class:`~leangrape.derivatives.StepEvaluator` disables it:
+    :class:`~leangrape.costs.ControlProblem` checked ``H_s`` and each
+    ``h_k`` Hermitian when it was made, so a step Hamiltonian with real
+    amplitudes is Hermitian and ``scale = -i dt`` or ``+i dt`` makes it
+    anti-Hermitian.  The block-embedded derivative generator is not
+    anti-Hermitian at all; its product certifies through the generalized
+    two-norm surrogate instead (see :mod:`leangrape.derivatives`).
     """
     scale = complex(scale)
     if not cmath.isfinite(scale):

@@ -184,6 +184,12 @@ class TestFitLine:
         assert intercept == pytest.approx(1.0, abs=1e-12)
         assert r_squared == pytest.approx(1.0, abs=1e-12)
 
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="line fit needs at least 2 points, got 0"):
+            bench.fit_line([], [])
+        with pytest.raises(ValueError, match="got 1"):
+            bench.fit_line([1.0], [2.0])
+
     def test_power_law_is_the_line_in_log_space(self):
         pts = [(1.0, 3.0), (2.0, 7.0), (5.0, 40.0), (9.0, 150.0)]
         fit = bench.fit_power_law(pts)

@@ -386,6 +386,29 @@ class TestBenchCommands:
         assert summary["mu_vs_norm1"] == dict(zip(("slope", "intercept", "r_squared"), fit))
         assert "mu_vs_d" not in summary
 
+    @pytest.mark.parametrize(
+        "sweep, fit_key",
+        [
+            # tau = 1e-13 refuses every plan from dt = 1 on ...
+            ("bench.sizes = 3\nbench.dts = 1,2,3,4\n", "mu_vs_norm1"),
+            # ... and at dt = 0.5 all but the two-qubit one
+            ("bench.sizes = 2,3,4,5\nbench.dts = 0.5\n", "mu_vs_d"),
+        ],
+        ids=["norm_sweep", "dim_sweep"],
+    )
+    def test_bench_mu_without_enough_certified_points_omits_the_fit(
+        self, tmp_path, sweep, fit_key
+    ):
+        cfg_path = tmp_path / "mu.cfg"
+        cfg_path.write_text("model.kind = qubit_chain\n" + sweep + "tau = 1e-13\n")
+        out = tmp_path / "bench"
+        assert cli.main(["bench-mu", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = (out / "bench.csv").read_text().splitlines()[2:]
+        assert len(rows) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["points"] == 4
+        assert fit_key not in summary
+
     def test_bench_runtime_writes_fit(self, tmp_path):
         cfg_path = tmp_path / "rt.cfg"
         cfg_path.write_text(

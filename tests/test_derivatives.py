@@ -97,10 +97,9 @@ class TestAdjoint:
         d = 16
         h = random_hermitian(rng, d)
         psi = random_state(rng, d)
-        step = make_step(h, [], 0.5)
-        fact = diag_prepare(step.ctx)
+        fact = diag_prepare(make_step(h, [], 0.5).ctx)
         want = fact.eigvecs @ (np.conj(fact.exp_eigvals) * (fact.eigvecs.conj().T @ psi))
-        got = step.adjoint(psi)
+        got = make_step(h, [], 0.5).adjoint(psi)
         assert np.linalg.norm(got - want) <= 1e-10
 
 
@@ -203,6 +202,14 @@ class TestAuxDerivative:
 
 
 class TestDiagPrepare:
+    def test_factorization_consumes_the_hamiltonian(self, rng):
+        d = 6
+        ctx = make_step(random_hermitian(rng, d), [], 0.3).ctx
+        diag_prepare(ctx)
+        with pytest.raises(derivatives.HamiltonianReleasedError):
+            ctx.h_step
+        assert ctx.dim == d
+
     def test_zero_hamiltonian(self):
         fact = diag_prepare(make_step(np.zeros((3, 3)), [], 0.5).ctx)
         assert np.allclose(fact.eigvecs, np.eye(3))
@@ -249,10 +256,9 @@ class TestDiagDerivative:
         sx = np.array([[0, 1], [1, 0]], complex)
         a, dt = 0.8, 0.9
         psi = random_state(rng, 2)
-        step = make_step(a * sx, [sx], dt)
-        fact = diag_prepare(step.ctx)
+        fact = diag_prepare(make_step(a * sx, [sx], dt).ctx)
         du = derivative_action_diag(fact, -1j * dt * sx, psi)
-        u_psi = step.forward(psi)
+        u_psi = make_step(a * sx, [sx], dt).forward(psi)
         assert np.linalg.norm(du - (-1j * dt * sx @ u_psi)) <= 1e-10
 
     def test_agrees_with_aux_backend(self, rng):
@@ -689,10 +695,9 @@ def real_step_problem(rng, d, storage):
     return costs.ControlProblem(wrap(h0), controls, Backend.DIAGONALIZATION, 1e-10)
 
 
-def complex_diag_prepare(ctx, consume=False):
+def complex_diag_prepare(ctx):
     """The complex solver's factorization of the step: the reference for a real step."""
-    h = ctx.release_hamiltonian() if consume else ctx.h_step
-    w, vecs = np.linalg.eigh(h.to_dense() * ctx.dt)
+    w, vecs = np.linalg.eigh(ctx.release_hamiltonian().to_dense() * ctx.dt)
     eigvals = -1j * w.astype(np.complex128)
     return DiagFactorization(ctx.dim, vecs, eigvals, np.exp(eigvals))
 
