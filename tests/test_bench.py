@@ -184,6 +184,12 @@ class TestFitLine:
         assert intercept == pytest.approx(1.0, abs=1e-12)
         assert r_squared == pytest.approx(1.0, abs=1e-12)
 
+    def test_two_points_give_the_line_through_them(self):
+        slope, intercept, r_squared = bench.fit_line([1.0, 3.0], [4.0, 0.0])
+        assert slope == pytest.approx(-2.0, abs=1e-12)
+        assert intercept == pytest.approx(6.0, abs=1e-12)
+        assert r_squared == pytest.approx(1.0, abs=1e-12)
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="line fit needs at least 2 points, got 0"):
             bench.fit_line([], [])

@@ -409,6 +409,21 @@ class TestBenchCommands:
         assert summary["points"] == 4
         assert fit_key not in summary
 
+    def test_bench_mu_fits_only_the_certified_points(self, tmp_path):
+        # tau = 1e-13 certifies dt = 0.1 and 0.2 and refuses dt = 1 and 2: two points fit a line
+        cfg_path = tmp_path / "mu.cfg"
+        cfg_path.write_text(
+            "model.kind = qubit_chain\nbench.sizes = 3\nbench.dts = 0.1,0.2,1,2\ntau = 1e-13\n"
+        )
+        out = tmp_path / "bench"
+        assert cli.main(["bench-mu", "--config", str(cfg_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        records = [cli.bench.measure_mu("qubit_chain", 3, dt, 1e-13) for dt in (0.1, 0.2)]
+        assert all(r.matvecs is not None for r in records)
+        fit = cli.bench.fit_line([r.norm1 for r in records], [r.matvecs for r in records])
+        assert summary["points"] == 4
+        assert summary["mu_vs_norm1"] == dict(zip(("slope", "intercept", "r_squared"), fit))
+
     def test_bench_runtime_writes_fit(self, tmp_path):
         cfg_path = tmp_path / "rt.cfg"
         cfg_path.write_text(

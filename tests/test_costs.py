@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from leangrape import costs, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
@@ -243,6 +244,20 @@ class TestC1Gate:
             res, lambda f: costs.c1_gate_grad(problem, f, u_target).cost, field
         )
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cost_is_the_trace_infidelity_of_the_propagator(self, rng, backend):
+        d, n, k = 5, 3, 2
+        problem = make_problem(rng, d, k, backend)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(scale=0.5, size=(n, k)))
+        h_static = problem.h_static.to_dense()
+        u = np.eye(d, dtype=complex)
+        for amps in field.amplitudes:
+            h = h_static + sum(a * hc.to_dense() for a, hc in zip(amps, problem.h_controls))
+            u = scipy_expm(-1j * field.dt * h) @ u
+        want = 1.0 - abs(np.trace(u_target.conj().T @ u)) ** 2 / d**2
+        assert costs.c1_gate_grad(problem, field, u_target).cost == pytest.approx(want, abs=1e-10)
+
     def test_problem_takes_no_gate_basis(self, rng):
         # a trace is the same in every orthonormal basis: gate sweeps use the computational one
         d = 3
@@ -309,7 +324,8 @@ class TestGateTargets:
         assert got.cost == want.cost
         assert np.array_equal(got.grad, want.grad)
 
-    def test_real_target_adds_no_square_array(self, rng):
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_real_target_adds_no_square_array(self, rng, gradient):
         d, n, k = 96, 2, 2
         band = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1
         controls = tuple(sparse.from_dense(random_hermitian(rng, d) * band) for _ in range(k))
@@ -321,10 +337,10 @@ class TestGateTargets:
         field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.3, size=(n, k)))
         peaks = []
         for target in (u_complex, u_real):
-            costs.c1_gate_grad(problem, field, target)  # fill the caches first
+            gradient(problem, field, target)  # fill the caches first
             peaks.append(
                 TestBytesIndependentOfSteps.traced_peak(
-                    lambda: costs.c1_gate_grad(problem, field, target)
+                    lambda: gradient(problem, field, target)
                 )[0]
             )
         # a float64 copy of the target would add 8 d^2 bytes, a complex one 16 d^2
@@ -681,6 +697,30 @@ class TestInvariantsAndInstrumentation:
         shifted = costs.c1_gate_grad(problem, field, np.exp(0.7j) * u_target)
         assert shifted.cost == pytest.approx(base.cost, abs=1e-10)
         assert np.abs(shifted.grad - base.grad).max() <= 1e-10
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("gradient", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_gate_cost_is_the_same_in_every_frame(self, rng, backend, gradient):
+        # V H V^dagger and V U_T V^dagger leave tr(U_T^dagger U_n) unchanged, so the
+        # computational-basis sweep must give the cost and gradient of the original frame
+        d, n, k = 5, 3, 2
+        problem = make_problem(rng, d, k, backend)
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+        def rotate(op):
+            m = v @ op.to_dense() @ v.conj().T
+            return sparse.from_dense((m + m.conj().T) / 2)
+
+        rotated = costs.ControlProblem(
+            rotate(problem.h_static), tuple(rotate(hc) for hc in problem.h_controls),
+            backend, problem.tau,
+        )
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(scale=0.5, size=(n, k)))
+        want = gradient(problem, field, u_target)
+        got = gradient(rotated, field, v @ u_target @ v.conj().T)
+        assert got.cost == pytest.approx(want.cost, abs=1e-10)
+        assert np.abs(got.grad - want.grad).max() <= 1e-10
 
     def test_live_peak_independent_of_steps(self, rng):
         d, k = 6, 1

@@ -210,6 +210,13 @@ class TestDiagPrepare:
             ctx.h_step
         assert ctx.dim == d
 
+    def test_released_step_is_not_factorized_again(self, rng):
+        # a second factorization would read H already scaled by dt in place
+        ctx = make_step(random_hermitian(rng, 4), [], 0.3).ctx
+        diag_prepare(ctx)
+        with pytest.raises(derivatives.HamiltonianReleasedError):
+            diag_prepare(ctx)
+
     def test_zero_hamiltonian(self):
         fact = diag_prepare(make_step(np.zeros((3, 3)), [], 0.5).ctx)
         assert np.allclose(fact.eigvecs, np.eye(3))
