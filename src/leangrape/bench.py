@@ -172,62 +172,24 @@ class PowerLawFit:
     r_squared: float
 
 
-# ---------------------------------------------------------------------------
-# model registry: per-family builder plus the constant drive amplitudes the
-# scaling studies are run at (linear frequencies in GHz, converted here)
-
-_TWO_PI = 2.0 * math.pi
-
-
-def _build_transmon_cavity(size: int):
-    h, ctrls = models.build_transmon_cavity(models.TransmonCavityParams(d_cavity=size))
-    return h, ctrls, [_TWO_PI * 0.1, _TWO_PI * 0.1]
-
-
-def _build_three_transmons(size: int):
-    h, ctrls = models.build_three_transmons(models.ThreeTransmonParams(d_each=size))
-    return h, ctrls, [_TWO_PI * 0.1] * 3
-
-
-def _build_qubit_chain(size: int):
-    h, ctrls = models.build_qubit_chain(models.QubitChainParams(n_qubits=size))
-    return h, ctrls, [_TWO_PI * 0.5] * len(ctrls)
-
-
-def _build_fluxonium_pair(size: int):
-    # No drive amplitude is part of the fluxonium fixture; the static
-    # Hamiltonian alone (external flux offset included) sets the norm.
-    h, ctrls = models.build_fluxonium_pair(models.FluxoniumPairParams(d_each=size))
-    return h, ctrls, [0.0, 0.0]
-
-
-def _build_zero(size: int):
-    # one empty control at zero amplitude: a control field needs a channel
-    return build_csr([], size, size), [build_csr([], size, size)], [0.0]
-
-
-_MODEL_BUILDERS = {
-    "transmon_cavity": _build_transmon_cavity,
-    "three_transmons": _build_three_transmons,
-    "qubit_chain": _build_qubit_chain,
-    "fluxonium_pair": _build_fluxonium_pair,
-    "zero": _build_zero,
-}
-
-MODEL_NAMES = tuple(sorted(_MODEL_BUILDERS))
+MODEL_NAMES = tuple(sorted([*models.FAMILIES, "zero"]))
 
 
 def build_model(model: str, size: int) -> tuple[CsrMatrix, list[CsrMatrix], list[float]]:
     """Model operators and their fixture drive amplitudes.
 
-    ``size`` is the family's sweep parameter: cavity dimension, per-mode
-    dimension, or qubit count.
+    ``size`` is the family's sweep parameter (``models.Family.size_field``):
+    cavity dimension, per-mode dimension, or qubit count.
     """
+    if model == "zero":
+        # one empty control at zero amplitude: a control field needs a channel
+        return build_csr([], size, size), [build_csr([], size, size)], [0.0]
     try:
-        builder = _MODEL_BUILDERS[model]
+        family = models.FAMILIES[model]
     except KeyError:
         raise ValueError(f"unknown model {model!r}; choose from {MODEL_NAMES}") from None
-    return builder(size)
+    h_static, h_controls = family.build(family.params(**{family.size_field: size}))
+    return h_static, h_controls, [2.0 * math.pi * family.drive_ghz] * len(h_controls)
 
 
 def _kappa(h_static: Matrix, h_controls) -> int:
@@ -276,15 +238,16 @@ def measure_mu(model: str, size: int, dt: float, tau: float) -> BenchRecord:
 def _canonical_targets(model: str, h_static, size: int):
     """Initial state and gate target used for runtime measurements."""
     d = h_static.n_rows
+    params_cls = models.FAMILIES[model].params if model in models.FAMILIES else None
     psi0 = models.fock_state(d, 0)
-    if model == "transmon_cavity":
+    if params_cls is models.TransmonCavityParams:
         # transmon ground, highest populated cavity Fock level we can ask for
         phi = models.fock_state(d, min(20, size - 1))
     else:
         phi = models.fock_state(d, d - 1)
-    if model == "three_transmons":
+    if params_cls is models.ThreeTransmonParams:
         gate = models.hadamard_target(3, size)
-    elif model == "qubit_chain":
+    elif params_cls is models.QubitChainParams:
         gate = models.hadamard_target(size, 2)
     else:
         gate = np.eye(d, dtype=np.complex128)
@@ -312,6 +275,8 @@ def measure_step_runtime(
     thread count is restored afterwards.  With no limiter available a
     ``RuntimeWarning`` is emitted and the run is timed unpinned.
     """
+    if not isinstance(reps, (int, np.integer)) or reps < 1:
+        raise ValueError(f"reps must be a positive integer, got {reps!r}")
     if storage not in ("sparse", "dense"):
         raise ValueError("storage must be 'sparse' or 'dense'")
     h_static, h_controls, amps = build_model(model, size)

@@ -50,14 +50,6 @@ class _Spec:
     positive: bool = False
 
 
-#: model kind -> (parameter class, builder)
-_MODELS = {
-    "transmon_cavity": (models.TransmonCavityParams, models.build_transmon_cavity),
-    "three_transmons": (models.ThreeTransmonParams, models.build_three_transmons),
-    "qubit_chain": (models.QubitChainParams, models.build_qubit_chain),
-    "fluxonium_pair": (models.FluxoniumPairParams, models.build_fluxonium_pair),
-}
-
 _COST_KEYS = {
     "cost.state_infidelity": costs.CostKind.STATE_INFIDELITY,
     "cost.state_penalty": costs.CostKind.STATE_PENALTY,
@@ -73,7 +65,7 @@ def _schema() -> dict[str, _Spec]:
     b_rt = ("bench_runtime",)
     schema: dict[str, _Spec] = {
         "model.kind": _Spec("str", opt + b_mu + b_rt, required=opt + b_mu + b_rt,
-                            choices=tuple(sorted(_MODELS)) + ("zero",)),
+                            choices=bench.MODEL_NAMES),
         "steps.n": _Spec("int", opt, required=opt, positive=True),
         "steps.dt": _Spec("float", opt + b_rt, required=opt, positive=True),
         "tau": _Spec("float", opt + b_mu + b_rt + ("expm",), positive=True),
@@ -110,8 +102,8 @@ def _schema() -> dict[str, _Spec]:
         "expm.vector": _Spec("str", ("expm",), required=("expm",)),
     }
     # the bench sweeps build their own models from bench.sizes: parameters are optimize's
-    for cls, _ in _MODELS.values():
-        for fld in dataclasses.fields(cls):
+    for family in models.FAMILIES.values():
+        for fld in dataclasses.fields(family.params):
             key = f"model.{fld.name}"
             kind_spec = "int" if fld.type in ("int", int) else "float"
             if key not in schema:
@@ -237,8 +229,8 @@ def parse_config(text: str, subcommand: str) -> RunConfig:
     if "model.kind" in values:
         kind = values["model.kind"]
         allowed = set()
-        if kind in _MODELS:
-            allowed = {f"model.{f.name}" for f in dataclasses.fields(_MODELS[kind][0])}
+        if kind in models.FAMILIES:
+            allowed = {f"model.{f.name}" for f in dataclasses.fields(models.FAMILIES[kind].params)}
         for key in values:
             if key.startswith("model.") and key != "model.kind" and key not in allowed:
                 raise ConfigError(f"key {key!r} does not apply to model kind {kind!r}")
@@ -275,16 +267,12 @@ def config_sha256(cfg: RunConfig) -> str:
 
 def _model_params(cfg: RunConfig):
     kind = cfg.get("model.kind")
-    if kind == "zero":
-        raise ConfigError("model.kind = zero is only available to the bench harness")
-    cls = _MODELS[kind][0]
-    kwargs = {}
-    for fld in dataclasses.fields(cls):
-        key = f"model.{fld.name}"
-        if cfg.has(key):
-            value = cfg.get(key)
-            kwargs[fld.name] = int(value) if fld.type in ("int", int) else float(value)
-    return kind, cls(**kwargs)
+    if kind not in models.FAMILIES:
+        raise ConfigError(f"model.kind = {kind} is only available to the bench harness")
+    cls = models.FAMILIES[kind].params
+    # the schema already typed each model.* value as its field's int or float
+    names = [fld.name for fld in dataclasses.fields(cls) if cfg.has(f"model.{fld.name}")]
+    return kind, cls(**{name: cfg.get(f"model.{name}") for name in names})
 
 
 def _build_target(cfg: RunConfig, kind: str, params, dim: int):
@@ -295,15 +283,15 @@ def _build_target(cfg: RunConfig, kind: str, params, dim: int):
             raise ConfigError(f"target.index {index} outside dimension {dim}")
         return models.fock_state(dim, index), None
     if target_kind == "cavity_fock":
-        if kind != "transmon_cavity":
-            raise ConfigError("target.kind = cavity_fock requires model.kind = transmon_cavity")
+        if not isinstance(params, models.TransmonCavityParams):
+            raise ConfigError(f"target.kind = cavity_fock is not defined for model {kind!r}")
         if not 0 <= index < params.d_cavity:
             raise ConfigError(f"target.index {index} outside cavity dimension {params.d_cavity}")
         return models.fock_state(dim, index), None  # transmon ground block starts at 0
     # hadamard
-    if kind == "three_transmons":
+    if isinstance(params, models.ThreeTransmonParams):
         return None, models.hadamard_target(3, params.d_each)
-    if kind == "qubit_chain":
+    if isinstance(params, models.QubitChainParams):
         return None, models.hadamard_target(params.n_qubits, 2)
     raise ConfigError(f"target.kind = hadamard is not defined for model {kind!r}")
 
@@ -314,8 +302,8 @@ def _build_penalty(cfg: RunConfig, kind: str, params, dim: int):
         raise ConfigError("cost.state_penalty requires penalty.kind")
     if penalty_kind == "identity":
         return identity_csr(dim)
-    if kind != "transmon_cavity":
-        raise ConfigError("penalty.kind = transmon_number requires model.kind = transmon_cavity")
+    if not isinstance(params, models.TransmonCavityParams):
+        raise ConfigError(f"penalty.kind = transmon_number is not defined for model {kind!r}")
     return models.transmon_number_op(params)
 
 
@@ -364,7 +352,7 @@ def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
         stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
     )
     kind, params = _model_params(cfg)
-    h_static, h_controls = _MODELS[kind][1](params)
+    h_static, h_controls = models.FAMILIES[kind].build(params)
     dim = h_static.n_rows
     n_steps = int(cfg.get("steps.n"))
     dt = float(cfg.get("steps.dt"))

@@ -175,13 +175,12 @@ class ControlProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "h_controls", tuple(self.h_controls))
-        tol = 1e-12 * max(1.0, self.h_static.one_norm())
-        if not is_hermitian(self.h_static, tol):
+        if not is_hermitian(self.h_static):
             raise ValueError("static Hamiltonian is not Hermitian within tolerance")
         for k, hc in enumerate(self.h_controls):
             if hc.shape != self.h_static.shape:
                 raise ValueError(f"control operator {k} has mismatched shape")
-            if not is_hermitian(hc, 1e-12 * max(1.0, hc.one_norm())):
+            if not is_hermitian(hc):
                 raise ValueError(f"control operator {k} is not Hermitian")
 
     @property
@@ -239,7 +238,7 @@ class CostTerm:
         elif self.kind is CostKind.STATE_PENALTY:
             if self.penalty_op is None:
                 raise ValueError("state_penalty requires penalty_op")
-            if not is_hermitian(self.penalty_op, 1e-12 * max(1.0, self.penalty_op.one_norm())):
+            if not is_hermitian(self.penalty_op):
                 raise ValueError("penalty operator must be Hermitian")
         else:
             if self.target_gate is None:
@@ -473,7 +472,10 @@ def c2_state_grad(
 ) -> GradientResult:
     """Running expectation penalty ``(1/N) sum_n <psi_n|Omega|psi_n>`` and gradient."""
     term = CostTerm(CostKind.STATE_PENALTY, penalty_op=penalty_op)
-    return _state_pass(problem, a, _as_state(psi0, problem.dim, "psi0"), [term])
+    d = problem.dim
+    if penalty_op.shape != (d, d):
+        raise ValueError(f"penalty_op has shape {penalty_op.shape}, expected ({d}, {d})")
+    return _state_pass(problem, a, _as_state(psi0, d, "psi0"), [term])
 
 
 def c3_state_grad(
@@ -691,24 +693,22 @@ def _split_terms(
 ) -> tuple[np.ndarray | None, list[CostTerm], list[CostTerm]]:
     """Checked initial state with the state terms, and the gate terms.
 
-    A state term whose target or penalty operator does not fit
-    ``problem.dim`` is refused here, by its index, before any sweep runs.
+    A term whose target or penalty operator does not fit ``problem.dim``
+    is refused here, by its index, before any sweep runs.
     """
     if not terms:
         raise ValueError("composite cost needs at least one term")
     d = problem.dim
     for i, term in enumerate(terms):
         if term.kind in (CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY):
-            shape = np.shape(term.target_state)
-            if shape != (d,):
-                raise ValueError(
-                    f"terms[{i}] ({term.kind.value}): target_state has shape {shape}, "
-                    f"expected ({d},)"
-                )
-        elif term.kind is CostKind.STATE_PENALTY and term.penalty_op.shape != (d, d):
+            name, shape, expected = "target_state", np.shape(term.target_state), (d,)
+        elif term.kind is CostKind.STATE_PENALTY:
+            name, shape, expected = "penalty_op", term.penalty_op.shape, (d, d)
+        else:
+            name, shape, expected = "target_gate", np.shape(term.target_gate), (d, d)
+        if shape != expected:
             raise ValueError(
-                f"terms[{i}] ({term.kind.value}): penalty_op has shape "
-                f"{term.penalty_op.shape}, expected ({d}, {d})"
+                f"terms[{i}] ({term.kind.value}): {name} has shape {shape}, expected {expected}"
             )
     state_terms = [t for t in terms if t.kind in _STATE_KINDS]
     psi0 = None

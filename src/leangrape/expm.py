@@ -560,7 +560,7 @@ def apply(
         raise ValueError("apply expects a square matrix and a matching vector")
     if validate:
         generator = a if scale == 1.0 else a.scaled(scale)
-        if not is_anti_hermitian(generator, 1e-12 * max(generator.one_norm(), 1.0)):
+        if not is_anti_hermitian(generator):
             raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
 
     current = np.array(psi, dtype=np.complex128, copy=True)

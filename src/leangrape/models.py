@@ -1,8 +1,8 @@
 """Builders for the benchmark Hamiltonians and target objects.
 
-Four model families are provided, each returning a Hermitian static
-Hamiltonian together with the list of Hermitian control operators it is
-driven through:
+Four model families are provided, listed once in :data:`FAMILIES`, each
+returning a Hermitian static Hamiltonian together with the list of
+Hermitian control operators it is driven through:
 
 * a driven transmon coupled to a cavity (longitudinal and transverse
   transmon drives),
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +36,8 @@ __all__ = [
     "build_three_transmons",
     "build_qubit_chain",
     "build_fluxonium_pair",
+    "Family",
+    "FAMILIES",
     "fock_state",
     "hadamard_target",
 ]
@@ -296,6 +299,26 @@ def build_fluxonium_pair(p: FluxoniumPairParams) -> tuple[CsrMatrix, list[CsrMat
         kron_csr(ident, from_dense(-el2 * phi2)),
     ]
     return h_static, controls
+
+
+class Family(NamedTuple):
+    """A family's builder, the parameter a size sweep sets, and its fixture drive in GHz."""
+
+    params: type
+    build: Callable[..., tuple[CsrMatrix, list[CsrMatrix]]]
+    size_field: str
+    drive_ghz: float
+
+
+#: Family name -> :class:`Family`; the benchmark fixture drives every channel at ``drive_ghz``.
+FAMILIES = {
+    "transmon_cavity": Family(TransmonCavityParams, build_transmon_cavity, "d_cavity", 0.1),
+    "three_transmons": Family(ThreeTransmonParams, build_three_transmons, "d_each", 0.1),
+    "qubit_chain": Family(QubitChainParams, build_qubit_chain, "n_qubits", 0.5),
+    # no drive amplitude is part of the fluxonium fixture: the static
+    # Hamiltonian alone (external flux offset included) sets the norm
+    "fluxonium_pair": Family(FluxoniumPairParams, build_fluxonium_pair, "d_each", 0.0),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ Three schedules move the control amplitudes ``a``:
 * ``constant`` is steepest descent at a fixed ``eta0``.
 
 ``lbfgs`` and ``backtracking`` accept a step only when the cost does not
-rise, so their recorded cost sequences are non-increasing.  Each of their
+rise, so their recorded cost sequences are non-increasing; a line search
+whose :data:`MAX_BACKTRACKS` trials are all rejected ends the run with
+stop reason ``line_search_stalled``.  Each of their
 iterations runs one forward sweep per line-search trial and one backward
 sweep: the accepted trial's state sweep is kept in a
 :class:`~leangrape.costs.SweepRecord`, and the gradient starts its
@@ -60,6 +62,8 @@ ETA_SCHEDULES = ("constant", "backtracking", "lbfgs")
 LBFGS_MEMORY = 10
 #: Sufficient-decrease constant of the L-BFGS line search.
 ARMIJO_C1 = 1e-4
+#: Trials one line search runs before it gives up as stalled.
+MAX_BACKTRACKS = 60
 #: A pair is stored only when ``s.y > CURVATURE_EPS * |s| |y|``, so the
 #: inverse-Hessian estimate stays positive definite.
 CURVATURE_EPS = 1.5e-8
@@ -74,11 +78,10 @@ class OptimizerConfig:
     grow: float = 1.1
     stop_cost: float = 0.0
     stop_grad_norm: float = 0.0
-    max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be a positive integer, got {self.max_iters!r}")
         if not 0.0 < self.eta0 < math.inf:
             raise ValueError("eta0 must be positive and finite")
         if self.eta_schedule not in ETA_SCHEDULES:
@@ -178,11 +181,11 @@ def _line_search(
     ``cost + ARMIJO_C1 * length * slope``; ``slope = 0`` asks for simple
     decrease.  ``length`` shrinks by ``cfg.shrink`` after each rejected
     trial.  Returns the accepted field and length, or None when
-    ``cfg.max_backtracks`` trials were all rejected.  ``record`` keeps the
+    :data:`MAX_BACKTRACKS` trials were all rejected.  ``record`` keeps the
     last trial's state sweep, so the gradient at an accepted field starts
     from it.
     """
-    for _ in range(cfg.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         candidate = current.replace_amplitudes(current.amplitudes + length * direction)
         trace.cost_evals += 1
         if composite_cost(problem, candidate, terms, record) <= cost + ARMIJO_C1 * slope * length:

@@ -46,6 +46,10 @@ class SparseMatrixError(ValueError):
     """Raised on malformed construction input or shape mismatch."""
 
 
+#: The one Hermiticity tolerance, relative to the one-norm: see :func:`is_hermitian`.
+HERMITICITY_RTOL = 1e-12
+
+
 @cache
 def _sparsetools():
     """scipy's compiled sparse kernels, imported at the first CSR product.
@@ -122,12 +126,6 @@ class CsrMatrix:
         if self.nnz == 0:
             return 0.0
         return float(self.col_abs_sums().max())
-
-    def inf_norm(self) -> float:
-        """Maximum absolute row sum."""
-        if self.nnz == 0:
-            return 0.0
-        return float(self.row_abs_sums().max())
 
     def max_row_nnz(self) -> int:
         """Largest per-row count of stored elements."""
@@ -225,20 +223,12 @@ class DenseMatrix:
             return 0.0
         return float(np.abs(self.array).sum(axis=0).max())
 
-    def inf_norm(self) -> float:
-        if self.array.size == 0:
-            return 0.0
-        return float(np.abs(self.array).sum(axis=1).max())
-
     def max_row_nnz(self) -> int:
         # Every entry is stored, so each row dot product touches n_cols elements.
         return self.n_cols
 
     def scaled(self, factor: complex) -> "DenseMatrix":
         return DenseMatrix._trusted(self.array * complex(factor))
-
-    def conj_transpose(self) -> "DenseMatrix":
-        return DenseMatrix(self.array.conj().T)
 
     def to_dense(self) -> np.ndarray:
         return self.array.copy(order="F")
@@ -440,18 +430,19 @@ def _max_abs_combination(a: Matrix, b_coeff: float) -> float:
     return float(np.abs(values[: offsets[-1]]).max(initial=0.0))
 
 
-def is_hermitian(m: Matrix, tol: float) -> bool:
-    """True when ``max |M - M^dagger|`` does not exceed ``tol``."""
-    if m.n_rows != m.n_cols:
-        return False
-    return _max_abs_combination(m, -1.0) <= tol
+def is_hermitian(m: Matrix) -> bool:
+    """True when ``max |M - M^dagger| <= HERMITICITY_RTOL * max(1, ||M||_1)``."""
+    return _meets_hermiticity_rule(m, -1.0)
 
 
-def is_anti_hermitian(m: Matrix, tol: float) -> bool:
-    """True when ``max |M + M^dagger|`` does not exceed ``tol``."""
-    if m.n_rows != m.n_cols:
-        return False
-    return _max_abs_combination(m, 1.0) <= tol
+def is_anti_hermitian(m: Matrix) -> bool:
+    """True when ``max |M + M^dagger| <= HERMITICITY_RTOL * max(1, ||M||_1)``."""
+    return _meets_hermiticity_rule(m, 1.0)
+
+
+def _meets_hermiticity_rule(m: Matrix, b_coeff: float) -> bool:
+    tol = HERMITICITY_RTOL * max(1.0, m.one_norm())
+    return m.n_rows == m.n_cols and _max_abs_combination(m, b_coeff) <= tol
 
 
 def save_matrix(path, m: Matrix) -> None:
@@ -471,10 +462,7 @@ def save_matrix(path, m: Matrix) -> None:
 
 def load_matrix(path) -> CsrMatrix:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise SparseMatrixError(f"{path}: malformed matrix header")
-        n_rows, n_cols, nnz = (int(x) for x in header)
+        n_rows, n_cols, nnz = _header_counts(fh, path, "matrix", 3)
         rows = np.empty(nnz, np.int64)
         cols = np.empty(nnz, np.int64)
         vals = np.empty(nnz, np.complex128)
@@ -500,10 +488,7 @@ def save_vector(path, v: np.ndarray) -> None:
 
 def load_vector(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 1:
-            raise SparseMatrixError(f"{path}: malformed vector header")
-        dim = int(header[0])
+        (dim,) = _header_counts(fh, path, "vector", 1)
         out = np.empty(dim, np.complex128)
         for i in range(dim):
             parts = fh.readline().split()
@@ -512,6 +497,17 @@ def load_vector(path) -> np.ndarray:
             out[i] = _finite_entry(parts[0], parts[1], path, i + 2)
         _refuse_extra_entries(fh, path, dim)
     return out
+
+
+def _header_counts(fh, path, what: str, count: int) -> list[int]:
+    """The ``count`` non-negative integers on the header line of ``fh``."""
+    header = fh.readline().split()
+    if len(header) != count or not all(x.isdecimal() for x in header):
+        raise SparseMatrixError(
+            f"{path}: malformed {what} header on line 1: expected {count} "
+            f"non-negative integers, got {' '.join(header)!r}"
+        )
+    return [int(x) for x in header]
 
 
 def _finite_entry(real: str, imag: str, path, line_no: int) -> complex:

@@ -95,6 +95,11 @@ class TestMeasureStepRuntime:
         assert rec.live_vector_peak >= 1
         assert rec.d == 8
 
+    @pytest.mark.parametrize("reps", [0, -1, 2.5])
+    def test_reps_must_be_a_positive_integer(self, reps):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            bench.measure_step_runtime("qubit_chain", 2, Task.STATE_TRANSFER, 1e-8, reps=reps)
+
     def test_dense_storage_kappa(self):
         rec = bench.measure_step_runtime(
             "qubit_chain", 2, Task.GATE, 1e-8, reps=1, dt=0.1, storage="dense"

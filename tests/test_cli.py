@@ -347,6 +347,20 @@ class TestExpmCommand:
         assert cli.main(["expm", "--config", str(cfg_path)]) == 1
         assert f"{tmp_path / 'psi.vec'}: malformed vector header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("rot.mat", "2 2 -1\n"), ("rot.mat", "2 two 2\n"), ("psi.vec", "2.5\n1 0\n0 0\n")],
+        ids=["matrix_negative", "matrix_not_integer", "vector_not_integer"],
+    )
+    def test_header_count_error_names_the_file(self, tmp_path, capsys, name, text):
+        cfg_path = self.rotation_config(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert cli.main(["expm", "--config", str(cfg_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {tmp_path / name}: " in captured.err
+        assert "header on line 1: expected" in captured.err
+
     def test_missing_input_file(self, tmp_path):
         cfg_path = tmp_path / "expm.cfg"
         cfg_path.write_text(

@@ -554,7 +554,7 @@ class TestStateValidation:
 
 
 class TestStateTermShapes:
-    """A state term that does not fit the problem is refused by name, before any sweep."""
+    """A term that does not fit the problem is refused by name, before any sweep."""
 
     @staticmethod
     def refuse_sweeps(monkeypatch):
@@ -562,6 +562,47 @@ class TestStateTermShapes:
             raise AssertionError("a sweep ran before the terms were checked")
 
         monkeypatch.setattr(costs.ControlProblem, "step_evaluator", no_step)
+
+    @staticmethod
+    def count_steps(monkeypatch) -> list:
+        """Counts ``ControlProblem.step_evaluator`` calls, which still run."""
+        calls = []
+        build = costs.ControlProblem.step_evaluator
+
+        def counted(self, a, n):
+            calls.append(n)
+            return build(self, a, n)
+
+        monkeypatch.setattr(costs.ControlProblem, "step_evaluator", counted)
+        return calls
+
+    @pytest.mark.parametrize("evaluate", [costs.composite_cost, costs.composite_grad])
+    def test_gate_target_of_wrong_size_refused(self, monkeypatch, evaluate):
+        h_static, h_controls = models.build_qubit_chain(models.QubitChainParams(n_qubits=2))
+        problem = costs.ControlProblem(
+            h_static, tuple(h_controls), initial_state=models.fock_state(4, 0)
+        )
+        field = costs.ControlField.constant(0.3, 3, len(h_controls), 0.2)
+        terms = [
+            CostTerm(CostKind.STATE_INFIDELITY, target_state=models.fock_state(4, 3)),
+            CostTerm(CostKind.GATE_INFIDELITY, target_gate=models.hadamard_target(1, 2)),
+        ]
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(
+            ValueError, match=r"terms\[1\] \(gate_infidelity\): target_gate has shape \(2, 2\), "
+            r"expected \(4, 4\)"
+        ):
+            evaluate(problem, field, terms)
+        assert calls == []
+
+    def test_c2_penalty_of_wrong_shape_refused(self, rng, monkeypatch):
+        problem = make_problem(rng, 4, 1)
+        field = costs.ControlField.constant(0.3, 3, 1, 0.2)
+        omega = sparse.from_dense(random_hermitian(rng, 3))
+        calls = self.count_steps(monkeypatch)
+        with pytest.raises(ValueError, match=r"penalty_op has shape \(3, 3\), expected \(4, 4\)"):
+            costs.c2_state_grad(problem, field, random_state(rng, 4), omega)
+        assert calls == []
 
     @pytest.mark.parametrize("kind", [CostKind.STATE_INFIDELITY, CostKind.STATE_RUNNING_INFIDELITY])
     @pytest.mark.parametrize("evaluate", [costs.composite_cost, costs.composite_grad])

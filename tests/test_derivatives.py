@@ -298,6 +298,36 @@ class TestCrossBackendProperties:
             denom = max(np.linalg.norm(du_diag), 1e-300)
             assert np.linalg.norm(du_aux - du_diag) / denom <= max(10 * tau, 1e-8)
 
+    @pytest.mark.parametrize("n_channels", [1, 5])  # 5: one full and one partial block
+    def test_pull_back_agrees_across_backends(self, rng, n_channels):
+        # the pull_back gradients run, where test_agreement_panel compares the references
+        assert n_channels % CHANNEL_BLOCK
+        tau = 1e-10
+        for instance in range(50):
+            d = int(rng.integers(3, 33))
+            hcs = [random_hermitian(rng, d) for _ in range(n_channels)]
+            if instance == 0:
+                # a degenerate step at zero drive, the controls coupling the degenerate pair
+                h0 = np.diag([1.0, 1.0, *range(2, d)]).astype(complex)
+                amps = np.zeros(n_channels)
+            else:
+                h0 = random_hermitian(rng, d)
+                amps = rng.normal(scale=0.5, size=n_channels)
+            dt = float(rng.uniform(0.05, 0.6))
+            psi_n, lam = random_state(rng, d), random_state(rng, d)
+            moved = []
+            for backend in Backend:
+                problem = costs.ControlProblem(
+                    sparse.from_dense(h0), tuple(map(sparse.from_dense, hcs)), backend, tau
+                )
+                step = problem.step_evaluator(costs.ControlField(1, n_channels, dt, [amps]), 0)
+                psi, costate = psi_n.copy(), lam.copy()
+                moved.append((step.pull_back(costate, psi), psi, costate))
+            (overlaps, psi, costate), (overlaps_diag, psi_diag, costate_diag) = moved
+            assert np.abs(overlaps - overlaps_diag).max() <= 1e-8 * np.abs(overlaps_diag).max()
+            assert np.linalg.norm(psi - psi_diag) <= 2 * tau
+            assert np.linalg.norm(costate - costate_diag) <= 2 * tau
+
     def test_second_order_fd_convergence(self, rng):
         d = 8
         h0 = random_hermitian(rng, d, scale=2.0)

@@ -121,6 +121,16 @@ class TestGrapeOptimize:
         with pytest.raises(ValueError):
             optimizer.OptimizerConfig(shrink=1.5)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 0, -3, "10"])
+    def test_max_iters_must_be_a_positive_integer(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters must be a positive integer"):
+            optimizer.OptimizerConfig(max_iters=max_iters)
+
+    def test_line_search_cap_is_a_constant(self):
+        assert optimizer.MAX_BACKTRACKS == 60
+        with pytest.raises(TypeError):
+            optimizer.OptimizerConfig(max_backtracks=4)
+
     @pytest.mark.parametrize("name", ["eta0", "grow", "stop_cost", "stop_grad_norm"])
     def test_nan_config_refused(self, name):
         with pytest.raises(ValueError, match=f"{name} must"):
@@ -163,7 +173,8 @@ class TestLbfgs:
         problem, terms = rabi_problem()
         a0 = costs.ControlField.constant(0.1, 5, 1, 0.1)
         monkeypatch.setattr(optimizer, "composite_cost", lambda *args: float("inf"))
-        cfg = optimizer.OptimizerConfig(max_iters=10, eta_schedule=schedule, max_backtracks=4)
+        monkeypatch.setattr(optimizer, "MAX_BACKTRACKS", 4)
+        cfg = optimizer.OptimizerConfig(max_iters=10, eta_schedule=schedule)
         trace = optimizer.grape_optimize(problem, terms, a0, cfg)
         assert trace.stop_reason == "line_search_stalled"
         assert len(trace.records) == 1
