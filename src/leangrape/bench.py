@@ -238,18 +238,16 @@ def measure_mu(model: str, size: int, dt: float, tau: float) -> BenchRecord:
 def _canonical_targets(model: str, h_static, size: int):
     """Initial state and gate target used for runtime measurements."""
     d = h_static.n_rows
-    params_cls = models.FAMILIES[model].params if model in models.FAMILIES else None
+    family = models.FAMILIES.get(model)
+    params = family.params(**{family.size_field: size}) if family else None
     psi0 = models.fock_state(d, 0)
-    if params_cls is models.TransmonCavityParams:
+    if isinstance(params, models.TransmonCavityParams):
         # transmon ground, highest populated cavity Fock level we can ask for
         phi = models.fock_state(d, min(20, size - 1))
     else:
         phi = models.fock_state(d, d - 1)
-    if params_cls is models.ThreeTransmonParams:
-        gate = models.hadamard_target(3, size)
-    elif params_cls is models.QubitChainParams:
-        gate = models.hadamard_target(size, 2)
-    else:
+    gate = models.family_hadamard_target(params)
+    if gate is None:  # a family without a gate target times the identity
         gate = np.eye(d, dtype=np.complex128)
     return psi0, phi, gate
 

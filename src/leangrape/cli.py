@@ -288,12 +288,10 @@ def _build_target(cfg: RunConfig, kind: str, params, dim: int):
         if not 0 <= index < params.d_cavity:
             raise ConfigError(f"target.index {index} outside cavity dimension {params.d_cavity}")
         return models.fock_state(dim, index), None  # transmon ground block starts at 0
-    # hadamard
-    if isinstance(params, models.ThreeTransmonParams):
-        return None, models.hadamard_target(3, params.d_each)
-    if isinstance(params, models.QubitChainParams):
-        return None, models.hadamard_target(params.n_qubits, 2)
-    raise ConfigError(f"target.kind = hadamard is not defined for model {kind!r}")
+    gate = models.family_hadamard_target(params)
+    if gate is None:
+        raise ConfigError(f"target.kind = hadamard is not defined for model {kind!r}")
+    return None, gate
 
 
 def _build_penalty(cfg: RunConfig, kind: str, params, dim: int):

@@ -41,9 +41,11 @@ not metered: three work vectors for a product.  One pull-back on scaling
 and squaring holds the ``m_d`` Taylor terms of its derivative plan that
 it reads and, besides them, either those three vectors, while the state
 or the co-state moves, or, after both moves, the Horner vector (the
-moved state's own array) and one contraction buffer of
-``min(K, CHANNEL_BLOCK) * d`` elements that the Horner product shares:
-``(m_d + max(3, 1 + min(K, CHANNEL_BLOCK))) * d`` elements at its peak.
+moved state's own array) and one contraction buffer that the Horner
+product shares, of ``w * d`` elements for ``w`` channels to a stack, at
+most ``max(CHANNEL_BLOCK * d, STACK_ROWS)`` (see
+:class:`~leangrape.derivatives.ControlOperators`):
+``m_d * d + max(3 * d, d + w * d)`` elements at its peak.
 On the diagonalization backend the factorization consumes the step's
 Hamiltonian, scaling its assembled array in place as the eigensolver's
 input, so a step holds only its eigenbasis; a pull-back holds, besides
@@ -54,9 +56,11 @@ their own arrays.  None of this depends on the number of time steps, of channels
 or of cost terms.
 
 A gate cost or gradient adds, besides its per-step arrays, one target
-image ``U_T |h>`` (which the final cost's co-state starts in) and
-no ``d x d`` array: a computational basis state is built when its sweep
-starts, its target image is a copy of one column of ``U_T``, a real
+image ``U_T |h>`` (which the final cost's co-state starts in), built
+after its basis state's forward sweep unless the running cost reads it
+at every step, and no ``d x d`` array: a computational basis state is
+built when its sweep starts, its target image is a copy of one column
+of ``U_T``, a real
 ``U_T`` is read as float64, and the target's unitarity check forms one
 column of ``U_T^dagger U_T`` at a time.  On CSR storage with scaling and
 squaring a gate gradient's bytes are therefore ``O(nnz + m_d d)``, like a
@@ -70,7 +74,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -322,19 +326,51 @@ def _as_state(psi: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 
 def _step_evaluators(problem: ControlProblem, a: ControlField) -> Callable[[int], StepEvaluator]:
-    """``n -> problem.step_evaluator(a, n)``, reusing the last evaluator when ``n`` repeats.
+    """``n -> problem.step_evaluator(a, n)``: the step memo of one field, a :class:`_StepMemo`."""
+    if a.n_channels != problem.n_channels:
+        raise ValueError(
+            f"field has {a.n_channels} channels, problem has {problem.n_channels}"
+        )
+    return _StepMemo(problem, a)
+
+
+class _StepMemo:
+    """Step evaluators of one field: the last one reused, every step planned once.
 
     Consecutive sweeps meet at a repeated step: a forward sweep ends where
     its backward sweep starts, a backward sweep ends where the next basis
     state's forward sweep starts, and with a single step every visit is
     step 0 (a one-step gate gradient then builds one evaluator, not 3d).
     Only one step's operators are alive at a time.
+
+    On scaling and squaring the memo also keeps, by step index, the plans
+    each evaluator made (:attr:`~leangrape.derivatives.StepEvaluator.plans`)
+    when the next step replaces it, and hands them to the step's next
+    evaluator, so a revisit only assembles ``H``: a step is planned once
+    per field, and its derivative plan once, by its first backward step.
+    That is two lists of one reference per step, and no vector.  On the
+    diagonalization backend nothing is planned and nothing kept.
     """
-    if a.n_channels != problem.n_channels:
-        raise ValueError(
-            f"field has {a.n_channels} channels, problem has {problem.n_channels}"
-        )
-    return lru_cache(maxsize=1)(partial(problem.step_evaluator, a))
+
+    __slots__ = ("_build", "_n", "_evaluator", "_plans", "_dplans")
+
+    def __init__(self, problem: ControlProblem, a: ControlField):
+        self._build = partial(problem.step_evaluator, a)
+        self._n, self._evaluator = -1, None
+        self._plans = self._dplans = None
+        if problem.backend is Backend.SCALING_SQUARING:
+            self._plans, self._dplans = [None] * a.n_steps, [None] * a.n_steps
+
+    def __call__(self, n: int) -> StepEvaluator:
+        if n == self._n:
+            return self._evaluator
+        evaluator = self._build(n)
+        if self._plans is not None:
+            if self._evaluator is not None:
+                self._plans[self._n], self._dplans[self._n] = self._evaluator.plans
+            evaluator.plans = self._plans[n], self._dplans[n]
+        self._n, self._evaluator = n, evaluator
+        return evaluator
 
 
 # ---------------------------------------------------------------------------
@@ -537,14 +573,18 @@ def _gate_forward(
     n_steps = a.n_steps
     traces = np.zeros(n_steps, dtype=np.complex128)
     for h in range(d):
-        target_image = meter.grab(_target_image(u_target, h))
+        # the running cost reads U_T |h> at every step, the final cost after the sweep
+        target_image = meter.grab(_target_image(u_target, h)) if running else None
         psi = meter.grab(_basis_state(d, h))  # only read: each step returns a new array
         for n in range(n_steps):
             nxt = meter.grab(step(n).forward(psi))
             meter.release(psi)
             psi = nxt
-            if running or n == n_steps - 1:
+            if running:
                 traces[n] += np.vdot(target_image, psi)
+        if not running:
+            target_image = meter.grab(_target_image(u_target, h))
+            traces[-1] += np.vdot(target_image, psi)
         meter.release(psi)
         meter.release(target_image)
     return traces, _gate_cost(traces, d, running)
@@ -575,7 +615,8 @@ def _gate_pass(
     In bytes, besides those arrays, a sweep holds what a state gradient
     holds plus the target image, and no ``d x d`` array: a computational
     basis state is built when its sweep starts and freed by its first
-    step, its target image is a copy of column ``h`` of ``U_T``, and a
+    step, its target image is a copy of column ``h`` of ``U_T`` made when
+    its forward sweep is done, and a
     real ``U_T`` is not copied to complex.  ``u_target`` is not checked
     for unitarity here; the gate gradients check it through
     :class:`CostTerm`, and a composite term was checked when it was made.
@@ -594,8 +635,9 @@ def _gate_pass(
     # held from the start: the sweeps peak with every per-step array already live
     grad = np.empty((n_steps, n_channels))
     for h in range(d):
-        target_image = meter.grab(_target_image(u_target, h))
         psi = _state_forward(step, a, _basis_state(d, h), [], meter)[0]
+        # built once the forward sweep is done, where the backward sweep reads it
+        target_image = meter.grab(_target_image(u_target, h))
         if running:
             costate = meter.grab(target_image * traces[n_steps - 1])
         else:

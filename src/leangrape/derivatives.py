@@ -14,7 +14,8 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   2009): one application moves the co-state and hands its Taylor terms
   to a term sink, a Horner pass over the state builds the matching
   partial sums, and each pair is contracted through the controls,
-  :data:`CHANNEL_BLOCK` at a time on CSR storage.  Its products with
+  row-stacked so that one product serves several channels (see
+  :class:`ControlOperators`).  Its products with
   ``H`` do not depend on the number of channels, and
   :func:`leangrape.expm.derivative_plan` certifies the overlaps.  Van
   Loan's block-upper-triangular embedding ``[[H, h_k], [0, H]]``
@@ -60,6 +61,7 @@ __all__ = [
     "DiagFactorization",
     "ControlOperators",
     "CHANNEL_BLOCK",
+    "STACK_ROWS",
     "BlockDerivativeOperator",
     "diag_prepare",
     "derivative_action_diag",
@@ -67,9 +69,17 @@ __all__ = [
 ]
 
 
-#: Channels contracted at once on CSR storage: the contraction buffer of a
-#: backward step holds ``CHANNEL_BLOCK`` state vectors.
+#: Fewest channels a control stack holds (the last stack possibly fewer):
+#: on large problems the contraction buffer of a backward step holds
+#: ``CHANNEL_BLOCK`` state vectors.
 CHANNEL_BLOCK = 4
+
+#: Row budget of a control stack: a stack holds
+#: ``max(CHANNEL_BLOCK, STACK_ROWS // d)`` channels, up to ``STACK_ROWS``
+#: rows below ``d = 256``, so a small problem contracts its channels in one
+#: product per Taylor term, and the contraction buffer holds at most
+#: ``max(CHANNEL_BLOCK * d, STACK_ROWS)`` entries: 16 KiB below ``d = 256``.
+STACK_ROWS = 1024
 
 #: Entries of the divided-difference kernel formed at once
 #: (:meth:`DiagFactorization.scale_by_kernel`): 64 KiB complex, and its
@@ -197,11 +207,14 @@ class ControlOperators:
     """The control operators ``h_k`` of one problem, as the overlaps read them.
 
     ``matrices[k]`` is channel ``k``, the problem's own matrix.  ``stacks``
-    row-stacks consecutive channels :data:`CHANNEL_BLOCK` at a time, the
+    row-stacks consecutive channels, :attr:`per_stack` at a time, the
     last stack possibly narrower, so that one product gives ``h_k y`` for
     every channel of a stack: a ``(w d) x d`` matrix whose row ``t d + i``
-    is row ``i`` of channel ``t``.  With a ``pattern``, the problem's
-    :class:`~leangrape.sparse.FixedPatternSum` whose last terms are the
+    is row ``i`` of channel ``t``.  A stack holds
+    ``max(CHANNEL_BLOCK, STACK_ROWS // d)`` channels: below ``d = 256`` up
+    to :data:`STACK_ROWS` rows, often every channel in one stack, and from
+    there on :data:`CHANNEL_BLOCK` channels.  With a ``pattern``, the
+    problem's :class:`~leangrape.sparse.FixedPatternSum` whose last terms are the
     controls, the stacks are CSR views of the values it holds
     (:meth:`~leangrape.sparse.FixedPatternSum.stack`): each row runs
     exactly the running sum of its channel's row, and no control value is
@@ -217,9 +230,15 @@ class ControlOperators:
         self.matrices = tuple(h_controls)
         self._pattern = pattern
 
+    @property
+    def per_stack(self) -> int:
+        """Channels a stack holds: ``max(CHANNEL_BLOCK, STACK_ROWS // d)``."""
+        d = self.matrices[0].n_rows if self.matrices else 1
+        return max(CHANNEL_BLOCK, STACK_ROWS // max(d, 1))
+
     @cached_property
     def stacks(self) -> tuple[Matrix, ...]:
-        mats, w, pattern = self.matrices, CHANNEL_BLOCK, self._pattern
+        mats, w, pattern = self.matrices, self.per_stack, self._pattern
         if pattern is None:
             return tuple(_row_stack(mats[k : k + w]) for k in range(0, len(mats), w))
         first = pattern.term_offsets.size - 1 - len(mats)
@@ -458,6 +477,21 @@ class StepEvaluator:
         self._plan: expm.ExpmPlan | None = None
         self._dplan: expm.DerivativePlan | None = None
 
+    @property
+    def plans(self) -> tuple[expm.ExpmPlan | None, expm.DerivativePlan | None]:
+        """The step's plan and its derivative plan, each None until a product made it.
+
+        Both depend only on the step's Hamiltonian, ``dt`` and ``tau``, so
+        another evaluator of the same step of the same field may be handed
+        them (:func:`leangrape.costs._step_evaluators` does): its products
+        then skip planning and run under the very same plans.
+        """
+        return self._plan, self._dplan
+
+    @plans.setter
+    def plans(self, kept: tuple[expm.ExpmPlan | None, expm.DerivativePlan | None]) -> None:
+        self._plan, self._dplan = kept
+
     def _factorization(self) -> DiagFactorization:
         if self._fact is None:
             self._fact = diag_prepare(self.ctx)
@@ -509,9 +543,9 @@ class StepEvaluator:
         then runs a Horner pass at ``-i dt`` over the stage's ``psi``
         (``m_d - 1`` products), contracting each ``Y_i`` against
         ``conj(u_i)``, weighted by ``1 / (i + 1)``, through the row-stacked
-        controls, :data:`CHANNEL_BLOCK` channels per product
-        (:attr:`ControlOperators.stacks`).  Each stage sums its overlaps
-        from zero and the stage sums are added last: the accumulation
+        controls, ``w = min(K, max(CHANNEL_BLOCK, STACK_ROWS // d))``
+        channels per product (:attr:`ControlOperators.stacks`).  Each stage
+        sums its overlaps from zero and the stage sums are added last: the accumulation
         depth ``m_d + s`` that :func:`leangrape.expm.derivative_bound`
         charges.  A step costs ``m s + (2 m_d - 1) s`` products with ``H``,
         whatever the number of channels.  Stage by stage runs the scalars
@@ -523,9 +557,10 @@ class StepEvaluator:
         Scratch: the ``m_d`` terms the pass reads (the sink drops
         ``u_{m_d}``), and besides them either the engine's three vectors,
         during a move, or, once both moves are done, the Horner vector (the
-        moved ``psi``'s own array) and one contraction buffer of
-        ``min(K, CHANNEL_BLOCK) d`` that the Horner product shares: at most
-        ``(m_d + max(3, 1 + min(K, CHANNEL_BLOCK))) d`` complex entries.
+        moved ``psi``'s own array) and one contraction buffer of ``w d``
+        entries, at most ``max(CHANNEL_BLOCK d, STACK_ROWS)``, that the
+        Horner product shares: at most ``m_d d + max(3 d, d + w d)``
+        complex entries.
 
         On the diagonalization backend ``psi`` moves by :meth:`adjoint`
         first.  With ``l = S^H lambda``, ``p = S^H psi`` and the kernel
@@ -622,7 +657,7 @@ class StepEvaluator:
         return total
 
     def _contraction(self, d: int):
-        """One buffer of ``min(K, CHANNEL_BLOCK) d`` for the stacks' and the Horner products.
+        """One buffer of ``w d`` for the stacks' and the Horner products, ``w`` the widest stack's.
 
         Returns, per stack, its ``matvec``, the buffer it writes ``h_k y``
         into, that buffer as ``(w, d)`` rows and the ``w`` entries of

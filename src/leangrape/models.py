@@ -40,6 +40,7 @@ __all__ = [
     "FAMILIES",
     "fock_state",
     "hadamard_target",
+    "family_hadamard_target",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -358,3 +359,18 @@ def hadamard_target(n_qubits: int, d_each: int) -> np.ndarray:
     for _ in range(n_qubits):
         target = np.kron(target, single)
     return target
+
+
+def family_hadamard_target(params) -> np.ndarray | None:
+    """The Hadamard gate target of a family's model, or None for a family without one.
+
+    ``params`` is an instance of a :data:`FAMILIES` parameter class.  The
+    qubit modes of three transmons and of a qubit chain each get a
+    Hadamard (see :func:`hadamard_target`); the transmon-cavity and
+    fluxonium-pair families define no gate target.
+    """
+    if isinstance(params, ThreeTransmonParams):
+        return hadamard_target(3, params.d_each)
+    if isinstance(params, QubitChainParams):
+        return hadamard_target(params.n_qubits, 2)
+    return None

@@ -72,6 +72,10 @@ class CsrMatrix:
       last entry equals ``len(col_indices) == len(values)``;
     * column indices are strictly increasing within each row;
     * all stored values are finite and none is exactly zero.
+
+    ``_row_count`` is the largest per-row count when its maker already
+    knows it (:meth:`FixedPatternSum.combine`), else None and
+    :meth:`max_row_nnz` counts.
     """
 
     n_rows: int
@@ -79,6 +83,7 @@ class CsrMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+    _row_count: int | None = field(default=None, init=False, repr=False)
 
     @property
     def nnz(self) -> int:
@@ -129,6 +134,8 @@ class CsrMatrix:
 
     def max_row_nnz(self) -> int:
         """Largest per-row count of stored elements."""
+        if self._row_count is not None:
+            return self._row_count
         if self.n_rows == 0:
             return 0
         return int(self.row_nnz_counts().max())
@@ -347,6 +354,8 @@ class FixedPatternSum:
     each sum is one scipy ``csc_matvec`` onto the union pattern
     ``(row_offsets, col_indices)``: within a position the terms are added
     in term order, and entries that come out exactly zero are dropped.
+    The union's largest row count is counted once, here, and handed to
+    every sum that drops no entry, whose ``sigma'`` it then is.
     :meth:`stack` row-stacks consecutive terms as views of ``values``.
     """
 
@@ -365,6 +374,7 @@ class FixedPatternSum:
         union, self.positions = np.unique(keys, return_inverse=True)
         self.row_offsets = _row_offsets(union // n_cols, n_rows)
         self.col_indices = union % n_cols
+        self._row_count = int(np.diff(self.row_offsets).max(initial=0))
 
     def combine(self, coeffs: np.ndarray) -> CsrMatrix:
         """``sum_i coeffs[i] * M_i`` as a CSR matrix without stored zeros."""
@@ -379,7 +389,9 @@ class FixedPatternSum:
         n_rows, n_cols = self.shape
         keep = values != 0
         if keep.all():
-            return CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
+            combined = CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
+            object.__setattr__(combined, "_row_count", self._row_count)
+            return combined
         # a row's new offset counts the kept elements before its old one
         offsets = np.concatenate(([0], np.cumsum(keep)))[self.row_offsets]
         return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])
@@ -470,8 +482,8 @@ def load_matrix(path) -> CsrMatrix:
             parts = fh.readline().split()
             if len(parts) != 4:
                 raise SparseMatrixError(f"{path}: malformed matrix entry on line {i + 2}")
-            rows[i] = int(parts[0])
-            cols[i] = int(parts[1])
+            rows[i] = _index_entry(parts[0], n_rows, "row", path, i + 2)
+            cols[i] = _index_entry(parts[1], n_cols, "column", path, i + 2)
             vals[i] = _finite_entry(parts[2], parts[3], path, i + 2)
         _refuse_extra_entries(fh, path, nnz)
     return build_csr_arrays(rows, cols, vals, n_rows, n_cols)
@@ -510,8 +522,28 @@ def _header_counts(fh, path, what: str, count: int) -> list[int]:
     return [int(x) for x in header]
 
 
+def _index_entry(text: str, bound: int, what: str, path, line_no: int) -> int:
+    """A matrix entry's ``what`` index: an integer in ``[0, bound)``."""
+    try:
+        index = int(text)
+    except ValueError:
+        raise SparseMatrixError(
+            f"{path}: malformed {what} index {text!r} on line {line_no}"
+        ) from None
+    if not 0 <= index < bound:
+        raise SparseMatrixError(
+            f"{path}: {what} index {index} out of range [0, {bound}) on line {line_no}"
+        )
+    return index
+
+
 def _finite_entry(real: str, imag: str, path, line_no: int) -> complex:
-    z = complex(float(real), float(imag))
+    try:
+        z = complex(float(real), float(imag))
+    except ValueError:
+        raise SparseMatrixError(
+            f"{path}: malformed value {real!r} {imag!r} on line {line_no}"
+        ) from None
     if not np.isfinite(z):
         raise SparseMatrixError(f"{path}: non-finite entry on line {line_no}")
     return z

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from leangrape import cli, sparse
+from leangrape import bench, cli, models, sparse
 from leangrape.cli import ConfigError, parse_config, serialize_config
 
 RABI_CFG = """
@@ -516,3 +516,31 @@ class TestEveryAcceptedKeyIsRead:
         monkeypatch.setattr(cli.RunConfig, "has", recording_has)
         assert cli.run(cfg, str(tmp_path / "out")) == 0
         assert accepted - read == set()
+
+
+class TestHadamardTarget:
+    """The command line and ``bench`` read a family's gate target from one ``models`` helper."""
+
+    @pytest.mark.parametrize("kind", sorted(models.FAMILIES))
+    def test_cli_and_bench_give_the_same_gate(self, kind):
+        size_field, size = models.FAMILIES[kind].size_field, 4
+        cfg = parse_config(
+            RABI_CFG.replace("model.kind = qubit_chain", f"model.kind = {kind}")
+            .replace("model.n_qubits = 1\nmodel.g = 0.1\n", f"model.{size_field} = {size}\n")
+            .replace("target.kind = basis_index", "target.kind = hadamard"),
+            "optimize",
+        )
+        h_static = bench.build_model(kind, size)[0]
+        gate = bench._canonical_targets(kind, h_static, size)[2]
+        got_kind, params = cli._model_params(cfg)
+        assert got_kind == kind and getattr(params, size_field) == size
+        want = models.family_hadamard_target(params)
+        if want is None:  # the command line refuses, the runtime sweep times the identity
+            with pytest.raises(ConfigError, match="hadamard is not defined"):
+                cli._build_target(cfg, kind, params, h_static.n_rows)
+            assert np.array_equal(gate, np.eye(h_static.n_rows))
+        else:
+            assert kind in ("three_transmons", "qubit_chain")
+            assert np.array_equal(cli._build_target(cfg, kind, params, h_static.n_rows)[1], gate)
+            assert np.array_equal(gate, want)
+

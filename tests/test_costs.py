@@ -1,13 +1,14 @@
 """Cost contributions, hard-coded gradients, and the constant-memory contract."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from leangrape import costs, expm, models, sparse
+from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
 from leangrape.derivatives import CHANNEL_BLOCK, Backend
 
@@ -797,13 +798,14 @@ class TestInvariantsAndInstrumentation:
         assert peaks[0] <= 4
 
     def test_final_gate_costate_starts_in_target_image(self, rng):
-        # psi, the target image holding the co-state, and the adjoint's result
+        # forward: psi and the step's new array, the target image not yet built;
+        # backward: psi and the target image holding the co-state, both moved in place
         d, k = 4, 1
         problem = make_problem(rng, d, k)
         u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         for n in (10, 100):
             field = costs.ControlField(n, k, 0.05, rng.normal(scale=0.2, size=(n, k)))
-            assert costs.c1_gate_grad(problem, field, u_target).live_vector_peak == 3
+            assert costs.c1_gate_grad(problem, field, u_target).live_vector_peak == 2
 
     def test_gradients_deterministic(self, rng):
         d, n, k = 5, 3, 2
@@ -845,9 +847,10 @@ class TestBytesIndependentOfSteps:
 
     The live-vector meter counts only the vectors the cost code holds; this
     counts every byte.  Only the arrays indexed by step may grow: the
-    gradient, and for a gate cost its complex overlap accumulator and its
-    trace factors.  A stored trajectory, or any other copy kept per step,
-    adds at least a state vector per step.  No ``gc.collect()`` before a
+    gradient, for a gate cost its complex overlap accumulator and its
+    trace factors, and on scaling and squaring the step memo's table of
+    plans, one reference per step and plan.  A stored trajectory, or any
+    other copy kept per step, adds at least a state vector per step.  No ``gc.collect()`` before a
     measurement: a full collection empties the interpreter's free lists,
     and refilling them shows up as traced blocks that grow with the steps.
     """
@@ -892,6 +895,9 @@ class TestBytesIndependentOfSteps:
             if cost == "gate":
                 # the complex accumulator, twice the gradient, and one complex trace per step
                 step_arrays += 2 * result.grad.nbytes + 16 * field.n_steps
+            if backend is Backend.SCALING_SQUARING:
+                # the step memo's plan table: one list of step plans, one of derivative plans
+                step_arrays += 2 * sys.getsizeof([None] * field.n_steps)
             net.append(peak - step_arrays)
         assert abs(net[1] - net[0]) <= 16 * d, net
 
@@ -1170,3 +1176,65 @@ class TestGateSweeps:
         term = CostTerm(CostKind.GATE_INFIDELITY, target_gate=u_target)
         got = costs.c1_gate_grad(problem, field, u_target).cost
         assert got == costs.composite_cost(problem, field, [term])
+
+
+class TestStepPlansOncePerField:
+    """A gradient plans each step of its field once, however often its sweeps revisit it."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        calls = {"make_plan": 0, "derivative_plan": 0}
+        for name in calls:
+            real = getattr(expm, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(expm, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("grad_fn", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_gate_gradient_plans_each_step_once(self, rng, monkeypatch, grad_fn):
+        d, n, k = 4, 5, 2
+        problem = make_problem(rng, d, k, tau=1e-10)
+        u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        calls = self.counting(monkeypatch)
+        result = grad_fn(problem, field, u_target)
+        assert calls == {"make_plan": n, "derivative_plan": n}
+
+        # without the kept plans every rebuilt step plans again, to the same numbers
+        forgetful = property(lambda self: (None, None), lambda self, kept: None)
+        monkeypatch.setattr(derivatives.StepEvaluator, "plans", forgetful)
+        calls.update(make_plan=0, derivative_plan=0)
+        again = grad_fn(problem, field, u_target)
+        builds = 2 * d * (n - 1) + 1 + (d * n if grad_fn is costs.c3_gate_grad else 0)
+        assert calls == {"make_plan": builds, "derivative_plan": d * n}
+        assert again.cost == result.cost
+        assert np.array_equal(again.grad, result.grad)
+
+    def test_accepted_trial_hands_its_plans_to_the_gradient(self, rng, monkeypatch):
+        d, n, k = 5, 4, 2
+        problem = make_problem(rng, d, k, tau=1e-10, psi0=random_state(rng, d))
+        terms = state_terms(rng, d)
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        calls = self.counting(monkeypatch)
+        record = costs.SweepRecord()
+        costs.composite_cost(problem, field, terms, record)
+        # a cost-only sweep makes no derivative plan
+        assert calls == {"make_plan": n, "derivative_plan": 0}
+        result = costs.composite_grad(problem, field, terms, record)
+        assert calls == {"make_plan": n, "derivative_plan": n}
+        want = costs.composite_grad(problem, field, terms)
+        assert result.cost == want.cost
+        assert np.array_equal(result.grad, want.grad)
+
+    def test_eigen_backend_keeps_no_plan_table(self, rng):
+        d, n, k = 4, 3, 2
+        problem = make_problem(rng, d, k, Backend.DIAGONALIZATION, psi0=random_state(rng, d))
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        memo = costs._step_evaluators(problem, field)
+        for step in (0, 1, 2, 1):
+            memo(step).forward(random_state(rng, d))
+        assert memo._plans is None and memo._dplans is None

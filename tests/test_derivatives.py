@@ -11,6 +11,7 @@ from scipy.linalg import expm_frechet
 from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.derivatives import (
     CHANNEL_BLOCK,
+    STACK_ROWS,
     Backend,
     BlockDerivativeOperator,
     ControlOperators,
@@ -173,8 +174,13 @@ class TestAuxDerivative:
         assert op.max_row_nnz() == (aux != 0).sum(axis=1).max() == 2 * d
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
-    def test_row_stacked_controls_run_each_channels_arithmetic(self, rng, storage):
-        d, k = 11, CHANNEL_BLOCK + 2
+    @pytest.mark.parametrize(
+        "d, widths",
+        # STACK_ROWS // d channels to a stack while that exceeds CHANNEL_BLOCK
+        [(11, [CHANNEL_BLOCK + 2]), (300, [CHANNEL_BLOCK, 2])],
+    )
+    def test_row_stacked_controls_run_each_channels_arithmetic(self, rng, storage, d, widths):
+        k = CHANNEL_BLOCK + 2
         wrap = (lambda m: m) if storage == "csr" else (lambda m: sparse.DenseMatrix(m.to_dense()))
         controls = [
             wrap(random_sparse_dense_pair(rng, d, 0.3)[0].scaled(10.0 ** (t % 3 - 1)))
@@ -185,7 +191,8 @@ class TestAuxDerivative:
             static = random_sparse_dense_pair(rng, d, 0.3)[0]
             pattern = sparse.FixedPatternSum([static, *controls])
         ops = ControlOperators(controls, pattern)
-        assert [s.n_rows for s in ops.stacks] == [CHANNEL_BLOCK * d, 2 * d]
+        assert ops.per_stack == max(CHANNEL_BLOCK, STACK_ROWS // d)
+        assert [s.n_rows for s in ops.stacks] == [w * d for w in widths]
         assert all(type(s) is type(controls[0]) for s in ops.stacks)
         if storage == "csr":
             assert all(np.shares_memory(s.values, pattern.values) for s in ops.stacks)
@@ -541,6 +548,56 @@ class TestPullBack:
                     y = h.matvec(y) * (ahead / (i + 1)) + psi
             want += stage
         assert np.array_equal(got, want * ahead)
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    @pytest.mark.parametrize("d", [8, 27, 300])
+    @pytest.mark.parametrize("n_channels", [1, 4, 6, 13])
+    def test_stacked_overlaps_match_per_channel_products(self, rng, storage, d, n_channels):
+        # the stage recursion with each channel contracted on its own: vdot(u_i, h_k Y_i)
+        problem, _, step = make_overlap_step(
+            rng, d, n_channels, Backend.SCALING_SQUARING, storage, dt=2.4 / d,
+            scales=(1.0, 3.0, 0.5),
+        )
+        plan = step._derivative_plan()
+        s, m_d = plan.costate.scaling, plan.costate.order
+        psi_n, lam = random_state(rng, d), random_state(rng, d)
+        got = step.pull_back(lam.copy(), psi_n.copy())
+
+        h, back, ahead = step.ctx.h_step, 1j * step.ctx.dt / s, -1j * step.ctx.dt / s
+        terms = np.empty((m_d + 1, d), dtype=complex)
+        psi, want = psi_n, np.zeros(n_channels, dtype=complex)
+        for _ in range(s):
+            psi = expm.apply(h, psi, plan.state.stage(), validate=False, scale=back)
+            lam = expm.apply(
+                h, lam, plan.costate.stage(), validate=False, scale=back, sink=terms.__setitem__
+            )
+            y = psi.copy()
+            for i in range(m_d - 1, -1, -1):
+                want += [np.vdot(terms[i], hc.matvec(y)) / (i + 1) for hc in problem.h_controls]
+                if i:
+                    y = h.matvec(y) * (ahead / (i + 1)) + psi
+        want *= ahead
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", [8, 27, 255, 256, 300, 1024])
+    @pytest.mark.parametrize("n_channels", [1, 4, 6, 13, 200])
+    def test_contraction_buffer_is_bounded(self, d, n_channels):
+        diagonal = sparse.build_csr([(i, i, 1.0 + i) for i in range(d)], d, d)
+        problem = costs.ControlProblem(
+            diagonal, (diagonal,) * n_channels, Backend.SCALING_SQUARING, 1e-10
+        )
+        step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, n_channels, 0.1), 0)
+        stacks, horner, parts = step._contraction(d)
+        buffer = stacks[0][1] if stacks[0][1].base is None else stacks[0][1].base
+        assert all(rows.base is None or rows.base is buffer for _, rows, _, _ in stacks)
+        assert horner.size == d and np.shares_memory(horner, buffer) and parts.size == n_channels
+        per_stack = problem._controls.per_stack
+        assert buffer.size == min(n_channels, per_stack) * d
+        assert buffer.size <= max(CHANNEL_BLOCK * d, STACK_ROWS)
+        if d >= 256:  # the layout of large problems: CHANNEL_BLOCK channels to a stack
+            assert per_stack == CHANNEL_BLOCK
+        else:
+            assert len(stacks) == -(-n_channels // (STACK_ROWS // d))
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     @pytest.mark.parametrize("h_scale, dt", [(1.0, 0.3), (3.0, 0.6)])

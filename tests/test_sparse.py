@@ -259,6 +259,22 @@ class TestFixedPatternSum:
         with pytest.raises(sparse.SparseMatrixError, match="coefficients"):
             pattern.combine(np.ones(3))
 
+    def test_combination_reports_the_unions_row_count(self):
+        # the union holds two entries in each row
+        a = sparse.build_csr([(0, 0, 1.0), (1, 0, 1.0), (1, 1, 1.0)], 2, 2)
+        b = sparse.build_csr([(0, 0, -1.0), (0, 1, 2.0), (1, 0, 1.0)], 2, 2)
+        pattern = sparse.FixedPatternSum([a, b])
+        whole = pattern.combine(np.array([1.0, 2.0]))
+        assert whole.nnz == 4 and whole._row_count == 2
+        cancelled = pattern.combine(np.array([1.0, 1.0]))  # 1 - 1 at (0, 0)
+        assert cancelled.nnz == 3 and cancelled._row_count is None
+        for m in (whole, cancelled):
+            assert m.max_row_nnz() == (m.to_dense() != 0).sum(axis=1).max()
+        row_zero = sparse.build_csr([(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)], 2, 2)
+        lone = sparse.FixedPatternSum([row_zero, sparse.build_csr([(0, 1, -1.0)], 2, 2)])
+        recounted = lone.combine(np.array([1.0, 1.0]))  # both rows keep one entry, not two
+        assert recounted._row_count is None and recounted.max_row_nnz() == 1
+
     def test_stack_is_a_view_of_the_terms(self, rng):
         d = 9
         mats, denses = integer_terms(rng, d, d, 5)
@@ -357,6 +373,27 @@ class TestDumpLoad:
         path = tmp_path / "input.txt"
         path.write_text(f"{header}\n")
         message = rf"{re.escape(str(path))}: malformed \w+ header on line 1: expected \d non-negative"
+        with pytest.raises(sparse.SparseMatrixError, match=message):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "load, text, line, detail",
+        [
+            (sparse.load_matrix, "2 2 1\nx 0 1 0\n", 2, "malformed row index 'x'"),
+            (sparse.load_matrix, "2 2 2\n0 0 1 0\n1 y 1 0\n", 3, "malformed column index 'y'"),
+            (sparse.load_matrix, "2 2 1\n0 0 abc 0\n", 2, "malformed value 'abc' '0'"),
+            (sparse.load_matrix, "2 2 1\n5 0 1 0\n", 2, r"row index 5 out of range \[0, 2\)"),
+            (
+                sparse.load_matrix, "2 2 1\n0 -1 1 0\n", 2,
+                r"column index -1 out of range \[0, 2\)",
+            ),
+            (sparse.load_vector, "2\n1 0\n0 nope\n", 3, "malformed value '0' 'nope'"),
+        ],
+    )
+    def test_entry_errors_name_the_file_and_line(self, tmp_path, load, text, line, detail):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        message = rf"{re.escape(str(path))}: {detail} on line {line}"
         with pytest.raises(sparse.SparseMatrixError, match=message):
             load(path)
 
