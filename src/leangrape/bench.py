@@ -42,6 +42,7 @@ __all__ = [
     "StrategyMethod",
     "StrategyRecommendation",
     "MODEL_NAMES",
+    "STORAGES",
     "build_model",
     "measure_mu",
     "measure_step_runtime",
@@ -174,6 +175,9 @@ class PowerLawFit:
 
 MODEL_NAMES = tuple(sorted([*models.FAMILIES, "zero"]))
 
+#: Operator storages a runtime measurement can time.
+STORAGES = ("sparse", "dense")
+
 
 def build_model(model: str, size: int) -> tuple[CsrMatrix, list[CsrMatrix], list[float]]:
     """Model operators and their fixture drive amplitudes.
@@ -259,14 +263,16 @@ def measure_step_runtime(
     tau: float,
     reps: int = 5,
     *,
-    dt: float = 0.02,
+    dt: float,
     storage: str = "sparse",
     n_steps: int = 1,
 ) -> BenchRecord:
     """Time one gradient evaluation (monotonic clock, median of ``reps``).
 
-    ``storage`` selects sparse CSR operators or dense storage where every
-    matrix element counts as stored (kappa = d^2 per operator).
+    Every step lasts ``dt``, which has no default because the plan, and so
+    the timing, depends on it.  ``storage`` (one of :data:`STORAGES`)
+    selects sparse CSR operators or dense storage where every matrix
+    element counts as stored (kappa = d^2 per operator).
 
     The warmup and the timed runs hold BLAS at one thread, through
     ``threadpoolctl`` or else the OpenBLAS thread setter, and the prior
@@ -275,8 +281,8 @@ def measure_step_runtime(
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValueError(f"reps must be a positive integer, got {reps!r}")
-    if storage not in ("sparse", "dense"):
-        raise ValueError("storage must be 'sparse' or 'dense'")
+    if storage not in STORAGES:
+        raise ValueError(f"storage must be one of {STORAGES}, got {storage!r}")
     h_static, h_controls, amps = build_model(model, size)
     if storage == "dense":
         h_static = DenseMatrix(h_static.to_dense())

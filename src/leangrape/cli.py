@@ -59,6 +59,11 @@ _COST_KEYS = {
 }
 
 
+def _values(enum) -> tuple[str, ...]:
+    """The choices of a config key that names a member of a library enum."""
+    return tuple(member.value for member in enum)
+
+
 def _schema() -> dict[str, _Spec]:
     opt = ("optimize",)
     b_mu = ("bench_mu",)
@@ -69,7 +74,7 @@ def _schema() -> dict[str, _Spec]:
         "steps.n": _Spec("int", opt, required=opt, positive=True),
         "steps.dt": _Spec("float", opt + b_rt, required=opt, positive=True),
         "tau": _Spec("float", opt + b_mu + b_rt + ("expm",), positive=True),
-        "backend": _Spec("str", opt, choices=("scaling_squaring", "diagonalization")),
+        "backend": _Spec("str", opt, choices=_values(Backend)),
         "seed": _Spec("int", opt),
         "controls.init": _Spec("str", opt, choices=("constant", "random")),
         "controls.value": _Spec("float", opt),
@@ -79,23 +84,21 @@ def _schema() -> dict[str, _Spec]:
         "optimizer.max_iters": _Spec("int", opt, positive=True),
         "optimizer.eta0": _Spec("float", opt, positive=True),
         "optimizer.schedule": _Spec("str", opt, choices=optimizer.ETA_SCHEDULES),
-        "optimizer.shrink": _Spec("float", opt, positive=True),
-        "optimizer.grow": _Spec("float", opt, positive=True),
         "optimizer.stop_cost": _Spec("float", opt),
         "optimizer.stop_grad_norm": _Spec("float", opt),
         "bench.sizes": _Spec("int_list", b_mu + b_rt, required=b_mu + b_rt),
         "bench.dts": _Spec("float_list", b_mu),
-        "bench.storage": _Spec("str", b_rt, choices=("sparse", "dense")),
+        "bench.storage": _Spec("str", b_rt, choices=bench.STORAGES),
         "bench.reps": _Spec("int", b_rt, positive=True),
-        "bench.task": _Spec("str", b_rt, choices=("state_transfer", "gate")),
+        "bench.task": _Spec("str", b_rt, choices=_values(bench.Task)),
         "advise.d": _Spec("int", ("advise",), required=("advise",), positive=True),
         "advise.n": _Spec("int", ("advise",), required=("advise",), positive=True),
         "advise.kappa": _Spec("str", ("advise",), required=("advise",),
-                              choices=("sub_quadratic", "quadratic")),
+                              choices=_values(bench.KappaScaling)),
         "advise.mu": _Spec("str", ("advise",), required=("advise",),
-                           choices=("sublinear", "linear_or_worse")),
+                           choices=_values(bench.MuScaling)),
         "advise.task": _Spec("str", ("advise",), required=("advise",),
-                             choices=("state_transfer", "gate")),
+                             choices=_values(bench.Task)),
         "advise.memory_ok": _Spec("bool", ("advise",), required=("advise",)),
         "advise.gradients_available": _Spec("bool", ("advise",), required=("advise",)),
         "expm.matrix": _Spec("str", ("expm",), required=("expm",)),
@@ -125,8 +128,6 @@ _DEFAULTS = {
     "optimizer.max_iters": 200,
     "optimizer.eta0": 0.1,
     "optimizer.schedule": "lbfgs",
-    "optimizer.shrink": 0.5,
-    "optimizer.grow": 1.1,
     "optimizer.stop_cost": 0.0,
     "optimizer.stop_grad_norm": 0.0,
     "target.kind": "basis_index",
@@ -277,7 +278,7 @@ def _model_params(cfg: RunConfig):
 
 def _build_target(cfg: RunConfig, kind: str, params, dim: int):
     target_kind = cfg.get("target.kind")
-    index = int(cfg.get("target.index"))
+    index = cfg.get("target.index")
     if target_kind == "basis_index":
         if not 0 <= index < dim:
             raise ConfigError(f"target.index {index} outside dimension {dim}")
@@ -311,7 +312,7 @@ def _cost_terms(cfg: RunConfig, kind: str, params, dim: int) -> list[costs.CostT
     for key, cost_kind in _COST_KEYS.items():
         if not cfg.has(key):
             continue
-        weight = float(cfg.get(key))
+        weight = cfg.get(key)
         if cost_kind in (costs.CostKind.STATE_INFIDELITY, costs.CostKind.STATE_RUNNING_INFIDELITY):
             if phi_target is None:
                 phi_target, gate_target = _build_target(cfg, kind, params, dim)
@@ -338,71 +339,56 @@ def _cost_terms(cfg: RunConfig, kind: str, params, dim: int) -> list[costs.CostT
 
 
 def _run_optimize(cfg: RunConfig, out_dir: str) -> int:
-    # the schema checks each value alone; OptimizerConfig checks the ranges
-    # (shrink in (0, 1), grow > 1) before the model is built
+    # the schema checks each value alone; OptimizerConfig checks that the stop
+    # thresholds are non-negative before the model is built
     opt_cfg = optimizer.OptimizerConfig(
-        max_iters=int(cfg.get("optimizer.max_iters")),
-        eta0=float(cfg.get("optimizer.eta0")),
-        eta_schedule=str(cfg.get("optimizer.schedule")),
-        shrink=float(cfg.get("optimizer.shrink")),
-        grow=float(cfg.get("optimizer.grow")),
-        stop_cost=float(cfg.get("optimizer.stop_cost")),
-        stop_grad_norm=float(cfg.get("optimizer.stop_grad_norm")),
+        max_iters=cfg.get("optimizer.max_iters"),
+        eta0=cfg.get("optimizer.eta0"),
+        eta_schedule=cfg.get("optimizer.schedule"),
+        stop_cost=cfg.get("optimizer.stop_cost"),
+        stop_grad_norm=cfg.get("optimizer.stop_grad_norm"),
     )
     kind, params = _model_params(cfg)
     h_static, h_controls = models.FAMILIES[kind].build(params)
     dim = h_static.n_rows
-    n_steps = int(cfg.get("steps.n"))
-    dt = float(cfg.get("steps.dt"))
+    n_steps = cfg.get("steps.n")
     n_channels = len(h_controls)
 
-    seed = int(cfg.get("seed"))
-    value = float(cfg.get("controls.value"))
+    value = cfg.get("controls.value")
     if cfg.get("controls.init") == "constant":
         amps = np.full((n_steps, n_channels), value)
     else:
-        amps = np.random.default_rng(seed).uniform(-value, value, (n_steps, n_channels))
-    field = costs.ControlField(n_steps, n_channels, dt, amps)
+        amps = np.random.default_rng(cfg.get("seed")).uniform(-value, value, (n_steps, n_channels))
+    field = costs.ControlField(n_steps, n_channels, cfg.get("steps.dt"), amps)
 
     problem = costs.ControlProblem(
         h_static,
         tuple(h_controls),
         Backend(cfg.get("backend")),
-        float(cfg.get("tau")),
+        cfg.get("tau"),
         initial_state=models.fock_state(dim, 0),
     )
     terms = _cost_terms(cfg, kind, params, dim)
     trace = optimizer.grape_optimize(problem, terms, field, opt_cfg)
-
-    sha = config_sha256(cfg)
-    lines = [f"# config_sha256={sha}"] + trace.to_csv_lines()
-    _write(out_dir, "trace.csv", "\n".join(lines) + "\n")
     summary = {
-        "config_sha256": sha,
         "subcommand": "optimize",
         "final_cost": trace.final_cost,
         "iterations": len(trace.records),
         "cost_evals": trace.cost_evals,
         "stop_reason": trace.stop_reason,
     }
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _report(cfg, out_dir, summary, ("trace.csv", "\n".join(trace.to_csv_lines()) + "\n"))
 
 
 def _run_bench_mu(cfg: RunConfig, out_dir: str) -> int:
-    model = str(cfg.get("model.kind"))
-    sizes = list(cfg.get("bench.sizes"))
-    dts = list(cfg.get("bench.dts"))
-    tau = float(cfg.get("tau"))
-    records = []
-    for size in sizes:
-        for dt in dts:
-            records.append(bench.measure_mu(model, int(size), float(dt), tau))
-    sha = config_sha256(cfg)
-    _write(out_dir, "bench.csv", f"# config_sha256={sha}\n" + bench.records_to_csv(records))
-
-    summary: dict = {"config_sha256": sha, "subcommand": "bench_mu", "points": len(records)}
+    sizes = cfg.get("bench.sizes")
+    dts = cfg.get("bench.dts")
+    records = [
+        bench.measure_mu(cfg.get("model.kind"), size, dt, cfg.get("tau"))
+        for size in sizes
+        for dt in dts
+    ]
+    summary: dict = {"subcommand": "bench_mu", "points": len(records)}
     # a refused plan has no mu; a fit needs enough certified points or is left out
     feasible = [r for r in records if r.matvecs is not None]
     if len(sizes) >= 4 and len(dts) == 1 and len(feasible) >= 4:
@@ -411,74 +397,50 @@ def _run_bench_mu(cfg: RunConfig, out_dir: str) -> int:
     if len(dts) >= 4 and len(sizes) == 1 and len(feasible) >= 2:
         fit = bench.fit_line([r.norm1 for r in feasible], [r.matvecs for r in feasible])
         summary["mu_vs_norm1"] = dict(zip(("slope", "intercept", "r_squared"), fit))
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _report(cfg, out_dir, summary, ("bench.csv", bench.records_to_csv(records)))
 
 
 def _run_bench_runtime(cfg: RunConfig, out_dir: str) -> int:
-    model = str(cfg.get("model.kind"))
-    sizes = list(cfg.get("bench.sizes"))
-    tau = float(cfg.get("tau"))
     task = bench.Task(cfg.get("bench.task"))
-    storage = str(cfg.get("bench.storage"))
-    reps = int(cfg.get("bench.reps"))
-    dt = float(cfg.get("steps.dt"))
     records = [
         bench.measure_step_runtime(
-            model, int(size), task, tau, reps, dt=dt, storage=storage
+            cfg.get("model.kind"), size, task, cfg.get("tau"), cfg.get("bench.reps"),
+            dt=cfg.get("steps.dt"), storage=cfg.get("bench.storage"),
         )
-        for size in sizes
+        for size in cfg.get("bench.sizes")
     ]
-    sha = config_sha256(cfg)
-    _write(out_dir, "bench.csv", f"# config_sha256={sha}\n" + bench.records_to_csv(records))
-    summary: dict = {
-        "config_sha256": sha,
-        "subcommand": "bench_runtime",
-        "points": len(records),
-    }
+    summary: dict = {"subcommand": "bench_runtime", "points": len(records)}
     if len(records) >= 4:
         fit = bench.fit_power_law([(r.d, r.wall_ns) for r in records])
         summary["runtime_vs_d"] = dataclasses.asdict(fit)
-    _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return _report(cfg, out_dir, summary, ("bench.csv", bench.records_to_csv(records)))
 
 
 def _run_advise(cfg: RunConfig, out_dir: str | None) -> int:
     rec = bench.strategy_advise(
-        d=int(cfg.get("advise.d")),
-        n_steps=int(cfg.get("advise.n")),
+        d=cfg.get("advise.d"),
+        n_steps=cfg.get("advise.n"),
         kappa_scaling=bench.KappaScaling(cfg.get("advise.kappa")),
         mu_vs_d=bench.MuScaling(cfg.get("advise.mu")),
         task=bench.Task(cfg.get("advise.task")),
-        memory_budget_ok_for_ad=bool(cfg.get("advise.memory_ok")),
-        gradients_available=bool(cfg.get("advise.gradients_available")),
+        memory_budget_ok_for_ad=cfg.get("advise.memory_ok"),
+        gradients_available=cfg.get("advise.gradients_available"),
     )
-    payload = {
-        "config_sha256": config_sha256(cfg),
-        "method": rec.method.value,
-        "rationale": rec.rationale,
-    }
-    print(json.dumps(payload, sort_keys=True))
-    if out_dir is not None:
-        _write(out_dir, "summary.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _report(cfg, out_dir, {"method": rec.method.value, "rationale": rec.rationale})
 
 
 def _run_expm(cfg: RunConfig, out_dir: str | None) -> int:
-    matrix_path = str(cfg.get("expm.matrix"))
-    vector_path = str(cfg.get("expm.vector"))
+    matrix_path = cfg.get("expm.matrix")
+    vector_path = cfg.get("expm.vector")
     for path in (matrix_path, vector_path):
         if not os.path.exists(path):
             raise ConfigError(f"input file does not exist: {path}")
-    tau = float(cfg.get("tau"))
+    tau = cfg.get("tau")
     a = load_matrix(matrix_path)
     psi = load_vector(vector_path)
     plan = make_plan(a.one_norm(), a.max_row_nnz(), tau)
     result = expm_apply(a, psi, plan)
     payload = {
-        "config_sha256": config_sha256(cfg),
         "result": [[float(z.real), float(z.imag)] for z in result],
         "mu": plan.matvecs,
         "m": plan.order,
@@ -486,14 +448,31 @@ def _run_expm(cfg: RunConfig, out_dir: str | None) -> int:
         "bound": plan.bound,
         "tau": tau,
     }
-    print(json.dumps(payload, sort_keys=True))
-    if out_dir is not None:
-        _write(out_dir, "summary.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _report(cfg, out_dir, payload)
 
 
 # ---------------------------------------------------------------------------
 # plumbing
+
+
+def _report(
+    cfg: RunConfig, out_dir: str | None, summary: dict, csv: tuple[str, str] | None = None
+) -> int:
+    """Print ``summary`` and the config hash as one line of sorted JSON.
+
+    With an output directory the same object is written, indented, to
+    ``summary.json``, and ``csv``, a ``(name, body)`` pair, is written
+    first under a ``# config_sha256=`` header line.
+    """
+    sha = config_sha256(cfg)
+    summary = {"config_sha256": sha, **summary}
+    if out_dir is not None:
+        if csv is not None:
+            name, body = csv
+            _write(out_dir, name, f"# config_sha256={sha}\n{body}")
+        _write(out_dir, "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
 
 def _write(out_dir: str, name: str, content: str) -> None:

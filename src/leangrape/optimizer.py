@@ -11,7 +11,8 @@ Three schedules move the control amplitudes ``a``:
   de Fouquieres et al., J. Magn. Reson. 212, 412 (2011); Machnes et al.,
   Phys. Rev. A 84, 022305 (2011).
 * ``backtracking`` is steepest descent ``a <- a - eta * grad C(a)``; eta
-  shrinks on a rejected step and grows gently after an accepted one.
+  shrinks by :data:`SHRINK` on a rejected step and grows by :data:`GROW`
+  after an accepted one.
 * ``constant`` is steepest descent at a fixed ``eta0``.
 
 ``lbfgs`` and ``backtracking`` accept a step only when the cost does not
@@ -64,6 +65,10 @@ LBFGS_MEMORY = 10
 ARMIJO_C1 = 1e-4
 #: Trials one line search runs before it gives up as stalled.
 MAX_BACKTRACKS = 60
+#: Factor on the trial length after a rejected line-search trial.
+SHRINK = 0.5
+#: Factor on the accepted length that starts the next steepest-descent search.
+GROW = 1.1
 #: A pair is stored only when ``s.y > CURVATURE_EPS * |s| |y|``, so the
 #: inverse-Hessian estimate stays positive definite.
 CURVATURE_EPS = 1.5e-8
@@ -74,8 +79,6 @@ class OptimizerConfig:
     max_iters: int = 100
     eta0: float = 0.1
     eta_schedule: str = "lbfgs"
-    shrink: float = 0.5
-    grow: float = 1.1
     stop_cost: float = 0.0
     stop_grad_norm: float = 0.0
 
@@ -86,10 +89,6 @@ class OptimizerConfig:
             raise ValueError("eta0 must be positive and finite")
         if self.eta_schedule not in ETA_SCHEDULES:
             raise ValueError(f"unknown eta schedule {self.eta_schedule!r}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if not 1.0 < self.grow < math.inf:
-            raise ValueError("grow must exceed 1 and be finite")
         for name in ("stop_cost", "stop_grad_norm"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -171,7 +170,6 @@ def _line_search(
     direction: np.ndarray,
     length: float,
     slope: float,
-    cfg: OptimizerConfig,
     trace: OptimizationTrace,
     record: SweepRecord,
 ) -> tuple[ControlField, float] | None:
@@ -179,7 +177,7 @@ def _line_search(
 
     A trial is accepted when its cost is at most
     ``cost + ARMIJO_C1 * length * slope``; ``slope = 0`` asks for simple
-    decrease.  ``length`` shrinks by ``cfg.shrink`` after each rejected
+    decrease.  ``length`` shrinks by :data:`SHRINK` after each rejected
     trial.  Returns the accepted field and length, or None when
     :data:`MAX_BACKTRACKS` trials were all rejected.  ``record`` keeps the
     last trial's state sweep, so the gradient at an accepted field starts
@@ -190,7 +188,7 @@ def _line_search(
         trace.cost_evals += 1
         if composite_cost(problem, candidate, terms, record) <= cost + ARMIJO_C1 * slope * length:
             return candidate, length
-        length *= cfg.shrink
+        length *= SHRINK
     return None
 
 
@@ -275,7 +273,7 @@ def grape_optimize(
                     if quasi_newton:
                         direction, length, slope = qn_direction, 1.0, qn_slope
             found = _line_search(
-                problem, terms, current, result.cost, direction, length, slope, cfg, trace, record
+                problem, terms, current, result.cost, direction, length, slope, trace, record
             )
             if found is None:
                 trace.stop_reason = "line_search_stalled"
@@ -285,7 +283,7 @@ def grape_optimize(
             current, accepted_length = found
             result = composite_grad(problem, current, terms, record)
             if not quasi_newton:
-                eta = accepted_length * cfg.grow
+                eta = accepted_length * GROW
             if lbfgs:
                 history.push(current.amplitudes - previous.amplitudes, result.grad - previous_grad)
         except Exception as exc:

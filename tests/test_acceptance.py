@@ -25,7 +25,12 @@ import pytest
 from leangrape import bench, costs, expm, models, optimizer, sparse
 from leangrape.bench import KappaScaling, MuScaling, StrategyMethod, Task
 from leangrape.costs import CostKind, CostTerm, VectorMeter
-from leangrape.derivatives import Backend, derivative_action_diag, diag_prepare
+from leangrape.derivatives import (
+    CHANNEL_BLOCK,
+    Backend,
+    derivative_action_diag,
+    diag_prepare,
+)
 
 from conftest import expm_action_oracle, make_step, random_hermitian, random_state
 
@@ -364,6 +369,43 @@ class TestCriterion7BackendEquivalence:
             worst = max(worst, rel)
             assert rel <= 1e-8
         _verdict(7, "backend equivalence", True, f"50 instances, worst rel = {worst:.2e}")
+
+    @pytest.mark.parametrize("n_channels", [1, 5])  # 5: one full and one partial block
+    def test_pull_back_agrees_across_backends(self, rng, n_channels):
+        # the backward step gradients run, beside the reference derivatives above
+        assert n_channels % CHANNEL_BLOCK
+        tau = 1e-10
+        worst = 0.0
+        for instance in range(50):
+            d = int(rng.integers(3, 33))
+            hcs = [random_hermitian(rng, d) for _ in range(n_channels)]
+            if instance == 0:
+                # a degenerate step at zero drive, the controls coupling the degenerate pair
+                h0 = np.diag([1.0, 1.0, *range(2, d)]).astype(complex)
+                amps = np.zeros(n_channels)
+            else:
+                h0 = random_hermitian(rng, d)
+                amps = rng.normal(scale=0.5, size=n_channels)
+            dt = float(rng.uniform(0.05, 0.6))
+            psi_n, lam = random_state(rng, d), random_state(rng, d)
+            moved = []
+            for backend in Backend:
+                problem = costs.ControlProblem(
+                    sparse.from_dense(h0), tuple(map(sparse.from_dense, hcs)), backend, tau
+                )
+                step = problem.step_evaluator(costs.ControlField(1, n_channels, dt, [amps]), 0)
+                psi, costate = psi_n.copy(), lam.copy()
+                moved.append((step.pull_back(costate, psi), psi, costate))
+            (overlaps, psi, costate), (overlaps_diag, psi_diag, costate_diag) = moved
+            err, scale = np.abs(overlaps - overlaps_diag).max(), np.abs(overlaps_diag).max()
+            assert err <= 1e-8 * scale
+            worst = max(worst, err / max(scale, 1e-300))
+            assert np.linalg.norm(psi - psi_diag) <= 2 * tau
+            assert np.linalg.norm(costate - costate_diag) <= 2 * tau
+        _verdict(
+            7, f"backward-step equivalence, K={n_channels}", True,
+            f"50 instances, worst overlap rel = {worst:.2e}",
+        )
 
 
 class TestCriterion8EndToEndOptimization:

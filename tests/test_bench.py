@@ -98,7 +98,19 @@ class TestMeasureStepRuntime:
     @pytest.mark.parametrize("reps", [0, -1, 2.5])
     def test_reps_must_be_a_positive_integer(self, reps):
         with pytest.raises(ValueError, match="reps must be a positive integer"):
-            bench.measure_step_runtime("qubit_chain", 2, Task.STATE_TRANSFER, 1e-8, reps=reps)
+            bench.measure_step_runtime(
+                "qubit_chain", 2, Task.STATE_TRANSFER, 1e-8, reps=reps, dt=0.1
+            )
+
+    def test_dt_is_required(self):
+        with pytest.raises(TypeError, match="dt"):
+            bench.measure_step_runtime("qubit_chain", 2, Task.STATE_TRANSFER, 1e-8, reps=1)
+
+    def test_unknown_storage_refused(self):
+        with pytest.raises(ValueError, match=r"storage must be one of \('sparse', 'dense'\)"):
+            bench.measure_step_runtime(
+                "qubit_chain", 2, Task.STATE_TRANSFER, 1e-8, reps=1, dt=0.1, storage="csc"
+            )
 
     def test_dense_storage_kappa(self):
         rec = bench.measure_step_runtime(

@@ -73,6 +73,37 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="stepz.dt"):
             parse_config(RABI_CFG + "\nstepz.dt = 1.0\n", "optimize")
 
+    @pytest.mark.parametrize("key", ["optimizer.shrink", "optimizer.grow"])
+    def test_removed_step_factor_keys_rejected(self, tmp_path, capsys, key):
+        # the line search's step factors are the constants optimizer.SHRINK and GROW
+        cfg_path = tmp_path / "rabi.cfg"
+        cfg_path.write_text(RABI_CFG + f"{key} = 0.5\n")
+        out = tmp_path / "run"
+        assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, key, message",
+        [
+            ("optimize", "backend",
+             "backend: 'x' is not one of ('scaling_squaring', 'diagonalization')"),
+            ("bench_runtime", "bench.storage",
+             "bench.storage: 'x' is not one of ('sparse', 'dense')"),
+            ("bench_runtime", "bench.task",
+             "bench.task: 'x' is not one of ('state_transfer', 'gate')"),
+            ("advise", "advise.kappa",
+             "advise.kappa: 'x' is not one of ('sub_quadratic', 'quadratic')"),
+            ("advise", "advise.mu",
+             "advise.mu: 'x' is not one of ('sublinear', 'linear_or_worse')"),
+            ("advise", "advise.task",
+             "advise.task: 'x' is not one of ('state_transfer', 'gate')"),
+        ],
+    )
+    def test_library_choice_refused_with_its_values(self, subcommand, key, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(f"{key} = x\n", subcommand)
+        assert str(info.value) == message
+
     def test_key_for_wrong_subcommand_rejected(self):
         with pytest.raises(ConfigError, match="advise.d"):
             parse_config(RABI_CFG + "\nadvise.d = 4\n", "optimize")
@@ -249,8 +280,8 @@ class TestOverrides:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("optimizer.shrink = 1.5", "shrink must lie in (0, 1)"),
-            ("optimizer.grow = 0.5", "grow must exceed 1"),
+            ("optimizer.stop_cost = -1", "stop_cost must be finite and non-negative"),
+            ("optimizer.stop_grad_norm = -1", "stop_grad_norm must be finite and non-negative"),
         ],
     )
     def test_optimizer_range_refused_before_model_build(
@@ -261,7 +292,7 @@ class TestOverrides:
 
         monkeypatch.setattr(cli, "_model_params", no_build)
         cfg_path = tmp_path / "rabi.cfg"
-        cfg_path.write_text(RABI_CFG + line + "\n")
+        cfg_path.write_text(RABI_CFG.replace("optimizer.stop_cost = 1e-7\n", line + "\n"))
         out = tmp_path / "run"
         assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert message in capsys.readouterr().err

@@ -118,8 +118,10 @@ class TestGrapeOptimize:
             optimizer.OptimizerConfig(eta0=-1.0)
         with pytest.raises(ValueError):
             optimizer.OptimizerConfig(eta_schedule="adam")
-        with pytest.raises(ValueError):
-            optimizer.OptimizerConfig(shrink=1.5)
+        with pytest.raises(TypeError):
+            optimizer.OptimizerConfig(shrink=0.5)
+        with pytest.raises(TypeError):
+            optimizer.OptimizerConfig(grow=1.1)
 
     @pytest.mark.parametrize("max_iters", [2.5, 0, -3, "10"])
     def test_max_iters_must_be_a_positive_integer(self, max_iters):
@@ -131,7 +133,7 @@ class TestGrapeOptimize:
         with pytest.raises(TypeError):
             optimizer.OptimizerConfig(max_backtracks=4)
 
-    @pytest.mark.parametrize("name", ["eta0", "grow", "stop_cost", "stop_grad_norm"])
+    @pytest.mark.parametrize("name", ["eta0", "stop_cost", "stop_grad_norm"])
     def test_nan_config_refused(self, name):
         with pytest.raises(ValueError, match=f"{name} must"):
             optimizer.OptimizerConfig(**{name: float("nan")})
