@@ -11,9 +11,9 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   per-term scalar, so no generator ``-i dt H`` is ever materialized.
   A backward step differentiates the Taylor polynomial the engine
   evaluates (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639,
-  2009): one application moves the co-state and hands its Taylor terms
-  to a term sink, a Horner pass over the state builds the matching
-  partial sums, and each pair is contracted through the controls,
+  2009): one Taylor pass moves the co-state and the state together and
+  keeps the co-state's Taylor terms, a Horner pass over the state builds
+  the matching partial sums, and each pair is contracted through the controls,
   row-stacked so that one product serves several channels (see
   :class:`ControlOperators`).  Its products with
   ``H`` do not depend on the number of channels, and
@@ -248,6 +248,20 @@ class ControlOperators:
         )
 
     @cached_property
+    def layout(self) -> tuple[tuple[tuple, ...], int]:
+        """Per stack its unchecked product, rows and first and stop channel; the most rows.
+
+        Computed once per problem, so a backward step only allocates the
+        arrays its contraction reads (:meth:`StepEvaluator._contraction`).
+        """
+        stacks, n, w = self.stacks, len(self.matrices), self.per_stack
+        layout = tuple(
+            (op._product, op.n_rows, k, min(k + w, n))
+            for k, op in zip(range(0, n, w), stacks)
+        )
+        return layout, max(op.n_rows for op in stacks)
+
+    @cached_property
     def norm1(self) -> float:
         return max((m.one_norm() for m in self.matrices), default=0.0)
 
@@ -458,7 +472,8 @@ class StepEvaluator:
     ``H``, and the :class:`~leangrape.expm.DerivativePlan` of a backward
     step.  ``ctx.h_step`` is the one stored copy of the step's operator:
     every product scales it by ``-i dt`` or ``+i dt`` inside
-    :func:`leangrape.expm.apply` or a Horner pass.  With the
+    :func:`leangrape.expm.apply`, :func:`leangrape.expm.move_pair` or a
+    Horner pass.  With the
     diagonalization backend the first product factorizes the step and
     consumes ``ctx.h_step`` (see :func:`diag_prepare`); from then on the
     step holds its eigenfactorization only.
@@ -537,30 +552,35 @@ class StepEvaluator:
 
         On scaling and squaring the step runs its
         :class:`~leangrape.expm.DerivativePlan` ``(m_d, s)`` stage by stage,
-        from the last stage.  Each stage moves the co-state with one
-        :func:`leangrape.expm.apply` at ``+i dt`` whose term sink keeps its
-        Taylor terms ``u_i``, then moves ``psi`` back under the step's plan,
-        then runs a Horner pass at ``-i dt`` over the stage's ``psi``
-        (``m_d - 1`` products), contracting each ``Y_i`` against
-        ``conj(u_i)``, weighted by ``1 / (i + 1)``, through the row-stacked
-        controls, ``w = min(K, max(CHANNEL_BLOCK, STACK_ROWS // d))``
-        channels per product (:attr:`ControlOperators.stacks`).  Each stage
-        sums its overlaps from zero and the stage sums are added last: the accumulation
-        depth ``m_d + s`` that :func:`leangrape.expm.derivative_bound`
-        charges.  A step costs ``m s + (2 m_d - 1) s`` products with ``H``,
-        whatever the number of channels.  Stage by stage runs the scalars
-        and products of one application, so the moved co-state is
+        from the last stage.  Each stage first moves the co-state and ``psi``
+        at ``+i dt`` in one Taylor pass, :func:`leangrape.expm.move_pair`:
+        the co-state row runs to ``m_d`` and keeps its Taylor terms ``u_i``,
+        the ``psi`` row stops at the order of the step's plan.  Then a
+        Horner pass at ``-i dt`` over the stage's moved ``psi`` (``m_d - 1``
+        products) contracts each ``Y_i`` against ``conj(u_i)``, weighted by
+        ``1 / (i + 1)``, through the row-stacked controls,
+        ``w = min(K, max(CHANNEL_BLOCK, STACK_ROWS // d))`` channels per
+        product (:attr:`ControlOperators.stacks`).  Each stage sums its
+        overlaps from zero and the stage sums are added last: the
+        accumulation depth ``m_d + s`` that
+        :func:`leangrape.expm.derivative_bound` charges.  A step costs
+        ``m s + (2 m_d - 1) s`` products with ``H``, whatever the number of
+        channels.  The two moves run the products, scalars and additions of
+        one application each, so the moved co-state is
         ``expm.apply(h_step, lambda, dplan.costate, scale=+i dt)`` and the
         moved ``psi`` is ``expm.apply(h_step, psi_n, dplan.state, scale=+i
         dt)``, bit for bit; ``dplan.state`` is the step's plan whenever that
-        certifies, and ``psi`` then moves as :meth:`adjoint` moves it.
-        Scratch: the ``m_d`` terms the pass reads (the sink drops
-        ``u_{m_d}``), and besides them either the engine's three vectors,
-        during a move, or, once both moves are done, the Horner vector (the
-        moved ``psi``'s own array) and one contraction buffer of ``w d``
-        entries, at most ``max(CHANNEL_BLOCK d, STACK_ROWS)``, that the
-        Horner product shares: at most ``m_d d + max(3 d, d + w d)``
-        complex entries.
+        certifies, and ``psi`` then moves as :meth:`adjoint` moves it.  The
+        step checks its two vectors once, here, and owns every other array
+        it touches, so each product with ``H`` and with a stack runs the
+        matrix's unchecked product (``_product``), never ``matvec`` or
+        ``expm.apply``.  Scratch, allocated on entry and held to the end:
+        the ``m_d`` terms, ``psi``'s term vector during the moves, which is
+        the Horner vector after them, and one contraction buffer of ``w d``
+        entries, at most ``max(CHANNEL_BLOCK d, STACK_ROWS)``, whose first
+        ``d`` entries take every product with ``H`` (and the co-state's last
+        term, ``u_{m_d}``, which nothing reads): ``m_d d + d + w d`` complex
+        entries.
 
         On the diagonalization backend ``psi`` moves by :meth:`adjoint`
         first.  With ``l = S^H lambda``, ``p = S^H psi`` and the kernel
@@ -604,80 +624,55 @@ class StepEvaluator:
 
     def _pull_back_taylor(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
         plan = self._derivative_plan()
-        h, d, scaling = self.ctx.h_step, self.ctx.dim, plan.costate.scaling
-        state, moves = plan.state.stage(), plan.costate.stage()
-        back, ahead = 1j * self.ctx.dt / scaling, -1j * self.ctx.dt / scaling
-        order = moves.order
-        terms = np.empty((order, d), dtype=np.complex128)
-
-        def keep(j: int, term: np.ndarray) -> None:
-            if j < order:  # the last term, u_{m_d}, is never read
-                terms[j] = term
-
-        # each stage sums its terms from zero, then the stage sums add up:
-        # the depth m_d + s that expm.derivative_bound charges
-        acc = np.zeros(len(self._controls.matrices), dtype=np.complex128)
+        h, d, dt = self.ctx.h_step, self.ctx.dim, self.ctx.dt
+        product, scaling = h._product, plan.costate.scaling
+        ahead = -1j * dt / scaling
+        # every array the step reads or writes besides the two it moves
+        stacks, work, parts = self._contraction(d)
+        terms = np.empty((plan.costate.order, d), dtype=np.complex128)
+        y = np.empty(d, dtype=np.complex128)  # psi's term in the moves, then the Horner vector
+        acc = np.zeros(parts.size, dtype=np.complex128)
         for _ in range(scaling):
-            costate[...] = expm.apply(h, costate, moves, validate=False, scale=back, sink=keep)
+            expm.move_pair(h, costate, psi, plan, 1j * dt, terms, y, work)
             np.conjugate(terms, out=terms)
-            acc += self._stage_overlaps(terms, psi, state, back, ahead)
+            # each stage sums its terms from zero, then the stage sums add up:
+            # the depth m_d + s that expm.derivative_bound charges
+            total = np.zeros(parts.size, dtype=np.complex128)
+            np.copyto(y, psi)  # Y_{m_d - 1}
+            for i in range(len(terms) - 1, -1, -1):
+                term = terms[i]
+                for stack_product, out, rows, part in stacks:
+                    stack_product(y, out)
+                    np.dot(rows, term, part)
+                parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
+                total += parts
+                if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
+                    product(y, work)
+                    np.multiply(work, ahead / (i + 1), y)
+                    y += psi
+            acc += total
         acc *= ahead
         return acc
-
-    def _stage_overlaps(
-        self,
-        terms: np.ndarray,
-        psi: np.ndarray,
-        state: expm.ExpmPlan,
-        back: complex,
-        ahead: complex,
-    ) -> np.ndarray:
-        """Move ``psi`` back one stage and sum the stage's overlaps from zero.
-
-        The moved state's own array is the Horner vector ``Y_{m_d - 1}``,
-        and the contraction buffer is allocated only once the engine's
-        scratch is freed; both are freed on return, before the next stage
-        moves.
-        """
-        h, d = self.ctx.h_step, self.ctx.dim
-        y = expm.apply(h, psi, state, validate=False, scale=back)
-        psi[...] = y
-        stacks, work, parts = self._contraction(d)
-        total = np.zeros(parts.size, dtype=np.complex128)
-        for i in range(len(terms) - 1, -1, -1):
-            for matvec, out, rows, part in stacks:
-                matvec(y, out=out)
-                np.dot(rows, terms[i], out=part)
-            parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
-            total += parts
-            if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
-                h.matvec(y, out=work)
-                np.multiply(work, ahead / (i + 1), out=y)
-                y += psi
-        return total
 
     def _contraction(self, d: int):
         """One buffer of ``w d`` for the stacks' and the Horner products, ``w`` the widest stack's.
 
-        Returns, per stack, its ``matvec``, the buffer it writes ``h_k y``
-        into, that buffer as ``(w, d)`` rows and the ``w`` entries of
-        ``parts`` the rows' overlaps with one Taylor term go to; then the
-        buffer's first ``d`` entries, where the Horner product goes (each
-        stack's product is read before the next Horner product), and
-        ``parts``.  Where a product fills the whole buffer it writes into
-        the buffer itself, not a view, so it skips the overlap test
-        :meth:`~leangrape.sparse.CsrMatrix.matvec` runs on views.
+        Returns, per stack, its unchecked product, the buffer it writes
+        ``h_k y`` into, that buffer as ``(w, d)`` rows and the ``w`` entries
+        of ``parts`` the rows' overlaps with one Taylor term go to; then the
+        buffer's first ``d`` entries, where the moves' and the Horner
+        products go (each stack's product is read before the next Horner
+        product), and ``parts``.  The layout is the problem's
+        (:attr:`ControlOperators.layout`); only the arrays are the step's.
         """
-        stacks = self._controls.stacks
-        buf = np.empty(max(op.n_rows for op in stacks), dtype=np.complex128)
+        layout, size = self._controls.layout
+        buf = np.empty(size, dtype=np.complex128)
         parts = np.empty(len(self._controls.matrices), dtype=np.complex128)
-        out, k = [], 0
-        for op in stacks:
-            w = op.n_rows // d
-            rows = buf if op.n_rows == buf.size else buf[: op.n_rows]
-            out.append((op.matvec, rows, rows.reshape(w, d), parts[k : k + w]))
-            k += w
-        return out, buf if buf.size == d else buf[:d], parts
+        stacks = []
+        for product, n_rows, first, stop in layout:
+            rows = buf if n_rows == size else buf[:n_rows]
+            stacks.append((product, rows, rows.reshape(-1, d), parts[first:stop]))
+        return stacks, buf if size == d else buf[:d], parts
 
     def control_derivative(self, channel: int, psi: np.ndarray) -> np.ndarray:
         """``(dU/da_channel) psi`` for the backend of this step.

@@ -34,8 +34,18 @@ model, because the scale only enters the one scalar per Taylor term.
 
 :func:`derivative_plan` certifies the other half of a GRAPE step: the
 overlaps ``<lambda| L(A, E) |psi>`` of the Fréchet derivative of
-``exp(A)`` along a direction ``E``, contracted from the Taylor terms that
-:func:`apply` hands to a term sink (see :class:`DerivativePlan`).
+``exp(A)`` along a direction ``E``, contracted from the co-state's Taylor
+terms (see :class:`DerivativePlan`).
+
+One Taylor recursion runs every application.  :func:`apply` runs it on
+one vector, through the matrix's checked ``matvec``, and holds three work
+vectors of the state dimension.  :func:`move_pair` runs it on a backward
+step's pair, the co-state and ``psi`` moved together in one pass stage by
+stage, through the matrix's unchecked product.  It keeps the co-state's
+``m_d`` terms and holds, besides them and the two moved vectors, ``psi``'s
+term vector and one product vector: ``m_d + 2`` vectors, all of them the
+caller's.  Both run the same products, scalars and additions per vector,
+so a pair moves each vector bit for bit as :func:`apply` would.
 
 The working precision is IEEE binary64, the package's only one:
 ``UNIT_ROUNDOFF`` is ``u = 2^-53`` and ``U_PRIME`` is ``u'``.  Both
@@ -73,6 +83,7 @@ __all__ = [
     "derivative_bound",
     "derivative_plan",
     "apply",
+    "move_pair",
     "expm_multiply",
 ]
 
@@ -501,6 +512,50 @@ def derivative_plan(step: ExpmPlan, norm1_e: float, sigma_e: int, dim: int) -> D
     return _cached_derivative_plan(step, float(norm1_e), int(sigma_e), int(dim))
 
 
+def _taylor_pass(
+    product,
+    stage_scale: complex,
+    order: int,
+    work: np.ndarray,
+    current: np.ndarray,
+    terms: np.ndarray,
+    second: tuple[np.ndarray, np.ndarray, int] | None = None,
+    sink: Callable[[int, np.ndarray], None] | None = None,
+) -> None:
+    """One stage of the Taylor recursion, in place: the one recursion of this module.
+
+    ``current`` holds the vector ``v`` the stage starts from, and so does a
+    1-D ``terms``, or row 0 of a 2-D one.  Each term
+    ``b_j = (stage_scale / j) A b_{j-1}``, ``j = 1 .. order``, is one
+    ``product(b_{j-1}, work)`` and one multiply by the scalar
+    ``stage_scale / j``, and is added into ``current`` as it is formed, so
+    ``current`` ends as ``v + b_1 + ... + b_order``.  A 1-D ``terms`` is
+    overwritten by each term.  A 2-D ``terms`` keeps them: term ``j`` goes
+    to row ``j`` and, past the last row, into ``work`` itself.  ``second =
+    (current, term, order)`` is a second row of at most ``order`` terms,
+    run beside the first term by term with the same scalars, its terms
+    overwriting its 1-D ``term``.  ``sink(j, b_j)``, when given, sees each
+    term of the first row as it is formed.
+    """
+    keep = terms.ndim == 2
+    src, last = (terms[0], len(terms)) if keep else (terms, 0)
+    if second is not None:
+        current_2, term_2, order_2 = second
+    for j in range(1, order + 1):
+        scalar = stage_scale / j
+        product(src, work)
+        dst = (terms[j] if j < last else work) if keep else src
+        np.multiply(work, scalar, dst)
+        if sink is not None:
+            sink(j, dst)
+        current += dst
+        src = dst
+        if second is not None and j <= order_2:
+            product(term_2, work)
+            np.multiply(work, scalar, term_2)
+            current_2 += term_2
+
+
 def apply(
     a: Matrix,
     psi: np.ndarray,
@@ -515,12 +570,12 @@ def apply(
     Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
     ``B = scale A / s`` accumulated into the current iterate, repeated
     ``scaling`` times for the outer squaring loop, consuming exactly
-    ``plan.matvecs`` matrix-vector products.  The factor
+    ``plan.matvecs`` products ``a.matvec``.  The factor
     ``(scale / s) / j`` is one scalar multiply after each product, so
-    neither ``B`` nor ``scale A`` is ever materialized and the entries enter
-    exactly as stored in ``A``.  Exactly three work vectors of the state
+    neither ``B`` nor ``scale A`` is ever materialized and the entries
+    enter exactly as stored in ``A``.  Exactly three work vectors of the state
     dimension are live at any time; that constant is this module's memory
-    contract.
+    contract for one vector.
 
     ``scale`` folds a time step into that scalar, as in Al-Mohy & Higham's
     ``expmv`` (SIAM J. Sci. Comput. 33, 488, 2011): a Hermitian ``H`` with
@@ -555,30 +610,62 @@ def apply(
     scale = complex(scale)
     if not cmath.isfinite(scale):
         raise ValueError(f"scale must be finite, got {scale}")
-    psi = np.asarray(psi, dtype=np.complex128)
-    if a.n_rows != a.n_cols or psi.shape != (a.n_cols,):
+    current = np.array(psi, dtype=np.complex128)  # the caller's vector is left as it is
+    if a.n_rows != a.n_cols or current.shape != (a.n_cols,):
         raise ValueError("apply expects a square matrix and a matching vector")
     if validate:
         generator = a if scale == 1.0 else a.scaled(scale)
         if not is_anti_hermitian(generator):
             raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
 
-    current = np.array(psi, dtype=np.complex128, copy=True)
     term = np.empty_like(current)
     work = np.empty_like(current)
-    s = plan.scaling
-    stage_scale = scale / s
-    for _ in range(s):
+    stage_scale = scale / plan.scaling
+    for _ in range(plan.scaling):
         np.copyto(term, current)
         if sink is not None:
             sink(0, term)
-        for j in range(1, plan.order + 1):
-            a.matvec(term, out=work)
-            np.multiply(work, stage_scale / j, out=term)
-            if sink is not None:
-                sink(j, term)
-            current += term
+        _taylor_pass(a.matvec, stage_scale, plan.order, work, current, term, sink=sink)
     return current
+
+
+def move_pair(
+    h: Matrix,
+    costate: np.ndarray,
+    psi: np.ndarray,
+    plan: DerivativePlan,
+    scale: complex,
+    terms: np.ndarray,
+    spare: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """Move a backward step's co-state and ``psi`` across one stage, in one pass.
+
+    The two moves of a :class:`DerivativePlan` stage, ``exp(scale H / s)``
+    on ``costate`` under ``plan.costate`` and on ``psi`` under
+    ``plan.state``, run as the two rows of one Taylor recursion: the scalars
+    ``(scale / s) / j`` of :func:`apply`, and each term of each row added
+    into the caller's own array, which ends the stage moved.  The co-state
+    row runs to ``m_d = plan.costate.order`` and leaves its terms
+    ``u_i = B^i lambda / i!``, ``i < m_d``, in the ``m_d`` rows of
+    ``terms`` for the overlaps; the ``psi`` row stops at
+    ``plan.state.order``.  Every product is ``h``'s unchecked one: the
+    caller owns the scratch and guarantees its shapes (``terms`` is
+    ``(m_d, d)``, ``spare`` and ``work`` have ``d`` entries, and none of
+    them overlaps another or the two moved vectors).  ``spare`` is the
+    ``psi`` row's term vector and ``work`` takes every product, and the
+    last co-state term, ``u_{m_d}``, which nothing reads.  Row by row these
+    are the products, scalars and additions of :func:`apply` under the
+    stage plans, so ``s`` stages move ``costate`` and ``psi`` exactly as
+    ``apply(h, ., plan.costate, scale=scale)`` and ``apply(h, .,
+    plan.state, scale=scale)`` do, bit for bit, at a memory contract of
+    ``m_d + 2`` vectors besides the two moved ones.
+    """
+    c = plan.costate
+    np.copyto(terms[0], costate)
+    np.copyto(spare, psi)
+    second = (psi, spare, plan.state.order)
+    _taylor_pass(h._product, complex(scale) / c.scaling, c.order, work, costate, terms, second)
 
 
 def expm_multiply(a: Matrix, psi: np.ndarray, tau: float) -> tuple[np.ndarray, int]:

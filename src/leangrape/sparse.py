@@ -7,7 +7,13 @@ time so that the stored-element count is an honest measure of memory and
 of per-row work in the rounding-error model.
 
 CSR products run on scipy's compiled ``csr_matvec`` kernel, which
-accumulates each row as one running sum into the output vector.  Weighted
+accumulates each row as one running sum into the output vector.  Each
+matrix class calls its kernel in one place, the unchecked
+``_product(v, out)``; ``matvec`` checks the lengths and the overlap of
+``v`` and ``out``, then calls it.  A caller that owns and has checked every
+array it passes (a backward step, see
+:meth:`leangrape.derivatives.StepEvaluator.pull_back`) calls ``_product``
+itself.  Weighted
 sums of CSR matrices (:class:`FixedPatternSum`, and through it
 :func:`linear_combine`) run on its transpose-product kernel
 ``csc_matvec``: the terms' values, stored once and term by term, are the
@@ -96,12 +102,13 @@ class CsrMatrix:
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``A v``, written into ``out`` when given; ``out`` must not overlap ``v``."""
+        n_rows, n_cols = self.n_rows, self.n_cols
         if out is None:
-            out = np.empty(self.n_rows, dtype=np.complex128)
+            out = np.empty(n_rows, dtype=np.complex128)
         # the kernel trusts both lengths, and it reads v while it writes out
-        if v.shape != (self.n_cols,) or out.shape != (self.n_rows,):
+        if v.shape != (n_cols,) or out.shape != (n_rows,):
             raise SparseMatrixError(
-                f"matvec dimension mismatch: matrix is {self.n_rows}x{self.n_cols}, "
+                f"matvec dimension mismatch: matrix is {n_rows}x{n_cols}, "
                 f"vector has shape {v.shape}, out has shape {out.shape}"
             )
         # two arrays that each own their data overlap only if they are one array
@@ -109,8 +116,17 @@ class CsrMatrix:
             (v.base is not None or out.base is not None) and np.may_share_memory(v, out)
         ):
             raise SparseMatrixError("out must not overlap the input vector")
+        return self._product(v, out)
+
+    def _product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A v`` into ``out``, unchecked: the one call of the CSR kernel.
+
+        The caller guarantees what :meth:`matvec` checks: ``v`` has
+        ``n_cols`` entries, ``out`` has ``n_rows`` and does not overlap it.
+        The kernel itself raises ValueError when ``out`` is not a writeable
+        complex128 array.
+        """
         out.fill(0.0)
-        # raises ValueError itself when out is not a writeable complex128 array
         _sparsetools().csr_matvec(
             self.n_rows, self.n_cols, self.row_offsets, self.col_indices, self.values, v, out
         )
@@ -211,10 +227,13 @@ class DenseMatrix:
         return self.array.size
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        arr = self.array
-        if v.shape != arr.shape[1:]:
+        if v.shape != self.array.shape[1:]:
             raise SparseMatrixError("matvec dimension mismatch")
-        return np.matmul(arr, v, out=out)
+        return self._product(v, out)
+
+    def _product(self, v: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+        """``A v`` into ``out`` (a new array when None), unchecked: see :meth:`CsrMatrix._product`."""
+        return np.matmul(self.array, v, out)
 
     def col_abs_sums(self) -> np.ndarray:
         return np.abs(self.array).sum(axis=0)

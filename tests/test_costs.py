@@ -12,7 +12,7 @@ from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
 from leangrape.derivatives import CHANNEL_BLOCK, Backend
 
-from conftest import CountingOperator, random_hermitian, random_state
+from conftest import random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], complex)
 
@@ -1077,20 +1077,61 @@ class TestStepAssembly:
         assert nnz == [6, 4, 2, 7]
 
 
-class TestCountedMatvecs:
-    @staticmethod
-    def assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k, composite=False):
-        real_apply = expm.apply
-        planned, counted = [], []
+class ProductCounter:
+    """Counts the products of every application and of every backward step.
+
+    Each matrix class's unchecked ``_product`` is where every product runs:
+    ``matvec`` calls it after its checks, so it sees the products of
+    ``expm.apply`` and the ones ``StepEvaluator.pull_back`` runs itself.
+    ``applications`` holds ``(plan.matvecs, products)`` per ``expm.apply``
+    call, all of them on the applied matrix; ``backward_steps`` holds
+    ``(DerivativePlan.matvecs, products with the step's H)`` per
+    ``pull_back`` call, with the plan itself.
+    """
+
+    def __init__(self, monkeypatch):
+        self.applications, self.backward_steps, seen = [], [], []
+        for kind in (sparse.CsrMatrix, sparse.DenseMatrix):
+
+            def counting_product(matrix, v, out, real=kind._product):
+                seen.append(matrix)
+                return real(matrix, v, out)
+
+            monkeypatch.setattr(kind, "_product", counting_product)
+        real_apply, real_pull_back = expm.apply, derivatives.StepEvaluator.pull_back
 
         def counting_apply(a, psi, plan, **kwargs):
-            op = CountingOperator(a)
-            out = real_apply(op, psi, plan, **kwargs)
-            planned.append(plan.matvecs)
-            counted.append(op.calls)
+            first = len(seen)
+            out = real_apply(a, psi, plan, **kwargs)
+            assert all(m is a for m in seen[first:])
+            self.applications.append((plan.matvecs, len(seen) - first))
+            return out
+
+        def counting_pull_back(step, costate, psi):
+            first, h = len(seen), step.ctx.h_step
+            out = real_pull_back(step, costate, psi)
+            dplan = step.plans[1]
+            self.backward_steps.append(
+                (dplan.matvecs, sum(m is h for m in seen[first:]), dplan)
+            )
             return out
 
         monkeypatch.setattr(expm, "apply", counting_apply)
+        monkeypatch.setattr(derivatives.StepEvaluator, "pull_back", counting_pull_back)
+
+    def assert_planned(self):
+        """Every application and every backward step ran exactly its planned products."""
+        assert [c for _, c in self.applications] == [p for p, _ in self.applications]
+        assert [c for _, c, _ in self.backward_steps] == [p for p, _, _ in self.backward_steps]
+        for planned, _, dplan in self.backward_steps:
+            m, m_d, s = dplan.state.order, dplan.costate.order, dplan.costate.scaling
+            assert planned == m * s + (2 * m_d - 1) * s
+
+
+class TestCountedMatvecs:
+    @staticmethod
+    def assert_one_gradient_runs_the_planned_products(rng, monkeypatch, k, composite=False):
+        counter = ProductCounter(monkeypatch)
         d, n = 6, 3
         psi0 = random_state(rng, d)
         problem = make_problem(rng, d, k, tau=1e-10, psi0=psi0)
@@ -1099,11 +1140,12 @@ class TestCountedMatvecs:
             costs.composite_grad(problem, field, state_terms(rng, d))
         else:
             costs.c1_state_grad(problem, field, psi0, random_state(rng, d))
-        # n forward applications, and per backward step (one stage at these norms) one
-        # moving psi back and one moving the one co-state, however many channels and
-        # however many terms drive it
-        assert len(planned) == n + n + n
-        assert counted == planned
+        # n forward applications, and n backward steps, each moving psi and the one
+        # co-state back, however many channels and however many terms drive it
+        assert len(counter.applications) == n
+        assert len(counter.backward_steps) == n
+        counter.assert_planned()
+        counted = [c for _, c in counter.applications] + [c for _, c, _ in counter.backward_steps]
         assert sum(counted) > len(counted)
 
     def test_one_gradient_runs_the_planned_products(self, rng, monkeypatch):
@@ -1123,48 +1165,41 @@ class TestGateSweeps:
 
     @staticmethod
     def count_gradient(rng, monkeypatch, grad_fn, d, n, k):
-        real_apply = expm.apply
         real_step_evaluator = costs.ControlProblem.step_evaluator
-        planned, counted, builds = [], [], []
-
-        def counting_apply(a, psi, plan, **kwargs):
-            op = CountingOperator(a)
-            out = real_apply(op, psi, plan, **kwargs)
-            planned.append(plan.matvecs)
-            counted.append(op.calls)
-            return out
+        counter, builds = ProductCounter(monkeypatch), []
 
         def counting_step_evaluator(self, a, step):
             builds.append(step)
             return real_step_evaluator(self, a, step)
 
-        monkeypatch.setattr(expm, "apply", counting_apply)
         monkeypatch.setattr(costs.ControlProblem, "step_evaluator", counting_step_evaluator)
         problem = make_problem(rng, d, k, tau=1e-10)
         u_target, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
         grad_fn(problem, field, u_target)
-        assert counted == planned
-        return len(planned), len(builds)
+        counter.assert_planned()
+        return len(counter.applications), len(counter.backward_steps), len(builds)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_final_cost_runs_one_sweep(self, rng, monkeypatch, n):
         d = 3
-        applications, builds = self.count_gradient(
+        applications, backward_steps, builds = self.count_gradient(
             rng, monkeypatch, costs.c1_gate_grad, d, n, k=2
         )
-        # per basis state: n forward, n adjoint and n derivative applications,
-        # and each sweep but the first reuses the step where the last one ended
-        assert applications == 3 * d * n
+        # per basis state: n forward applications and n backward steps, and each
+        # sweep but the first reuses the step where the last one ended
+        assert applications == d * n
+        assert backward_steps == d * n
         assert builds == 2 * d * (n - 1) + 1
 
     def test_running_cost_runs_two_sweeps(self, rng, monkeypatch):
         d, n = 3, 4
-        applications, builds = self.count_gradient(
+        applications, backward_steps, builds = self.count_gradient(
             rng, monkeypatch, costs.c3_gate_grad, d, n, k=2
         )
         # the trace sweep adds n forward applications and n builds per basis state
-        assert applications == 4 * d * n
+        assert applications == 2 * d * n
+        assert backward_steps == d * n
         assert builds == d * n + 2 * d * (n - 1) + 1
 
     @pytest.mark.parametrize("n", [1, 4])

@@ -519,6 +519,50 @@ class TestPullBack:
             want += stage
         assert np.array_equal(got, want * ahead)
 
+    @pytest.mark.parametrize(
+        "tau, dt, orders, scaling",
+        [
+            (1e-8, 0.1, (7, 8), 1),  # solve_chain3's tau, dt and base amplitude
+            (1e-10, 2.0, (23, 24), 2),
+        ],
+    )
+    def test_unequal_orders_move_as_their_plans(self, rng, tau, dt, orders, scaling):
+        # the pair's co-state row runs to m_d, its psi row stops at m, both in one pass
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.SCALING_SQUARING, tau)
+        step = problem.step_evaluator(costs.ControlField.constant(0.5, 1, len(hcs), dt), 0)
+        plan = step._derivative_plan()
+        assert (plan.state.order, plan.costate.order) == orders
+        assert plan.state.scaling == plan.costate.scaling == scaling
+        d, k = problem.dim, len(hcs)
+        psi_n, lam = random_state(rng, d), random_state(rng, d)
+        costate, psi = lam.copy(), psi_n.copy()
+        got = step.pull_back(costate, psi)
+
+        h, back, ahead = step.ctx.h_step, 1j * dt, -1j * dt / scaling
+        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, validate=False, scale=back))
+        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
+        # the overlaps of the stage recursion, each stage summed from zero
+        m_d = plan.costate.order
+        terms = np.empty((m_d + 1, d), dtype=complex)
+        moved, want = psi_n, np.zeros(k, dtype=complex)
+        for _ in range(scaling):
+            moved = expm.apply(h, moved, plan.state.stage(), validate=False, scale=back / scaling)
+            lam = expm.apply(
+                h, lam, plan.costate.stage(), validate=False, scale=back / scaling,
+                sink=terms.__setitem__,
+            )
+            y, stage = moved.copy(), np.zeros(k, dtype=complex)
+            for i in range(m_d - 1, -1, -1):
+                stage += np.concatenate(
+                    [np.dot(op.matvec(y).reshape(-1, d), terms[i].conj())
+                     for op in problem._controls.stacks]
+                ) * (1.0 / (i + 1))
+                if i:
+                    y = h.matvec(y) * (ahead / (i + 1)) + moved
+            want += stage
+        assert np.array_equal(got, want * ahead)
+
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     @pytest.mark.parametrize("d", [8, 27, 300])
     @pytest.mark.parametrize("n_channels", [1, 4, 6, 13])
@@ -579,14 +623,15 @@ class TestPullBack:
         h0 = random_hermitian(rng, d, scale=h_scale)
         hc = random_hermitian(rng, d, scale=0.05)
         kind = type(wrap(h0))
-        real_matvec = kind.matvec
+        real_product = kind._product
         counted = []
 
-        def counting_matvec(self, v, out=None):
+        # every product runs the unchecked one, which matvec calls after its checks
+        def counting_product(self, v, out):
             counted.append(self)
-            return real_matvec(self, v, out)
+            return real_product(self, v, out)
 
-        monkeypatch.setattr(kind, "matvec", counting_matvec)
+        monkeypatch.setattr(kind, "_product", counting_product)
         per_step = []
         for k in (1, 2, 5, 9):
             # equal channel norms and, at zero amplitudes, the same step: one plan for every K
@@ -635,6 +680,22 @@ class TestPullBack:
         assert plan.costate.scaling == scaling and w == CHANNEL_BLOCK
         peak = transient_peak(lambda: step.pull_back(lam, psi))
         assert peak <= 16 * d * (m_d + max(3, 1 + w)) + 8192, (peak, 16 * d)
+
+    def test_taylor_step_holds_its_arrays_and_few_python_objects(self):
+        # qubit_chain(3): d=8, K=6 channels in one stack.  The step's arrays are its
+        # m_d terms, psi's term vector (the Horner vector after the moves) and the
+        # w d contraction buffer; closures, lists or views built per Taylor term
+        # would pass the 2 KiB left for the step's few Python objects
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.SCALING_SQUARING, 1e-10)
+        step = problem.step_evaluator(costs.ControlField.constant(0.3, 1, len(hcs), 0.1), 0)
+        d, w = problem.dim, min(len(hcs), problem._controls.per_stack)
+        psi, lam = models.fock_state(d, 0), models.fock_state(d, d - 1)
+        step.pull_back(lam.copy(), psi.copy())  # plans the step and builds the stacks
+        m_d = step._derivative_plan().costate.order
+        assert (d, w, m_d) == (8, 6, 8)
+        peak = transient_peak(lambda: step.pull_back(lam, psi))
+        assert peak <= 16 * d * (m_d + 1 + w) + 2048, (peak, 16 * d)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_eigen_step_peaks_at_the_arrays_it_reads(self, rng, real):
