@@ -36,16 +36,17 @@ scaling-and-squaring gradient adds the controls' row stacks, per
 problem: on CSR storage views of the values the problem's step pattern
 holds, which add only their indices, and on dense storage a second copy
 of the controls.  The engine takes the time step as a scale.
-The propagation engine itself adds a per-call scratch overhead that is
-not metered: three work vectors for a product.  One pull-back on scaling
-and squaring holds the ``m_d`` Taylor terms of its derivative plan that
-it reads and, besides them, either those three vectors, while the state
-or the co-state moves, or, after both moves, the Horner vector (the
-moved state's own array) and one contraction buffer that the Horner
-product shares, of ``w * d`` elements for ``w`` channels to a stack, at
-most ``max(CHANNEL_BLOCK * d, STACK_ROWS)`` (see
-:class:`~leangrape.derivatives.ControlOperators`):
-``m_d * d + max(3 * d, d + w * d)`` elements at its peak.
+The propagation engine itself adds a per-step scratch overhead that is
+not metered.  A forward step on scaling and squaring moves its state in
+place and holds two work vectors besides it, the Taylor term and the
+product.  One pull-back on scaling and squaring holds the ``m_d`` Taylor
+terms of its derivative plan that it reads and, besides them, ``psi``'s
+term vector, which is the Horner vector after the moves, and one
+contraction buffer that every product with ``H`` shares, of ``w * d``
+elements for ``w`` channels to a stack, at most
+``max(CHANNEL_BLOCK * d, STACK_ROWS)`` (see
+:class:`~leangrape.derivatives.ControlOperators`): ``m_d * d + d + w * d``
+elements.
 On the diagonalization backend the factorization consumes the step's
 Hamiltonian, scaling its assembled array in place as the eigensolver's
 input, so a step holds only its eigenbasis; a pull-back holds, besides
@@ -396,19 +397,16 @@ def _state_forward(
     """Forward sweep of the state costs from a validated ``psi0``.
 
     Returns the final state (still held on ``meter``) and the weighted
-    cost of ``terms``.  With no terms this is plain propagation.  Every
-    step returns a new array, so ``psi0`` is only read, and a state the
-    caller built for this sweep alone is freed by the first step.
+    cost of ``terms``.  With no terms this is plain propagation.  ``psi0``
+    is only read: the sweep copies it once and every step moves that copy
+    in place (``forward(psi, psi)``), so the sweep holds one state vector.
     """
     n_steps = a.n_steps
     penalty_sums = {}
     overlap_sums = {}
-    psi = meter.grab(psi0)
-    del psi0
+    psi = meter.grab(psi0.copy())
     for n in range(n_steps):
-        nxt = meter.grab(step(n).forward(psi))
-        meter.release(psi)
-        psi = nxt
+        step(n).forward(psi, psi)  # out=psi: in place
         for i, term in enumerate(terms):
             if term.kind is CostKind.STATE_PENALTY:
                 w = meter.grab(term.penalty_op.matvec(psi))
@@ -575,11 +573,9 @@ def _gate_forward(
     for h in range(d):
         # the running cost reads U_T |h> at every step, the final cost after the sweep
         target_image = meter.grab(_target_image(u_target, h)) if running else None
-        psi = meter.grab(_basis_state(d, h))  # only read: each step returns a new array
+        psi = meter.grab(_basis_state(d, h))  # built for this sweep, so moved in place
         for n in range(n_steps):
-            nxt = meter.grab(step(n).forward(psi))
-            meter.release(psi)
-            psi = nxt
+            step(n).forward(psi, psi)  # out=psi: in place
             if running:
                 traces[n] += np.vdot(target_image, psi)
         if not running:
@@ -614,8 +610,8 @@ def _gate_pass(
 
     In bytes, besides those arrays, a sweep holds what a state gradient
     holds plus the target image, and no ``d x d`` array: a computational
-    basis state is built when its sweep starts and freed by its first
-    step, its target image is a copy of column ``h`` of ``U_T`` made when
+    basis state is built when its sweep starts and every step moves it in
+    place, its target image is a copy of column ``h`` of ``U_T`` made when
     its forward sweep is done, and a
     real ``U_T`` is not copied to complex.  ``u_target`` is not checked
     for unitarity here; the gate gradients check it through
@@ -635,7 +631,9 @@ def _gate_pass(
     # held from the start: the sweeps peak with every per-step array already live
     grad = np.empty((n_steps, n_channels))
     for h in range(d):
-        psi = _state_forward(step, a, _basis_state(d, h), [], meter)[0]
+        psi = meter.grab(_basis_state(d, h))  # built for this sweep, so moved in place
+        for n in range(n_steps):
+            step(n).forward(psi, psi)  # out=psi: in place
         # built once the forward sweep is done, where the backward sweep reads it
         target_image = meter.grab(_target_image(u_target, h))
         if running:

@@ -472,8 +472,8 @@ class StepEvaluator:
     ``H``, and the :class:`~leangrape.expm.DerivativePlan` of a backward
     step.  ``ctx.h_step`` is the one stored copy of the step's operator:
     every product scales it by ``-i dt`` or ``+i dt`` inside
-    :func:`leangrape.expm.apply`, :func:`leangrape.expm.move_pair` or a
-    Horner pass.  With the
+    :func:`leangrape.expm.move`, :func:`leangrape.expm.move_pair` or a
+    Horner pass, each product ``H``'s unchecked one.  With the
     diagonalization backend the first product factorizes the step and
     consumes ``ctx.h_step`` (see :func:`diag_prepare`); from then on the
     step holds its eigenfactorization only.
@@ -526,21 +526,49 @@ class StepEvaluator:
             )
         return self._dplan
 
-    def forward(self, psi: np.ndarray) -> np.ndarray:
-        """``U psi = exp(-i dt H) psi``."""
-        if self.ctx.backend is Backend.DIAGONALIZATION:
-            return _diag_propagate(self._factorization(), psi, adjoint=False)
-        return expm.apply(
-            self.ctx.h_step, psi, self._step_plan(), validate=False, scale=-1j * self.ctx.dt
-        )
+    def forward(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``U psi = exp(-i dt H) psi``, into ``out`` when given, else into a new array.
 
-    def adjoint(self, psi: np.ndarray) -> np.ndarray:
-        """``U^dagger psi = exp(+i dt H) psi``, under the same plan."""
+        ``psi`` is left as it is unless ``out`` is ``psi``: ``forward(psi,
+        psi)`` moves it in place, with the same bits.  ``out`` is returned.
+        On scaling and squaring ``out`` starts as a copy of ``psi`` (none
+        when it is ``psi``) and moves in place under the step's plan
+        through :func:`leangrape.expm.move`, every product ``H``'s
+        unchecked one: bit for bit ``expm.apply(h_step, psi, plan,
+        scale=-i dt)``.  Scratch: two vectors, the Taylor term and the
+        product.  On the diagonalization backend the eigenbasis products
+        form a new array, copied into ``out`` when one is given.
+        """
+        return self._move(psi, out, adjoint=False)
+
+    def adjoint(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``U^dagger psi = exp(+i dt H) psi``, under the same plan; as :meth:`forward`."""
+        return self._move(psi, out, adjoint=True)
+
+    def _move(self, psi: np.ndarray, out: np.ndarray | None, adjoint: bool) -> np.ndarray:
+        """:meth:`forward`, or :meth:`adjoint` when ``adjoint``."""
+        d = self.ctx.dim
+        if out is not None and (out.shape != (d,) or out.dtype != np.complex128):
+            raise ValueError(
+                f"out must be a complex128 array of shape ({d},), got {out.dtype} {out.shape}"
+            )
         if self.ctx.backend is Backend.DIAGONALIZATION:
-            return _diag_propagate(self._factorization(), psi, adjoint=True)
-        return expm.apply(
-            self.ctx.h_step, psi, self._step_plan(), validate=False, scale=1j * self.ctx.dt
-        )
+            moved = _diag_propagate(self._factorization(), psi, adjoint)
+            if out is None:
+                return moved
+            np.copyto(out, moved)
+            return out
+        # out is psi was checked as out
+        if out is not psi and np.shape(psi) != (d,):
+            raise ValueError(f"psi has shape {np.shape(psi)}, expected ({d},)")
+        if out is None:
+            out = np.array(psi, dtype=np.complex128)
+        elif out is not psi:
+            np.copyto(out, psi)
+        scale = (1j if adjoint else -1j) * self.ctx.dt
+        term, work = np.empty(d, dtype=np.complex128), np.empty(d, dtype=np.complex128)
+        expm.move(self.ctx.h_step, out, self._step_plan(), scale, term, work)
+        return out
 
     def pull_back(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
         """The overlaps ``<lambda| dU/da_k |psi_{n-1}>``, moving both vectors back a step.
@@ -574,10 +602,12 @@ class StepEvaluator:
         step checks its two vectors once, here, and owns every other array
         it touches, so each product with ``H`` and with a stack runs the
         matrix's unchecked product (``_product``), never ``matvec`` or
-        ``expm.apply``.  Scratch, allocated on entry and held to the end:
-        the ``m_d`` terms, ``psi``'s term vector during the moves, which is
-        the Horner vector after them, and one contraction buffer of ``w d``
-        entries, at most ``max(CHANNEL_BLOCK d, STACK_ROWS)``, whose first
+        ``expm.apply``.  Its per-term scalars, the Horner scalars and the
+        contraction weights are read from
+        :func:`leangrape.expm.term_scalars`.  Scratch, allocated on entry
+        and held to the end: the ``m_d`` terms, ``psi``'s term vector
+        during the moves, which is the Horner vector after them, and one
+        contraction buffer of ``w d`` entries, at most ``max(CHANNEL_BLOCK d, STACK_ROWS)``, whose first
         ``d`` entries take every product with ``H`` (and the co-state's last
         term, ``u_{m_d}``, which nothing reads): ``m_d d + d + w d`` complex
         entries.
@@ -609,7 +639,7 @@ class StepEvaluator:
         return self._pull_back_taylor(costate, psi)
 
     def _pull_back_eigen(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        psi[...] = self.adjoint(psi)
+        self.adjoint(psi, psi)
         fact = self._factorization()
         s = fact.eigvecs
         p = _adjoint_product(s, psi)
@@ -619,17 +649,19 @@ class StepEvaluator:
         del g  # a real basis leaves W in the other buffer; this one is spent
         out = np.array([_trace_product(w, m) for m in self._controls.matrices])
         out *= -1j * self.ctx.dt
-        costate[...] = self.adjoint(costate)
+        self.adjoint(costate, costate)
         return out
 
     def _pull_back_taylor(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
         plan = self._derivative_plan()
         h, d, dt = self.ctx.h_step, self.ctx.dim, self.ctx.dt
-        product, scaling = h._product, plan.costate.scaling
+        product, scaling, m_d = h._product, plan.costate.scaling, plan.costate.order
         ahead = -1j * dt / scaling
+        # the Horner scalars ahead / (i + 1) and the contraction weights 1 / (i + 1)
+        horner, weights = expm.term_scalars(ahead, m_d), expm.term_scalars(1.0, m_d)
         # every array the step reads or writes besides the two it moves
         stacks, work, parts = self._contraction(d)
-        terms = np.empty((plan.costate.order, d), dtype=np.complex128)
+        terms = np.empty((m_d, d), dtype=np.complex128)
         y = np.empty(d, dtype=np.complex128)  # psi's term in the moves, then the Horner vector
         acc = np.zeros(parts.size, dtype=np.complex128)
         for _ in range(scaling):
@@ -639,18 +671,18 @@ class StepEvaluator:
             # the depth m_d + s that expm.derivative_bound charges
             total = np.zeros(parts.size, dtype=np.complex128)
             np.copyto(y, psi)  # Y_{m_d - 1}
-            for i in range(len(terms) - 1, -1, -1):
+            for i in range(m_d - 1, -1, -1):
                 term = terms[i]
                 for stack_product, out, rows, part in stacks:
                     stack_product(y, out)
                     np.dot(rows, term, part)
-                parts *= 1.0 / (i + 1)  # the terms' overlaps, by channel
-                total += parts
+                np.multiply(parts, weights[i], parts)  # the terms' overlaps, by channel
+                np.add(total, parts, total)
                 if i:  # Y_{i-1} = psi + B Y_i / (i + 1)
                     product(y, work)
-                    np.multiply(work, ahead / (i + 1), y)
-                    y += psi
-            acc += total
+                    np.multiply(work, horner[i], y)
+                    np.add(y, psi, y)
+            np.add(acc, total, acc)
         acc *= ahead
         return acc
 

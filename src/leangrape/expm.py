@@ -37,15 +37,21 @@ overlaps ``<lambda| L(A, E) |psi>`` of the Fréchet derivative of
 ``exp(A)`` along a direction ``E``, contracted from the co-state's Taylor
 terms (see :class:`DerivativePlan`).
 
-One Taylor recursion runs every application.  :func:`apply` runs it on
-one vector, through the matrix's checked ``matvec``, and holds three work
-vectors of the state dimension.  :func:`move_pair` runs it on a backward
-step's pair, the co-state and ``psi`` moved together in one pass stage by
-stage, through the matrix's unchecked product.  It keeps the co-state's
-``m_d`` terms and holds, besides them and the two moved vectors, ``psi``'s
-term vector and one product vector: ``m_d + 2`` vectors, all of them the
-caller's.  Both run the same products, scalars and additions per vector,
-so a pair moves each vector bit for bit as :func:`apply` would.
+One Taylor recursion runs every application, in place.  :func:`apply` is
+the checked public entry: it copies its start vector, so the caller's is
+left as it is, runs through the matrix's checked ``matvec`` and holds
+three work vectors of the state dimension, the returned one among them.
+:func:`move` moves the caller's own vector in place, through the matrix's
+unchecked product, and holds two more, the caller's ``term`` and
+``work``.  :func:`move_pair` runs a backward step's pair, the co-state and
+``psi`` moved together in one pass stage by stage, through the unchecked
+product too.  It keeps the co-state's ``m_d`` terms and holds, besides
+them and the two moved vectors, ``psi``'s term vector and one product
+vector: ``m_d + 2`` vectors, all of them the caller's.  All three run the
+same products, scalars and additions per vector, so each moves a vector
+bit for bit as the others would.  The per-term scalars ``(scale / s) /
+j`` are computed once per stage scale and order, by that very Python
+expression, and kept as read-only 0-d arrays (:func:`term_scalars`).
 
 The working precision is IEEE binary64, the package's only one:
 ``UNIT_ROUNDOFF`` is ``u = 2^-53`` and ``U_PRIME`` is ``u'``.  Both
@@ -60,7 +66,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -82,7 +87,9 @@ __all__ = [
     "make_plan",
     "derivative_bound",
     "derivative_plan",
+    "term_scalars",
     "apply",
+    "move",
     "move_pair",
     "expm_multiply",
 ]
@@ -512,6 +519,30 @@ def derivative_plan(step: ExpmPlan, norm1_e: float, sigma_e: int, dim: int) -> D
     return _cached_derivative_plan(step, float(norm1_e), int(sigma_e), int(dim))
 
 
+def term_scalars(numerator: complex | float, order: int) -> tuple[np.ndarray, ...]:
+    """``numerator / j`` for ``j = 1 .. order``, entry ``j - 1``, as read-only 0-d arrays.
+
+    Each entry is that Python expression, computed once and kept: the
+    Taylor scalars ``(scale / s) / j`` of a stage scale ``scale / s``, the
+    Horner scalars of a backward step and, for ``numerator = 1.0``, its
+    contraction weights ``1 / (i + 1)``.  A ufunc given a 0-d array skips
+    the conversion of a Python scalar that it otherwise makes on every
+    call, and multiplies by the same number.  The table is cached per
+    numerator, its type and the signs of its parts (``==`` does not tell
+    ``-0.0`` from ``0.0``), and order.
+    """
+    real, imag = math.copysign(1.0, numerator.real), math.copysign(1.0, numerator.imag)
+    return _scalar_table(numerator, order, real, imag)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _scalar_table(numerator, order: int, *_signs: float) -> tuple[np.ndarray, ...]:
+    table = tuple(np.array(numerator / j) for j in range(1, order + 1))
+    for scalar in table:
+        scalar.flags.writeable = False
+    return table
+
+
 def _taylor_pass(
     product,
     stage_scale: complex,
@@ -520,7 +551,6 @@ def _taylor_pass(
     current: np.ndarray,
     terms: np.ndarray,
     second: tuple[np.ndarray, np.ndarray, int] | None = None,
-    sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> None:
     """One stage of the Taylor recursion, in place: the one recursion of this module.
 
@@ -528,32 +558,40 @@ def _taylor_pass(
     1-D ``terms``, or row 0 of a 2-D one.  Each term
     ``b_j = (stage_scale / j) A b_{j-1}``, ``j = 1 .. order``, is one
     ``product(b_{j-1}, work)`` and one multiply by the scalar
-    ``stage_scale / j``, and is added into ``current`` as it is formed, so
-    ``current`` ends as ``v + b_1 + ... + b_order``.  A 1-D ``terms`` is
-    overwritten by each term.  A 2-D ``terms`` keeps them: term ``j`` goes
-    to row ``j`` and, past the last row, into ``work`` itself.  ``second =
-    (current, term, order)`` is a second row of at most ``order`` terms,
-    run beside the first term by term with the same scalars, its terms
-    overwriting its 1-D ``term``.  ``sink(j, b_j)``, when given, sees each
-    term of the first row as it is formed.
+    ``stage_scale / j`` (from :func:`term_scalars`), and is added into
+    ``current`` as it is formed, so ``current`` ends as ``v + b_1 + ... +
+    b_order``.  A 1-D ``terms`` is overwritten by each term.  A 2-D
+    ``terms`` keeps them: term ``j`` goes to row ``j`` and, past the last
+    row, into ``work`` itself.  ``second = (current, term, order)`` is a
+    second row of at most ``order`` terms, run beside the first term by
+    term with the same scalars, its terms overwriting its 1-D ``term``.
     """
+    scalars = term_scalars(stage_scale, order)
     keep = terms.ndim == 2
     src, last = (terms[0], len(terms)) if keep else (terms, 0)
     if second is not None:
         current_2, term_2, order_2 = second
     for j in range(1, order + 1):
-        scalar = stage_scale / j
+        scalar = scalars[j - 1]
         product(src, work)
         dst = (terms[j] if j < last else work) if keep else src
         np.multiply(work, scalar, dst)
-        if sink is not None:
-            sink(j, dst)
-        current += dst
+        np.add(current, dst, current)
         src = dst
         if second is not None and j <= order_2:
             product(term_2, work)
             np.multiply(work, scalar, term_2)
-            current_2 += term_2
+            np.add(current_2, term_2, current_2)
+
+
+def _stages(
+    product, v: np.ndarray, plan: ExpmPlan, scale: complex, term: np.ndarray, work: np.ndarray
+) -> None:
+    """The ``plan.scaling`` stages of one application on ``v``, in place: :func:`apply`'s loop."""
+    stage_scale = scale / plan.scaling
+    for _ in range(plan.scaling):
+        np.copyto(term, v)
+        _taylor_pass(product, stage_scale, plan.order, work, v, term)
 
 
 def apply(
@@ -563,9 +601,8 @@ def apply(
     *,
     validate: bool = True,
     scale: complex = 1.0,
-    sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> np.ndarray:
-    """Evaluate ``exp(scale A) @ psi`` under a plan for ``scale A``.
+    """Evaluate ``exp(scale A) @ psi`` under a plan for ``scale A``; the checked entry.
 
     Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
     ``B = scale A / s`` accumulated into the current iterate, repeated
@@ -573,9 +610,11 @@ def apply(
     ``plan.matvecs`` products ``a.matvec``.  The factor
     ``(scale / s) / j`` is one scalar multiply after each product, so
     neither ``B`` nor ``scale A`` is ever materialized and the entries
-    enter exactly as stored in ``A``.  Exactly three work vectors of the state
-    dimension are live at any time; that constant is this module's memory
-    contract for one vector.
+    enter exactly as stored in ``A``.  The result is a new array and
+    ``psi`` is left as it is.  Exactly three work vectors of the state
+    dimension are live at any time, the result among them; that constant
+    is this module's memory contract for one vector.  :func:`move` runs
+    the same arithmetic on the caller's own vector, in place.
 
     ``scale`` folds a time step into that scalar, as in Al-Mohy & Higham's
     ``expmv`` (SIAM J. Sci. Comput. 33, 488, 2011): a Hermitian ``H`` with
@@ -591,21 +630,18 @@ def apply(
     the negated matrix bit for bit, and the stage scalar ``scale / s`` is
     what :meth:`ExpmPlan.stage` runs at.
 
-    ``sink(j, term)``, when given, receives every Taylor term
-    ``B^j v / j!``, ``j = 0 .. order``, of every stage, where ``v`` is the
-    vector the stage starts from.  ``term`` is the engine's own work
-    vector: the sink reads or copies it during the call and runs no
-    product on ``A``.
-
     ``validate`` enforces the precondition under which the certified
-    bound holds: ``scale A`` is anti-Hermitian.  Every product of a
-    :class:`~leangrape.derivatives.StepEvaluator` disables it:
-    :class:`~leangrape.costs.ControlProblem` checked ``H_s`` and each
-    ``h_k`` Hermitian when it was made, so a step Hamiltonian with real
-    amplitudes is Hermitian and ``scale = -i dt`` or ``+i dt`` makes it
-    anti-Hermitian.  The block-embedded derivative generator is not
-    anti-Hermitian at all; its product certifies through the generalized
-    two-norm surrogate instead (see :mod:`leangrape.derivatives`).
+    bound holds: ``scale A`` is anti-Hermitian.  A caller that knows the
+    precondition otherwise turns it off.  The steps of a
+    :class:`~leangrape.derivatives.StepEvaluator` do not call this: they
+    move through :func:`move` and :func:`move_pair`, which check nothing,
+    because :class:`~leangrape.costs.ControlProblem` checked ``H_s`` and
+    each ``h_k`` Hermitian when it was made, so a step Hamiltonian with
+    real amplitudes is Hermitian and ``scale = -i dt`` or ``+i dt`` makes
+    it anti-Hermitian.  The block-embedded derivative generator of the
+    reference path is not anti-Hermitian at all; its product turns the
+    check off and certifies through the generalized two-norm surrogate
+    instead (see :mod:`leangrape.derivatives`).
     """
     scale = complex(scale)
     if not cmath.isfinite(scale):
@@ -617,16 +653,25 @@ def apply(
         generator = a if scale == 1.0 else a.scaled(scale)
         if not is_anti_hermitian(generator):
             raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
-
-    term = np.empty_like(current)
-    work = np.empty_like(current)
-    stage_scale = scale / plan.scaling
-    for _ in range(plan.scaling):
-        np.copyto(term, current)
-        if sink is not None:
-            sink(0, term)
-        _taylor_pass(a.matvec, stage_scale, plan.order, work, current, term, sink=sink)
+    _stages(a.matvec, current, plan, scale, np.empty_like(current), np.empty_like(current))
     return current
+
+
+def move(
+    h: Matrix, v: np.ndarray, plan: ExpmPlan, scale: complex, term: np.ndarray, work: np.ndarray
+) -> None:
+    """Move ``v`` to ``exp(scale h) v`` under ``plan``, in place: :func:`apply` unchecked.
+
+    The one-vector sibling of :func:`move_pair`: every stage of
+    ``plan``, the products, scalars and additions of :func:`apply`, so
+    ``v`` ends as ``apply(h, v, plan, scale=scale)`` bit for bit.  Every
+    product is ``h``'s unchecked one and nothing is validated: the caller
+    owns the arrays and guarantees their shapes (``v``, ``term`` and
+    ``work`` are complex128 with ``d`` entries, and none of them overlaps
+    another).  ``term`` holds each Taylor term, ``work`` each product;
+    no vector is allocated.
+    """
+    _stages(h._product, v, plan, complex(scale), term, work)
 
 
 def move_pair(

@@ -406,11 +406,12 @@ class FixedPatternSum:
             values.size, n_terms, self.term_offsets, self.positions, self.values, coeffs, values
         )
         n_rows, n_cols = self.shape
-        keep = values != 0
-        if keep.all():
+        # one count decides the common case; the mask is formed only when an entry cancelled
+        if np.count_nonzero(values) == values.size:
             combined = CsrMatrix(n_rows, n_cols, self.row_offsets, self.col_indices, values)
             object.__setattr__(combined, "_row_count", self._row_count)
             return combined
+        keep = values != 0
         # a row's new offset counts the kept elements before its old one
         offsets = np.concatenate(([0], np.cumsum(keep)))[self.row_offsets]
         return CsrMatrix(n_rows, n_cols, offsets, self.col_indices[keep], values[keep])

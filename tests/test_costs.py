@@ -1078,19 +1078,18 @@ class TestStepAssembly:
 
 
 class ProductCounter:
-    """Counts the products of every application and of every backward step.
+    """Counts the products of every forward step and of every backward step.
 
     Each matrix class's unchecked ``_product`` is where every product runs:
-    ``matvec`` calls it after its checks, so it sees the products of
-    ``expm.apply`` and the ones ``StepEvaluator.pull_back`` runs itself.
-    ``applications`` holds ``(plan.matvecs, products)`` per ``expm.apply``
-    call, all of them on the applied matrix; ``backward_steps`` holds
-    ``(DerivativePlan.matvecs, products with the step's H)`` per
-    ``pull_back`` call, with the plan itself.
+    ``matvec`` calls it after its checks, and a step's own moves call it
+    directly.  ``forward_steps`` holds ``(plan.matvecs, products with the
+    step's H)`` per ``StepEvaluator.forward`` call, which runs no other
+    product; ``backward_steps`` holds ``(DerivativePlan.matvecs, products
+    with the step's H)`` per ``pull_back`` call, with the plan itself.
     """
 
     def __init__(self, monkeypatch):
-        self.applications, self.backward_steps, seen = [], [], []
+        self.forward_steps, self.backward_steps, seen = [], [], []
         for kind in (sparse.CsrMatrix, sparse.DenseMatrix):
 
             def counting_product(matrix, v, out, real=kind._product):
@@ -1098,14 +1097,15 @@ class ProductCounter:
                 return real(matrix, v, out)
 
             monkeypatch.setattr(kind, "_product", counting_product)
-        real_apply, real_pull_back = expm.apply, derivatives.StepEvaluator.pull_back
+        real_forward = derivatives.StepEvaluator.forward
+        real_pull_back = derivatives.StepEvaluator.pull_back
 
-        def counting_apply(a, psi, plan, **kwargs):
-            first = len(seen)
-            out = real_apply(a, psi, plan, **kwargs)
-            assert all(m is a for m in seen[first:])
-            self.applications.append((plan.matvecs, len(seen) - first))
-            return out
+        def counting_forward(step, psi, out=None):
+            first, h = len(seen), step.ctx.h_step
+            moved = real_forward(step, psi, out)
+            assert all(m is h for m in seen[first:])
+            self.forward_steps.append((step.plans[0].matvecs, len(seen) - first))
+            return moved
 
         def counting_pull_back(step, costate, psi):
             first, h = len(seen), step.ctx.h_step
@@ -1116,16 +1116,38 @@ class ProductCounter:
             )
             return out
 
-        monkeypatch.setattr(expm, "apply", counting_apply)
+        monkeypatch.setattr(derivatives.StepEvaluator, "forward", counting_forward)
         monkeypatch.setattr(derivatives.StepEvaluator, "pull_back", counting_pull_back)
 
     def assert_planned(self):
-        """Every application and every backward step ran exactly its planned products."""
-        assert [c for _, c in self.applications] == [p for p, _ in self.applications]
+        """Every forward and every backward step ran exactly its planned products."""
+        assert [c for _, c in self.forward_steps] == [p for p, _ in self.forward_steps]
         assert [c for _, c, _ in self.backward_steps] == [p for p, _, _ in self.backward_steps]
         for planned, _, dplan in self.backward_steps:
             m, m_d, s = dplan.state.order, dplan.costate.order, dplan.costate.scaling
             assert planned == m * s + (2 * m_d - 1) * s
+
+
+class TestStartStateIsOnlyRead:
+    """The sweeps move a copy of the start state in place, never the caller's array."""
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_entry_points_leave_psi0_and_the_initial_state(self, rng, backend):
+        d, n, k = 6, 3, 2
+        psi0 = random_state(rng, d)
+        problem = make_problem(rng, d, k, backend, tau=1e-10, psi0=psi0)
+        field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
+        terms = state_terms(rng, d)
+        kept = psi0.copy()
+        record = costs.SweepRecord()
+        costs.forward_propagate(problem, field, psi0)
+        costs.composite_cost(problem, field, terms)
+        costs.composite_cost(problem, field, terms, record)
+        costs.composite_grad(problem, field, terms, record)
+        costs.composite_grad(problem, field, terms)
+        costs.c1_state_grad(problem, field, psi0, terms[0].target_state)
+        assert problem.initial_state is psi0
+        assert np.array_equal(psi0, kept)
 
 
 class TestCountedMatvecs:
@@ -1140,12 +1162,12 @@ class TestCountedMatvecs:
             costs.composite_grad(problem, field, state_terms(rng, d))
         else:
             costs.c1_state_grad(problem, field, psi0, random_state(rng, d))
-        # n forward applications, and n backward steps, each moving psi and the one
+        # n forward steps, and n backward steps, each moving psi and the one
         # co-state back, however many channels and however many terms drive it
-        assert len(counter.applications) == n
+        assert len(counter.forward_steps) == n
         assert len(counter.backward_steps) == n
         counter.assert_planned()
-        counted = [c for _, c in counter.applications] + [c for _, c, _ in counter.backward_steps]
+        counted = [c for _, c in counter.forward_steps] + [c for _, c, _ in counter.backward_steps]
         assert sum(counted) > len(counted)
 
     def test_one_gradient_runs_the_planned_products(self, rng, monkeypatch):
@@ -1178,27 +1200,27 @@ class TestGateSweeps:
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
         grad_fn(problem, field, u_target)
         counter.assert_planned()
-        return len(counter.applications), len(counter.backward_steps), len(builds)
+        return len(counter.forward_steps), len(counter.backward_steps), len(builds)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_final_cost_runs_one_sweep(self, rng, monkeypatch, n):
         d = 3
-        applications, backward_steps, builds = self.count_gradient(
+        forward_steps, backward_steps, builds = self.count_gradient(
             rng, monkeypatch, costs.c1_gate_grad, d, n, k=2
         )
-        # per basis state: n forward applications and n backward steps, and each
+        # per basis state: n forward steps and n backward steps, and each
         # sweep but the first reuses the step where the last one ended
-        assert applications == d * n
+        assert forward_steps == d * n
         assert backward_steps == d * n
         assert builds == 2 * d * (n - 1) + 1
 
     def test_running_cost_runs_two_sweeps(self, rng, monkeypatch):
         d, n = 3, 4
-        applications, backward_steps, builds = self.count_gradient(
+        forward_steps, backward_steps, builds = self.count_gradient(
             rng, monkeypatch, costs.c3_gate_grad, d, n, k=2
         )
-        # the trace sweep adds n forward applications and n builds per basis state
-        assert applications == 2 * d * n
+        # the trace sweep adds n forward steps and n builds per basis state
+        assert forward_steps == 2 * d * n
         assert backward_steps == d * n
         assert builds == d * n + 2 * d * (n - 1) + 1
 

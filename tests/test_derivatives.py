@@ -80,6 +80,49 @@ class TestPropagate:
             make_step(bad, [], 0.1)
 
 
+class TestMoveContract:
+    """``forward(psi)`` and ``adjoint(psi)`` only read ``psi``; ``out=psi`` moves it in place."""
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    @pytest.mark.parametrize("move", ["forward", "adjoint"])
+    def test_psi_is_read_and_out_gives_the_same_bits(self, rng, backend, move):
+        d, dt = 12, 1.3
+        step = make_step(random_hermitian(rng, d, scale=2.0), [], dt, backend)
+        if backend is Backend.SCALING_SQUARING:
+            assert step._step_plan().scaling > 1
+        psi = random_state(rng, d)
+        kept = psi.copy()
+        got = getattr(step, move)(psi)
+        assert got is not psi and np.array_equal(psi, kept)
+        out = np.empty(d, dtype=complex)
+        assert getattr(step, move)(psi, out) is out
+        assert np.array_equal(out, got) and np.array_equal(psi, kept)
+        assert getattr(step, move)(psi, psi) is psi
+        assert np.array_equal(psi, got)
+
+    def test_scaling_squaring_moves_as_the_checked_apply(self, rng):
+        d, dt = 12, 1.3
+        step = make_step(random_hermitian(rng, d, scale=2.0), [], dt)
+        psi = random_state(rng, d)
+        h, plan = step.ctx.h_step, step._step_plan()
+        want = expm.apply(h, psi, plan, validate=False, scale=-1j * dt)
+        assert np.array_equal(step.forward(psi), want)
+        want = expm.apply(h, psi, plan, validate=False, scale=1j * dt)
+        assert np.array_equal(step.adjoint(psi), want)
+
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_mismatched_out_refused(self, rng, backend):
+        d = 6
+        step = make_step(random_hermitian(rng, d), [], 0.3, backend)
+        psi = random_state(rng, d)
+        for out in (np.empty(d + 1, dtype=complex), np.empty(d), np.empty((d, 1), dtype=complex)):
+            with pytest.raises(ValueError, match="out must be"):
+                step.forward(psi, out)
+        if backend is Backend.SCALING_SQUARING:
+            with pytest.raises(ValueError, match="psi has shape"):
+                step.forward(psi[:-1])
+
+
 class TestAdjoint:
     def test_round_trip(self, rng):
         d = 10
@@ -430,6 +473,23 @@ class TestControlOverlaps:
             step.pull_back(random_state(rng, 4)[None, :], random_state(rng, 4))
 
 
+def moved_stages(h, plan, scale, lam, psi_n):
+    """Per stage of ``plan``, the co-state's ``m_d`` conjugated terms and the moved ``psi``.
+
+    The stages of ``expm.move_pair`` on copies of ``lam`` and ``psi_n``:
+    the terms ``u_i = B^i lambda / i!`` of the stage's start, as its
+    ``terms`` array keeps them (``TestMovePair`` in ``test_expm_apply.py``
+    pins them to the recursion), and ``psi`` moved under ``plan.state``.
+    """
+    d = psi_n.size
+    costate, psi = lam.copy(), psi_n.copy()
+    terms = np.empty((plan.costate.order, d), dtype=complex)
+    spare, work = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
+    for _ in range(plan.costate.scaling):
+        expm.move_pair(h, costate, psi, plan, scale, terms, spare, work)
+        yield terms.conj(), psi.copy()
+
+
 class TestPullBack:
     @pytest.mark.parametrize("n_costates", [1, 3])
     @pytest.mark.parametrize(
@@ -500,18 +560,13 @@ class TestPullBack:
         psi_n, lam = random_state(rng, d), random_state(rng, d)
         got = step.pull_back(lam.copy(), psi_n.copy())
 
-        h, back, ahead = step.ctx.h_step, 1j * step.ctx.dt / s, -1j * step.ctx.dt / s
-        terms = np.empty((m_d + 1, d), dtype=complex)
-        psi, want = psi_n, np.zeros(n_channels, dtype=complex)
-        for _ in range(s):
-            psi = expm.apply(h, psi, plan.state.stage(), validate=False, scale=back)
-            lam = expm.apply(
-                h, lam, plan.costate.stage(), validate=False, scale=back, sink=terms.__setitem__
-            )
+        h, ahead = step.ctx.h_step, -1j * step.ctx.dt / s
+        want = np.zeros(n_channels, dtype=complex)
+        for terms, psi in moved_stages(h, plan, 1j * step.ctx.dt, lam, psi_n):
             y, stage = psi.copy(), np.zeros(n_channels, dtype=complex)
             for i in range(m_d - 1, -1, -1):
                 stage += np.concatenate(
-                    [np.dot(op.matvec(y).reshape(-1, d), terms[i].conj())
+                    [np.dot(op.matvec(y).reshape(-1, d), terms[i])
                      for op in problem._controls.stacks]
                 ) * (1.0 / (i + 1))
                 if i:
@@ -544,18 +599,12 @@ class TestPullBack:
         assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
         # the overlaps of the stage recursion, each stage summed from zero
         m_d = plan.costate.order
-        terms = np.empty((m_d + 1, d), dtype=complex)
-        moved, want = psi_n, np.zeros(k, dtype=complex)
-        for _ in range(scaling):
-            moved = expm.apply(h, moved, plan.state.stage(), validate=False, scale=back / scaling)
-            lam = expm.apply(
-                h, lam, plan.costate.stage(), validate=False, scale=back / scaling,
-                sink=terms.__setitem__,
-            )
+        want = np.zeros(k, dtype=complex)
+        for terms, moved in moved_stages(h, plan, back, lam, psi_n):
             y, stage = moved.copy(), np.zeros(k, dtype=complex)
             for i in range(m_d - 1, -1, -1):
                 stage += np.concatenate(
-                    [np.dot(op.matvec(y).reshape(-1, d), terms[i].conj())
+                    [np.dot(op.matvec(y).reshape(-1, d), terms[i])
                      for op in problem._controls.stacks]
                 ) * (1.0 / (i + 1))
                 if i:
@@ -577,17 +626,12 @@ class TestPullBack:
         psi_n, lam = random_state(rng, d), random_state(rng, d)
         got = step.pull_back(lam.copy(), psi_n.copy())
 
-        h, back, ahead = step.ctx.h_step, 1j * step.ctx.dt / s, -1j * step.ctx.dt / s
-        terms = np.empty((m_d + 1, d), dtype=complex)
-        psi, want = psi_n, np.zeros(n_channels, dtype=complex)
-        for _ in range(s):
-            psi = expm.apply(h, psi, plan.state.stage(), validate=False, scale=back)
-            lam = expm.apply(
-                h, lam, plan.costate.stage(), validate=False, scale=back, sink=terms.__setitem__
-            )
+        h, ahead = step.ctx.h_step, -1j * step.ctx.dt / s
+        want = np.zeros(n_channels, dtype=complex)
+        for terms, psi in moved_stages(h, plan, 1j * step.ctx.dt, lam, psi_n):
             y = psi.copy()
             for i in range(m_d - 1, -1, -1):
-                want += [np.vdot(terms[i], hc.matvec(y)) / (i + 1) for hc in problem.h_controls]
+                want += [np.dot(terms[i], hc.matvec(y)) / (i + 1) for hc in problem.h_controls]
                 if i:
                     y = h.matvec(y) * (ahead / (i + 1)) + psi
         want *= ahead
@@ -1007,4 +1051,43 @@ class TestComplexModelUnchanged:
              -0.15469607051240863, 0.03760454966045257, 0.0360863827617011],
             [0.013872993741562823, 0.015580364043894311, 0.014899430391309622,
              -0.08414817500899141, -0.029585143079256526, 0.041505293469919206],
+        ])
+
+
+class TestTaylorBackendUnchanged:
+    """The scaling-and-squaring gradients keep their arithmetic bit for bit.
+
+    Recorded at 671b06a, before the per-term scalars were cached, with
+    numpy 2.4's bundled OpenBLAS on x86-64; another BLAS or CPU kernel may
+    round differently.  The state gradient's first step runs two stages
+    at unequal orders (``m = 23``, ``m_d = 24``); the gate gradient runs
+    one stage per step.
+    """
+
+    def test_state_gradient(self):
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.SCALING_SQUARING, 1e-10)
+        amps = ((np.arange(12).reshape(2, 6) % 5) - 2.5) / 2
+        field = costs.ControlField(2, 6, 1.5, amps)
+        psi0, target = models.fock_state(8, 0), models.fock_state(8, 7)
+        result = costs.c1_state_grad(problem, field, psi0, target)
+        assert result.cost == 0.9905885280484688
+        assert np.array_equal(result.grad, [
+            [0.05230851743894055, 0.011593429926089634, -0.09014019073456042,
+             -0.053736715062535904, 0.02198564955372232, 0.006750453735896559],
+            [0.10187525880629086, 0.06694455383088815, 0.04054416168110559,
+             -0.022244420753777517, -0.002855638058848949, 0.024322538959950672],
+        ])
+
+    def test_final_gate_gradient(self):
+        h, hcs = models.build_three_transmons(models.ThreeTransmonParams(d_each=2))
+        problem = costs.ControlProblem(h, tuple(hcs), Backend.SCALING_SQUARING, 1e-10)
+        amps = ((np.arange(9).reshape(3, 3) % 4) - 1.5) * 0.8
+        field = costs.ControlField(3, 3, 0.5, amps)
+        result = costs.c1_gate_grad(problem, field, models.hadamard_target(3, 2))
+        assert result.cost == 0.9942688762728372
+        assert np.array_equal(result.grad, [
+            [0.00957505942795973, 0.0015397638957698537, 0.009602361840526066],
+            [0.00908666366619574, -0.001611640097044116, 0.010569217916631055],
+            [0.00629582101884656, -0.0031159102435054297, 0.010828390682079563],
         ])

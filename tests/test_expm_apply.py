@@ -122,36 +122,70 @@ class TestApply:
             expm.apply(a, np.zeros(5, complex), plan)
 
 
-class TestTermSink:
-    def test_sink_receives_every_taylor_term_of_every_stage(self, rng):
+class TestTaylorTerms:
+    def test_move_pair_keeps_every_costate_term_of_every_stage(self, rng, monkeypatch):
         d, dt = 9, 0.45
         h_dense = random_hermitian(rng, d, scale=2.0)
         h = csr_from(h_dense)
+        lam, psi_n = random_state(rng, d), random_state(rng, d)
+        step = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
+        m, m_d = step.order, step.order + 2
+        state = dataclasses.replace(step, scaling=3)
+        plan = expm.DerivativePlan(state, dataclasses.replace(state, order=m_d), 0.0, 0.0)
+        counted = []
+        real_product = sparse.CsrMatrix._product
+
+        def counting_product(matrix, v, out):
+            counted.append(matrix)
+            return real_product(matrix, v, out)
+
+        monkeypatch.setattr(sparse.CsrMatrix, "_product", counting_product)
+        costate, psi = lam.copy(), psi_n.copy()
+        terms = np.empty((m_d, d), dtype=complex)
+        spare, work = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
+        b = 1j * dt / 3 * h_dense
+        for stage in range(3):
+            start = costate.copy()
+            expm.move_pair(h, costate, psi, plan, 1j * dt, terms, spare, work)
+            # both rows of the stage, on h alone: m_d co-state products and m for psi
+            assert len(counted) == (stage + 1) * (m + m_d)
+            assert all(matrix is h for matrix in counted)
+            # the terms B^j v / j!, j < m_d, of the vector v the stage starts from
+            power = start
+            for j in range(m_d):
+                assert np.linalg.norm(terms[j] - power) <= 1e-13 * max(np.linalg.norm(power), 1.0)
+                power = b @ power / (j + 1)
+            # the moved co-state is every term of the stage, u_{m_d} the last
+            assert np.linalg.norm(costate - terms.sum(axis=0) - power) <= 1e-13
+        monkeypatch.undo()
+        # three stages move each vector as one application under its own plan
+        back = 1j * dt
+        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, validate=False, scale=back))
+        assert np.array_equal(psi, expm.apply(h, psi_n, state, validate=False, scale=back))
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_move_is_apply_in_place(self, rng, monkeypatch, storage):
+        d, dt = 12, 0.7
+        h_dense = random_hermitian(rng, d, scale=4.0)
+        h = csr_from(h_dense) if storage == "csr" else sparse.DenseMatrix(h_dense)
         psi = random_state(rng, d)
         plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
-        plan = dataclasses.replace(plan, scaling=3)
-        seen = []
-        counting = CountingOperator(h)
-        got = expm.apply(
-            counting, psi, plan, validate=False, scale=1j * dt,
-            sink=lambda j, term: seen.append((j, counting.calls, term.copy())),
-        )
-        assert counting.calls == plan.matvecs
-        assert np.array_equal(got, expm.apply(h, psi, plan, validate=False, scale=1j * dt))
-        m = plan.order
-        assert [j for j, _, _ in seen] == list(range(m + 1)) * 3
-        # the sink runs between products and none of its own
-        calls = [stage * m + j for stage in range(3) for j in range(m + 1)]
-        assert [c for _, c, _ in seen] == calls
-        b = 1j * dt / 3 * h_dense
-        start = psi
-        for stage in range(3):
-            power = start.copy()
-            for j in range(m + 1):
-                term = seen[stage * (m + 1) + j][2]
-                assert np.linalg.norm(term - power) <= 1e-13 * max(np.linalg.norm(power), 1.0)
-                power = b @ power / (j + 1)
-            start = sum(t for _, _, t in seen[stage * (m + 1) : (stage + 1) * (m + 1)])
+        assert plan.scaling > 1
+        want = expm.apply(h, psi, plan, validate=False, scale=-1j * dt)
+        counted = []
+        real_product = type(h)._product
+
+        def counting_product(matrix, v, out):
+            counted.append(matrix)
+            return real_product(matrix, v, out)
+
+        monkeypatch.setattr(type(h), "_product", counting_product)
+        monkeypatch.setattr(type(h), "matvec", lambda *args: pytest.fail("matvec ran"))
+        v = psi.copy()
+        term, work = np.empty(d, dtype=complex), np.empty(d, dtype=complex)
+        assert expm.move(h, v, plan, -1j * dt, term, work) is None
+        assert np.array_equal(v, want)
+        assert len(counted) == plan.matvecs and all(matrix is h for matrix in counted)
 
     def test_stages_run_one_application_bit_for_bit(self, rng):
         d, dt = 12, 0.7
@@ -169,6 +203,35 @@ class TestTermSink:
         assert np.array_equal(v, expm.apply(h, psi, plan, validate=False, scale=-1j * dt))
         single = expm.make_plan(0.5, 3, 1e-10)
         assert single.scaling == 1 and single.stage() is single
+
+
+class TestTermScalars:
+    @pytest.mark.parametrize(
+        "numerator", [-1j * 0.3 / 2, 1j * 0.3, complex(-0.0, 0.5), complex(0.0, 0.5), 1.0, 1 + 0j]
+    )
+    def test_each_scalar_is_its_python_expression(self, numerator):
+        table = expm.term_scalars(numerator, 9)
+        assert len(table) == 9
+        for j, scalar in enumerate(table, start=1):
+            want = np.array(numerator / j)
+            assert scalar.shape == () and scalar.dtype == want.dtype
+            # bit for bit, the sign of a zero part included
+            assert scalar.tobytes() == want.tobytes()
+        assert expm.term_scalars(numerator, 9) is table
+
+    def test_tables_tell_signed_zeros_and_types_apart(self):
+        assert expm.term_scalars(complex(-0.0, 0.5), 3) is not expm.term_scalars(0.5j, 3)
+        assert expm.term_scalars(1.0, 3)[0].dtype == np.float64
+        assert expm.term_scalars(1 + 0j, 3)[0].dtype == np.complex128
+
+    def test_scalars_are_read_only(self):
+        table = expm.term_scalars(-0.25j, 4)
+        for scalar in table:
+            with pytest.raises(ValueError):
+                scalar[...] = 0.0
+            with pytest.raises(ValueError):
+                np.multiply(scalar, 2.0, out=scalar)
+        assert [complex(x) for x in table] == [-0.25j / j for j in range(1, 5)]
 
 
 class TestDerivativePlan:
