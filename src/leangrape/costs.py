@@ -342,15 +342,20 @@ class _StepMemo:
     its backward sweep starts, a backward sweep ends where the next basis
     state's forward sweep starts, and with a single step every visit is
     step 0 (a one-step gate gradient then builds one evaluator, not 3d).
-    Only one step's operators are alive at a time.
+    Only one step's operators are alive at a time: the memo lets the last
+    evaluator go before it assembles the next step, so a forward sweep
+    never holds the previous step's Hamiltonian (or, on the
+    diagonalization backend, its eigenbasis) beside the new step's total
+    and its assembly buffer.
 
-    On scaling and squaring the memo also keeps, by step index, the plans
-    each evaluator made (:attr:`~leangrape.derivatives.StepEvaluator.plans`)
-    when the next step replaces it, and hands them to the step's next
-    evaluator, so a revisit only assembles ``H``: a step is planned once
-    per field, and its derivative plan once, by its first backward step.
-    That is two lists of one reference per step, and no vector.  On the
-    diagonalization backend nothing is planned and nothing kept.
+    The memo also keeps, by step index, the plans each evaluator made
+    (:attr:`~leangrape.derivatives.StepEvaluator.plans`) when the next
+    step replaces it, and hands them to the step's next evaluator, so a
+    revisit only assembles ``H``: a step is planned once per field, and
+    its derivative plan once, by its first backward step.  On the
+    diagonalization backend the plan is that of the step's certified
+    forward moves, and no derivative plan is made.  That is two lists of
+    one reference per step, and no vector.
     """
 
     __slots__ = ("_build", "_n", "_evaluator", "_plans", "_dplans")
@@ -358,18 +363,16 @@ class _StepMemo:
     def __init__(self, problem: ControlProblem, a: ControlField):
         self._build = partial(problem.step_evaluator, a)
         self._n, self._evaluator = -1, None
-        self._plans = self._dplans = None
-        if problem.backend is Backend.SCALING_SQUARING:
-            self._plans, self._dplans = [None] * a.n_steps, [None] * a.n_steps
+        self._plans, self._dplans = [None] * a.n_steps, [None] * a.n_steps
 
     def __call__(self, n: int) -> StepEvaluator:
         if n == self._n:
             return self._evaluator
+        if self._evaluator is not None:
+            self._plans[self._n], self._dplans[self._n] = self._evaluator.plans
+            self._n, self._evaluator = -1, None  # released before the next step is assembled
         evaluator = self._build(n)
-        if self._plans is not None:
-            if self._evaluator is not None:
-                self._plans[self._n], self._dplans[self._n] = self._evaluator.plans
-            evaluator.plans = self._plans[n], self._dplans[n]
+        evaluator.plans = self._plans[n], self._dplans[n]
         self._n, self._evaluator = n, evaluator
         return evaluator
 

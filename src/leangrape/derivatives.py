@@ -22,9 +22,15 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   (:class:`BlockDerivativeOperator`), whose exponential action carries
   one channel's derivative in its top block, is the reference it is
   tested against.
-* ``DIAGONALIZATION`` factorizes ``-i H dt`` densely once per step and
-  evaluates products and overlaps through the eigenbasis, the overlaps
-  ``-i dt tr(W h_k)`` of every channel in one Frobenius form.  A step
+* ``DIAGONALIZATION`` factorizes ``-i H dt`` densely only to
+  differentiate: a step's first backward step factorizes it, and the
+  overlaps ``-i dt tr(W h_k)`` of every channel come from the eigenbasis
+  in one Frobenius form, as do the two moves of that backward step.
+  Forward (and adjoint) steps before it move through the certified
+  engine as on scaling and squaring, within ``tau`` at ``plan.matvecs``
+  products, while the plan's products cost no more flops than the
+  eigensolver, ``plan.matvecs * nnz <= d^3``; a step that fails this
+  rule is factorized at its first move instead.  A step
   whose Hamiltonian has no nonzero imaginary part is factorized by the
   real symmetric solver: its eigenbasis is float64 and every eigenbasis
   product runs as a real matrix product.  The factorization consumes
@@ -104,10 +110,13 @@ class StepContext:
     :meth:`leangrape.costs.ControlProblem.step_evaluator` from operators
     checked there, into an array of its own.  On the diagonalization
     backend the factorization consumes it (:func:`diag_prepare`, called
-    by the step's first product): the array is overwritten by ``dt H``
-    and released, and reading ``h_step`` from then on raises
-    :class:`HamiltonianReleasedError`.  Read it before the step's first
-    product.  ``dim`` is stored, so it outlives ``h_step``.
+    by the step's first backward step, or by its first move when the
+    certified engine costs more than the eigensolver; see
+    :class:`StepEvaluator`): the array is overwritten by ``dt H`` and
+    released, and reading ``h_step`` from then on raises
+    :class:`HamiltonianReleasedError`.  Forward and adjoint moves through
+    the engine leave it held.  ``dim`` is stored, so it outlives
+    ``h_step``.
     """
 
     __slots__ = ("_h_step", "dt", "backend", "tau", "dim")
@@ -474,9 +483,13 @@ class StepEvaluator:
     every product scales it by ``-i dt`` or ``+i dt`` inside
     :func:`leangrape.expm.move`, :func:`leangrape.expm.move_pair` or a
     Horner pass, each product ``H``'s unchecked one.  With the
-    diagonalization backend the first product factorizes the step and
-    consumes ``ctx.h_step`` (see :func:`diag_prepare`); from then on the
-    step holds its eigenfactorization only.
+    diagonalization backend the step moves the same way, under the same
+    plan, while it holds ``H`` and ``plan.matvecs * nnz <= d^3``: the
+    plan's products times ``H``'s stored elements against the
+    eigensolver's ``d^3``.  Its first :meth:`pull_back` factorizes it and
+    consumes ``ctx.h_step`` (see :func:`diag_prepare`), and so does its
+    first move when the rule fails; from then on the step holds its
+    eigenfactorization only and moves through its eigenbasis.
     ``controls`` are the problem's control operators (see
     :class:`ControlOperators`), shared by every step of the problem.
     Nothing here scales with the number of time steps; the block
@@ -536,14 +549,36 @@ class StepEvaluator:
         through :func:`leangrape.expm.move`, every product ``H``'s
         unchecked one: bit for bit ``expm.apply(h_step, psi, plan,
         scale=-i dt)``.  Scratch: two vectors, the Taylor term and the
-        product.  On the diagonalization backend the eigenbasis products
-        form a new array, copied into ``out`` when one is given.
+        product.  A diagonalization-backend step moves the same way while
+        it holds ``H`` and ``plan.matvecs * nnz <= d^3``, so it is certified
+        and leaves ``ctx.h_step`` held.  Once factorized, or when the rule
+        fails (it then factorizes here), it moves through its eigenbasis,
+        whose products form a new array, copied into ``out`` when one is
+        given.
         """
         return self._move(psi, out, adjoint=False)
 
     def adjoint(self, psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``U^dagger psi = exp(+i dt H) psi``, under the same plan; as :meth:`forward`."""
         return self._move(psi, out, adjoint=True)
+
+    def _moves_by_eigenbasis(self) -> bool:
+        """Whether a diagonalization-backend step moves through its eigenbasis.
+
+        It does once it is factorized.  Before that it does when its
+        certified plan costs more flops than the eigensolver,
+        ``plan.matvecs * nnz > d^3`` (products times ``H``'s stored
+        elements, against ``d^3``), or when no plan certifies ``tau``; the
+        move then factorizes it.  Otherwise it moves through the certified
+        engine, as scaling and squaring does.
+        """
+        if self._fact is not None:
+            return True
+        try:
+            products = self._step_plan().matvecs
+        except expm.PlanningError:
+            return True
+        return products * self.ctx.h_step.nnz > self.ctx.dim**3
 
     def _move(self, psi: np.ndarray, out: np.ndarray | None, adjoint: bool) -> np.ndarray:
         """:meth:`forward`, or :meth:`adjoint` when ``adjoint``."""
@@ -552,7 +587,7 @@ class StepEvaluator:
             raise ValueError(
                 f"out must be a complex128 array of shape ({d},), got {out.dtype} {out.shape}"
             )
-        if self.ctx.backend is Backend.DIAGONALIZATION:
+        if self.ctx.backend is Backend.DIAGONALIZATION and self._moves_by_eigenbasis():
             moved = _diag_propagate(self._factorization(), psi, adjoint)
             if out is None:
                 return moved
@@ -612,16 +647,18 @@ class StepEvaluator:
         term, ``u_{m_d}``, which nothing reads): ``m_d d + d + w d`` complex
         entries.
 
-        On the diagonalization backend ``psi`` moves by :meth:`adjoint`
-        first.  With ``l = S^H lambda``, ``p = S^H psi`` and the kernel
-        ``K``, the overlap along ``A_k = -i dt h_k`` is
-        ``l^H (K o S^H A_k S) p = -i dt tr(W h_k)`` with ``W = S G^T S^H`` and
-        ``G = (conj(l) p^T) o K``: two products of dense matrices per step,
-        whatever the number of channels, and one pass over the stored
-        elements of each control, which is never densified.  The co-state
-        then moves by :meth:`adjoint`.  Scratch, besides the step's
-        eigenbasis (the step holds no ``H`` once factorized): ``G``, formed
-        in place (the kernel scales it a block of rows at a time, see
+        On the diagonalization backend the step is factorized first, if
+        no earlier move factorized it, and ``psi`` then moves by
+        :meth:`adjoint` through the eigenbasis.  With ``l = S^H lambda``,
+        ``p = S^H psi`` and the kernel ``K``, the overlap along
+        ``A_k = -i dt h_k`` is ``l^H (K o S^H A_k S) p = -i dt tr(W h_k)``
+        with ``W = S G^T S^H`` and ``G = (conj(l) p^T) o K``: two products
+        of dense matrices per step, whatever the number of channels, and
+        one pass over the stored elements of each control, which is never
+        densified.  The co-state then moves by :meth:`adjoint`, through the
+        eigenbasis too.  Scratch, besides the step's eigenbasis (the step
+        holds no ``H`` once factorized): ``G``, formed in place (the kernel
+        scales it a block of rows at a time, see
         :meth:`DiagFactorization.scale_by_kernel`) and one more ``d x d``
         complex array for the products (see
         :func:`_transposed_congruence`): two complex ``d x d`` arrays at
@@ -639,8 +676,8 @@ class StepEvaluator:
         return self._pull_back_taylor(costate, psi)
 
     def _pull_back_eigen(self, costate: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        fact = self._factorization()  # both moves then run through the eigenbasis
         self.adjoint(psi, psi)
-        fact = self._factorization()
         s = fact.eigvecs
         p = _adjoint_product(s, psi)
         g = np.multiply.outer(_basis_product(s.T, costate.conj()), p)  # conj(l) p^T

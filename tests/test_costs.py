@@ -12,7 +12,7 @@ from leangrape import costs, derivatives, expm, models, sparse
 from leangrape.costs import CostKind, CostTerm
 from leangrape.derivatives import CHANNEL_BLOCK, Backend
 
-from conftest import random_hermitian, random_state
+from conftest import expm_action_oracle, random_hermitian, random_state
 
 SX = np.array([[0, 1], [1, 0]], complex)
 
@@ -848,8 +848,8 @@ class TestBytesIndependentOfSteps:
     The live-vector meter counts only the vectors the cost code holds; this
     counts every byte.  Only the arrays indexed by step may grow: the
     gradient, for a gate cost its complex overlap accumulator and its
-    trace factors, and on scaling and squaring the step memo's table of
-    plans, one reference per step and plan.  A stored trajectory, or any
+    trace factors, and the step memo's table of plans, one reference per
+    step and plan, on either backend.  A stored trajectory, or any
     other copy kept per step, adds at least a state vector per step.  No ``gc.collect()`` before a
     measurement: a full collection empties the interpreter's free lists,
     and refilling them shows up as traced blocks that grow with the steps.
@@ -895,9 +895,8 @@ class TestBytesIndependentOfSteps:
             if cost == "gate":
                 # the complex accumulator, twice the gradient, and one complex trace per step
                 step_arrays += 2 * result.grad.nbytes + 16 * field.n_steps
-            if backend is Backend.SCALING_SQUARING:
-                # the step memo's plan table: one list of step plans, one of derivative plans
-                step_arrays += 2 * sys.getsizeof([None] * field.n_steps)
+            # the step memo's plan table: one list of step plans, one of derivative plans
+            step_arrays += 2 * sys.getsizeof([None] * field.n_steps)
             net.append(peak - step_arrays)
         assert abs(net[1] - net[0]) <= 16 * d, net
 
@@ -1128,6 +1127,106 @@ class ProductCounter:
             assert planned == m * s + (2 * m_d - 1) * s
 
 
+class TestEigenBackendFactorizesToDifferentiate:
+    """On the diagonalization backend a step factorizes only to differentiate.
+
+    Its forward steps run the certified engine while its plan passes
+    ``plan.matvecs * nnz <= d^3``.  On ``qubit_chain(3)`` (d = 8, 28 stored
+    elements per step on CSR, 64 dense), at amplitudes of about 0.5, CSR
+    steps pass at dt = 0.2 and dense ones at dt = 0.02, while dense ones
+    at dt = 0.5 do not.
+    """
+
+    @staticmethod
+    def chain3(storage):
+        h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
+        ops = (h, *hcs)
+        if storage == "dense":
+            ops = tuple(sparse.DenseMatrix(m.to_dense()) for m in ops)
+        return costs.ControlProblem(ops[0], ops[1:], Backend.DIAGONALIZATION, 1e-10)
+
+    @staticmethod
+    def counting_factorizations(monkeypatch):
+        calls = []
+        real = derivatives.diag_prepare
+
+        def counted(ctx):
+            calls.append(ctx)
+            return real(ctx)
+
+        monkeypatch.setattr(derivatives, "diag_prepare", counted)
+        return calls
+
+    @pytest.mark.parametrize("storage, dt", [("csr", 0.2), ("dense", 0.02)])
+    def test_forward_under_the_rule_runs_its_plan(self, rng, monkeypatch, storage, dt):
+        problem = self.chain3(storage)
+        field = costs.ControlField(2, 6, dt, rng.normal(scale=0.5, size=(2, 6)))
+        counter, factorized = ProductCounter(monkeypatch), self.counting_factorizations(monkeypatch)
+        for n in range(field.n_steps):
+            step = problem.step_evaluator(field, n)
+            h, d = step.ctx.h_step, problem.dim
+            h_dense = h.to_dense()
+            psi = random_state(rng, d)
+            got = step.forward(psi)
+            plan = step.plans[0]
+            assert plan.matvecs * h.nnz <= d**3
+            assert step.ctx.h_step is h  # not factorized
+            err = np.linalg.norm(got - expm_action_oracle(-1j * dt * h_dense, psi))
+            assert err <= problem.tau, err
+        assert factorized == []
+        counter.assert_planned()  # each forward ran plan.matvecs products with its own H
+        assert len(counter.forward_steps) == field.n_steps
+
+    @pytest.mark.parametrize("storage, tau", [("dense", 1e-10), ("csr", 1e-17)])
+    def test_step_over_the_rule_factorizes_at_its_forward(self, rng, monkeypatch, storage, tau):
+        # dense steps at dt = 0.5 fail the rule; at tau = 1e-17, below the
+        # rounding floor, no plan certifies at all
+        problem = dataclasses.replace(self.chain3(storage), tau=tau)
+        field = costs.ControlField(1, 6, 0.5, rng.normal(scale=0.5, size=(1, 6)))
+        factorized = self.counting_factorizations(monkeypatch)
+        step = problem.step_evaluator(field, 0)
+        h, d = step.ctx.h_step, problem.dim
+        h_dense = h.to_dense()
+        if storage == "dense":
+            assert step._step_plan().matvecs * h.nnz > d**3
+        else:
+            with pytest.raises(expm.PlanningError):
+                step._step_plan()
+        psi = random_state(rng, d)
+        got = step.forward(psi)
+        assert len(factorized) == 1
+        with pytest.raises(derivatives.HamiltonianReleasedError):
+            step.ctx.h_step
+        assert np.linalg.norm(got - expm_action_oracle(-0.5j * h_dense, psi)) <= 1e-12
+
+    @pytest.mark.parametrize("cost", ["state", "gate"])
+    def test_gradient_factorizes_each_backward_step_once(self, rng, monkeypatch, cost):
+        problem, n = self.chain3("csr"), 5
+        d = problem.dim
+        field = costs.ControlField(n, 6, 0.2, rng.normal(scale=0.5, size=(n, 6)))
+        factorized = self.counting_factorizations(monkeypatch)
+        if cost == "state":
+            costs.c1_state_grad(problem, field, random_state(rng, d), random_state(rng, d))
+            # N, where factorizing every forward step too made 2N - 1
+            assert len(factorized) == n
+        else:
+            costs.c1_gate_grad(problem, field, models.hadamard_target(3, 2))
+            # one per backward step of each basis state's sweep
+            assert len(factorized) == d * n
+
+    @pytest.mark.parametrize("grad_fn", [costs.c1_gate_grad, costs.c3_gate_grad])
+    def test_gate_gradient_agrees_with_scaling_and_squaring(self, rng, grad_fn):
+        problem = self.chain3("csr")
+        taylor = dataclasses.replace(problem, backend=Backend.SCALING_SQUARING)
+        field = costs.ControlField(3, 6, 0.2, rng.normal(scale=0.5, size=(3, 6)))
+        target = models.hadamard_target(3, 2)
+        got = grad_fn(problem, field, target)
+        want = grad_fn(taylor, field, target)
+        assert abs(got.cost - want.cost) <= 1e-8 * abs(want.cost)
+        assert np.linalg.norm(got.grad - want.grad) <= 1e-8 * np.linalg.norm(want.grad)
+        assert_fd_match(got, lambda f: grad_fn(problem, f, target).cost, field)
+
+
 class TestStartStateIsOnlyRead:
     """The sweeps move a copy of the start state in place, never the caller's array."""
 
@@ -1287,11 +1386,19 @@ class TestStepPlansOncePerField:
         assert result.cost == want.cost
         assert np.array_equal(result.grad, want.grad)
 
-    def test_eigen_backend_keeps_no_plan_table(self, rng):
+    def test_eigen_backend_keeps_the_forward_plans(self, rng, monkeypatch):
+        # a forward step plans itself to choose between the certified engine
+        # and its eigenbasis; a revisit reads the kept plan
         d, n, k = 4, 3, 2
         problem = make_problem(rng, d, k, Backend.DIAGONALIZATION, psi0=random_state(rng, d))
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
         memo = costs._step_evaluators(problem, field)
-        for step in (0, 1, 2, 1):
+        for step in (0, 1, 2):
             memo(step).forward(random_state(rng, d))
-        assert memo._plans is None and memo._dplans is None
+        memo(0)  # lets step 2 go, with its plan
+        assert all(plan is not None for plan in memo._plans)
+        assert memo._dplans == [None] * n
+        calls = self.counting(monkeypatch)
+        for step in (1, 2):
+            memo(step).forward(random_state(rng, d))
+        assert calls == {"make_plan": 0, "derivative_plan": 0}

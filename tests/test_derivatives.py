@@ -753,17 +753,16 @@ class TestPullBack:
         )
         step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, 2, 0.3), 0)
         psi, lam = random_state(rng, d), random_state(rng, d)
-        step.forward(psi)  # factorize the step first
-        assert (step._factorization().eigvecs.dtype == np.float64) == real
+        assert (step._factorization().eigvecs.dtype == np.float64) == real  # factorized first
         peak = transient_peak(lambda: step.pull_back(lam, psi))
         assert peak <= 2 * 16 * d * d + 16 * 16 * d, (peak, 16 * d * d)
 
     @pytest.mark.parametrize("real", [True, False])
     def test_eigen_gradient_holds_no_hamiltonian_beside_its_eigenbasis(self, rng, real):
         # a step's H is the eigensolver's input, scaled in place and released
-        # with it, and no kernel factor is stored: the peak is step assembly
-        # (the total and linear_combine's work buffer) beside the previous
-        # step's eigenbasis, which the step memo still holds
+        # with it, and no kernel factor is stored; the step memo lets the
+        # previous step go before it assembles the next, so assembly (the
+        # total and linear_combine's work buffer) holds no eigenbasis beside it
         d, n_steps = 144, 10
         h = random_real_symmetric(rng, d) if real else random_hermitian(rng, d)
         controls = tuple(sparse.DenseMatrix(random_real_symmetric(rng, d)) for _ in range(2))
@@ -783,12 +782,15 @@ class TestPullBack:
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     def test_eigen_step_releases_its_hamiltonian_when_it_factorizes(self, rng, storage):
+        # at dt = 0.05 the step's plan passes plan.matvecs * nnz <= d^3
         d = 12
-        step = make_overlap_step(rng, d, 2, Backend.DIAGONALIZATION, storage)[2]
+        step = make_overlap_step(rng, d, 2, Backend.DIAGONALIZATION, storage, dt=0.05)[2]
         h = step.ctx.h_step
         held = [weakref.ref(h)] + ([weakref.ref(h.array)] if storage == "dense" else [])
         del h
-        step.forward(random_state(rng, d))
+        step.forward(random_state(rng, d))  # through the certified engine
+        assert step.ctx.h_step is held[0]()
+        step.pull_back(random_state(rng, d), random_state(rng, d))
         assert [ref() for ref in held] == [None] * len(held)
         with pytest.raises(derivatives.HamiltonianReleasedError):
             step.ctx.h_step
@@ -1031,27 +1033,84 @@ class TestRealModelGradients:
 class TestComplexModelUnchanged:
     """A complex Hamiltonian keeps the complex solver's arithmetic bit for bit.
 
-    The cost was recorded before the real-symmetric path existed and the
-    gradient once the state pass carried a single co-state, with numpy
-    2.4's bundled OpenBLAS on x86-64; another BLAS or CPU kernel may round
-    differently.
+    Recorded with numpy 2.4's bundled OpenBLAS on x86-64; another BLAS or
+    CPU kernel may round differently.  Every ``sigma_y`` amplitude is
+    nonzero, so every step is complex.
     """
 
-    def test_state_gradient(self):
+    @pytest.fixture
+    def problem(self):
         h, hcs = models.build_qubit_chain(models.QubitChainParams(n_qubits=3))
-        problem = costs.ControlProblem(h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10)
-        # every sigma_y amplitude is nonzero, so every step is complex
+        return costs.ControlProblem(h, tuple(hcs), Backend.DIAGONALIZATION, 1e-10)
+
+    @pytest.fixture
+    def field(self):
         amps = ((np.arange(12).reshape(2, 6) % 5) - 2.5) / 2
-        field = costs.ControlField(2, 6, 0.5, amps)
+        return costs.ControlField(2, 6, 0.5, amps)
+
+    # pull_back from fixed vectors on each step, recorded at f56db95: the
+    # overlaps, then the moved psi and co-state
+    PULL_BACKS = [
+        (
+            [(-0.3025187253632575-0.09736707351335083j), (-0.2479484619310073+0.2646473596065471j),
+             (-0.2224453965147163-0.012640983227713128j), (-0.09559446144274457+0.12306976870712456j),
+             (-0.1589312353205966-0.010039166113902806j), (-0.013243848233916708+0.016995085051543304j)],
+            [(0.08833797082739274+0.058817369499153255j), (0.1702041523430422-0.17953670557566148j),
+             (0.023309203061501665-0.04658798795660152j), (0.2908198405970739-0.2988231943762954j),
+             (0.2564354948789297+0.17783933766931684j), (0.513290235458524-0.4410290563684428j),
+             (0.04922029563606359-0.030705061026947048j), (0.43639317200378896+0.042247731284512806j)],
+            [(0.004639765972878192+0.14731886142495704j), (0.6808033505075286+0.3725732552588165j),
+             (0.10310810052333134-0.08707778239491376j), (0.032007351281456264+0.5574701897172468j),
+             (-0.017189319832022765+0.037801368332193636j), (0.1063518695233824+0.13612353713529676j),
+             (-0.01632960170433846+0.0025424068423634053j), (0.044753902752950325-0.110088620168246j)],
+        ),
+        (
+            [(-0.2682869152129148-0.040977915213253766j), (-0.2684871389197995+0.2117163153288485j),
+             (-0.1976750106141245+0.01881242531521229j), (-0.07912172869895162+0.09968153682429173j),
+             (-0.21378934401931227+0.01346696359869387j), (-0.050575696509612994+0.07404477923126658j)],
+            [(0.13196834920358003-0.1494657988832186j), (0.3609827688319801-0.30983426752130605j),
+             (-0.08225984287175003-0.22427734372583424j), (0.13851618092556242-0.16202328409746536j),
+             (0.12375838644159544-0.2522026594179193j), (0.28431322094489264-0.6002352683369061j),
+             (0.10666087229150095-0.18744466869943205j), (0.245786048605058+0.0668706186627212j)],
+            [(0.4537989574908214+0.042547675579497374j), (0.5719109486210389+0.08142910687708735j),
+             (0.4151464269642045+0.058687847878153815j), (0.060523205375224515+0.33188632577623667j),
+             (0.002394307743991464+0.14369996556846912j), (0.0387829244695231+0.19406035367459867j),
+             (-0.24666407191530423+0.05146168957050942j), (-0.14746548696983094-0.15454601036759114j)],
+        ),
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_pull_back(self, problem, field, n):
+        step = problem.step_evaluator(field, n)
+        psi = np.full(8, 8**-0.5, dtype=complex)
+        lam = np.exp(0.5j * np.arange(8)) * 8**-0.5
+        overlaps = step.pull_back(lam, psi)
+        want = self.PULL_BACKS[n]
+        assert np.array_equal(overlaps, want[0])
+        assert np.array_equal(psi, want[1])
+        assert np.array_equal(lam, want[2])
+
+    def test_state_gradient(self, problem, field):
+        # recorded once forward steps ran the certified engine (the d = 8
+        # steps pass plan.matvecs * nnz <= d^3); within 2 N tau of the
+        # values recorded when every forward step moved through its eigenbasis
         psi0, target = models.fock_state(8, 0), models.fock_state(8, 7)
         result = costs.c1_state_grad(problem, field, psi0, target)
-        assert result.cost == 0.9413564879781222
+        assert result.cost == 0.9413564879781131
         assert np.array_equal(result.grad, [
+            [0.03178804808744038, 0.0124992091744427, 0.02584960432948491,
+             -0.15469607051243808, 0.037604549660460104, 0.03608638276170997],
+            [0.013872993741576365, 0.015580364043891959, 0.014899430391307242,
+             -0.08414817500901031, -0.02958514307924269, 0.04150529346992737],
+        ])
+        within = 2 * field.n_steps * problem.tau
+        assert abs(result.cost - 0.9413564879781222) <= within
+        assert np.abs(result.grad - [
             [0.03178804808743035, 0.012499209174433992, 0.02584960432948826,
              -0.15469607051240863, 0.03760454966045257, 0.0360863827617011],
             [0.013872993741562823, 0.015580364043894311, 0.014899430391309622,
              -0.08414817500899141, -0.029585143079256526, 0.041505293469919206],
-        ])
+        ]).max() <= within
 
 
 class TestTaylorBackendUnchanged:

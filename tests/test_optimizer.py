@@ -330,9 +330,9 @@ class TestSweepHandOver:
         for name in calls:
             original = getattr(StepEvaluator, name)
 
-            def counted(self, *args, _original=original, _name=name):
+            def counted(self, *args, _original=original, _name=name, **kwargs):
                 calls[_name] += 1
-                return _original(self, *args)
+                return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(StepEvaluator, name, counted)
         cfg = optimizer.OptimizerConfig(max_iters=30, eta0=0.1, eta_schedule=schedule)
