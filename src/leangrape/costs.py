@@ -326,17 +326,11 @@ def _as_state(psi: np.ndarray, dim: int, name: str) -> np.ndarray:
     return psi
 
 
-def _step_evaluators(problem: ControlProblem, a: ControlField) -> Callable[[int], StepEvaluator]:
-    """``n -> problem.step_evaluator(a, n)``: the step memo of one field, a :class:`_StepMemo`."""
-    if a.n_channels != problem.n_channels:
-        raise ValueError(
-            f"field has {a.n_channels} channels, problem has {problem.n_channels}"
-        )
-    return _StepMemo(problem, a)
-
-
 class _StepMemo:
     """Step evaluators of one field: the last one reused, every step planned once.
+
+    ``memo(n)`` is ``problem.step_evaluator(a, n)``.  A field whose channel
+    count is not the problem's is refused when the memo is made.
 
     Consecutive sweeps meet at a repeated step: a forward sweep ends where
     its backward sweep starts, a backward sweep ends where the next basis
@@ -361,6 +355,10 @@ class _StepMemo:
     __slots__ = ("_build", "_n", "_evaluator", "_plans", "_dplans")
 
     def __init__(self, problem: ControlProblem, a: ControlField):
+        if a.n_channels != problem.n_channels:
+            raise ValueError(
+                f"field has {a.n_channels} channels, problem has {problem.n_channels}"
+            )
         self._build = partial(problem.step_evaluator, a)
         self._n, self._evaluator = -1, None
         self._plans, self._dplans = [None] * a.n_steps, [None] * a.n_steps
@@ -435,7 +433,7 @@ def forward_propagate(
 ) -> np.ndarray:
     """Propagate ``psi0`` through all steps; only O(1) vectors are live."""
     psi0 = _as_state(psi0, problem.dim, "psi0")
-    step = _step_evaluators(problem, a)
+    step = _StepMemo(problem, a)
     return _state_forward(step, a, psi0, [], VectorMeter(problem.dim))[0]
 
 
@@ -489,7 +487,7 @@ def _state_pass(
     psi0: np.ndarray,
     terms: list[CostTerm],
 ) -> GradientResult:
-    step = _step_evaluators(problem, a)
+    step = _StepMemo(problem, a)
     meter = VectorMeter(problem.dim)
     psi, cost = _state_forward(step, a, psi0, terms, meter)
     return _state_backward(step, a, psi, cost, terms, meter)
@@ -623,7 +621,7 @@ def _gate_pass(
     u_target = _gate_target(problem, u_target)
     d = problem.dim
     n_steps, n_channels = a.n_steps, a.n_channels
-    step = _step_evaluators(problem, a)
+    step = _StepMemo(problem, a)
     meter = VectorMeter(d)
     if running:
         traces, cost = _gate_forward(step, a, u_target, True, meter)
@@ -811,7 +809,7 @@ def composite_cost(
     if record is not None:
         record.clear()
     psi0, state_terms, gate_terms = _split_terms(problem, terms)
-    step = _step_evaluators(problem, a)
+    step = _StepMemo(problem, a)
     meter = VectorMeter(problem.dim)
     total = 0.0
     psi, state_cost = None, 0.0

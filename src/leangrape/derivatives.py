@@ -21,7 +21,8 @@ control overlaps ``<lambda| dU/da_k |psi>`` of the short-time propagator
   Loan's block-upper-triangular embedding ``[[H, h_k], [0, H]]``
   (:class:`BlockDerivativeOperator`), whose exponential action carries
   one channel's derivative in its top block, is the reference it is
-  tested against.
+  tested against; it moves through :func:`leangrape.expm.move`, as the
+  steps do.
 * ``DIAGONALIZATION`` factorizes ``-i H dt`` densely only to
   differentiate: a step's first backward step factorizes it, and the
   overlaps ``-i dt tr(W h_k)`` of every channel come from the eigenbasis
@@ -150,17 +151,16 @@ class DiagFactorization:
     ``eigvecs`` is unitary: float64 (real orthogonal) when ``H`` is real,
     complex128 otherwise.  ``eigvals`` holds the purely imaginary
     eigenvalues of ``A`` and ``exp_eigvals`` their elementwise
-    exponentials.  ``kernel[i, j]`` is the divided difference of ``exp``
-    at ``eigvals[i]`` and ``eigvals[j]``; with ``eigvals = -i w`` it is
-    ``half[i] half[j] sinc[i, j]``, ``half = exp(eigvals / 2)`` and
+    exponentials.  The kernel ``K[i, j]`` is the divided difference of
+    ``exp`` at ``eigvals[i]`` and ``eigvals[j]``; with ``eigvals = -i w``
+    it is ``half[i] half[j] sinc[i, j]``, ``half = exp(eigvals / 2)`` and
     ``sinc[i, j] = sinc((w_j - w_i) / 2)``, which is symmetric, tends to
     ``exp_eigvals[i]`` as the two eigenvalues meet and needs no degeneracy
     threshold.  Only derivatives read it, and they read it through
     :meth:`scale_by_kernel`, which forms it, its real factor ``sinc``
     included, a block of rows at a time from the eigenvalues: it is
     formed per block, never stored.  ``half`` is a vector, built on first
-    use and cached.  ``kernel`` builds the whole kernel, on each access,
-    for the reference derivative.
+    use and cached.
     """
 
     dim: int
@@ -183,15 +183,12 @@ class DiagFactorization:
         s /= y
         return s
 
-    @property
-    def kernel(self) -> np.ndarray:
-        return np.outer(self.half, self.half) * self._sinc_rows(slice(None))
-
     def scale_by_kernel(self, g: np.ndarray) -> None:
-        """``g *= kernel`` in place, :data:`_KERNEL_BLOCK` kernel entries at a time.
+        """``g *= K`` in place, :data:`_KERNEL_BLOCK` kernel entries at a time.
 
         Each block ``outer(half[b], half) * sinc[b]`` rounds every entry as
-        :attr:`kernel` does, so ``g`` comes out the same bit for bit.
+        the whole kernel ``outer(half, half) * sinc`` would, so ``g`` comes
+        out the same bit for bit.
         """
         half = self.half
         rows = max(1, _KERNEL_BLOCK // self.dim)
@@ -282,14 +279,16 @@ class ControlOperators:
 class BlockDerivativeOperator:
     """Matrix-free Van Loan embedding of one channel's derivative.
 
-    The reference that :meth:`StepEvaluator.control_derivative` applies
+    The reference that :meth:`StepEvaluator.control_derivative` moves
     and :meth:`StepEvaluator.pull_back` is tested against.  The embedding
     ``E = [[H, h_k], [0, H]]``, in Hamiltonian units, acts on ``(x, y)``
     stacked as one ``2d`` vector and maps it to ``(H x + h_k y, H y)``.
     ``exp(-i dt E)`` applied to ``(0, psi)`` is ``((dU/da_k) psi, U psi)``;
     the engine takes ``-i dt`` as its ``scale``, so the generator
     ``-i dt E`` is never stored, and the operator keeps references to ``H``
-    and ``h_k``, no copies.
+    and ``h_k``, no copies.  As in :mod:`leangrape.sparse`, :meth:`matvec`
+    checks the stacked vector and calls the unchecked ``_product``, which
+    the engine runs: each block's product is the matrix's own ``_product``.
 
     ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the embedding's,
     assembled exactly from the column and row sums of ``H`` and ``h_k``
@@ -309,6 +308,8 @@ class BlockDerivativeOperator:
 
     def stack(self, psi: np.ndarray) -> np.ndarray:
         """The start vector: ``psi`` in the bottom block, a zero derivative on top."""
+        if np.shape(psi) != (self.n_rows // 2,):
+            raise ValueError(f"psi has shape {np.shape(psi)}, expected ({self.n_rows // 2},)")
         v = np.zeros(self.n_rows, dtype=np.complex128)
         v[self.n_rows // 2 :] = psi
         return v
@@ -323,10 +324,14 @@ class BlockDerivativeOperator:
             raise ValueError("stacked vector dimension mismatch")
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
+        return self._product(v, out)
+
+    def _product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``E v`` into ``out``, unchecked: see :meth:`leangrape.sparse.CsrMatrix._product`."""
         (x, y), (top, bottom) = self.split(v), self.split(out)
-        self.step.matvec(x, out=top)
-        top += self.control.matvec(y)
-        self.step.matvec(y, out=bottom)
+        self.step._product(x, top)
+        top += self.control._product(y, np.empty(len(y), dtype=np.complex128))
+        self.step._product(y, bottom)
         return out
 
     # a top row or column holds every element of the bottom block's, and more
@@ -449,10 +454,11 @@ def derivative_action_diag(
     With ``A = S D S^dagger`` the derivative is
     ``S (K o (S^dagger (dA/da) S)) S^dagger`` where ``o`` is the
     elementwise product and ``K`` the divided-difference kernel of
-    :class:`DiagFactorization`; the full inner matrix is required, so this
-    path costs dense matrix products.  It is linear in ``da_da``, so the
-    derivative along a control ``h_k`` is ``-i dt`` times its value at
-    ``h_k``.
+    :class:`DiagFactorization`, applied by
+    :meth:`~DiagFactorization.scale_by_kernel`; the full inner matrix is
+    required, so this path costs dense matrix products.  It is linear in
+    ``da_da``, so the derivative along a control ``h_k`` is ``-i dt`` times
+    its value at ``h_k``.
     """
     dense = da_da if isinstance(da_da, np.ndarray) else da_da.to_dense()
     if dense.shape != (fact.dim, fact.dim):
@@ -460,7 +466,7 @@ def derivative_action_diag(
     s = fact.eigvecs
     s_h = s.T if s.dtype == np.float64 else s.conj().T
     inner = _transposed_congruence(s_h, dense.T.copy())
-    inner *= fact.kernel
+    fact.scale_by_kernel(inner)
     return _basis_product(s, inner @ _basis_product(s_h, psi))
 
 
@@ -494,7 +500,8 @@ class StepEvaluator:
     :class:`ControlOperators`), shared by every step of the problem.
     Nothing here scales with the number of time steps; the block
     embedding of :meth:`control_derivative`, the reference path, is
-    built and planned on each call and keeps references to ``H`` and the
+    built and planned on each call, moves through
+    :func:`leangrape.expm.move` and keeps references to ``H`` and the
     control only.
     """
 
@@ -511,7 +518,7 @@ class StepEvaluator:
 
         Both depend only on the step's Hamiltonian, ``dt`` and ``tau``, so
         another evaluator of the same step of the same field may be handed
-        them (:func:`leangrape.costs._step_evaluators` does): its products
+        them (:class:`leangrape.costs._StepMemo` does): its products
         then skip planning and run under the very same plans.
         """
         return self._plan, self._dplan
@@ -748,8 +755,10 @@ class StepEvaluator:
 
         The single-channel reference for :meth:`pull_back`: on scaling and
         squaring the channel's own block embedding (see
-        :class:`BlockDerivativeOperator`), applied to ``(0, psi)``, carries
-        the derivative in its top block.
+        :class:`BlockDerivativeOperator`), moved from ``(0, psi)`` by
+        :func:`leangrape.expm.move` under :func:`aux_plan`, carries the
+        derivative in its top block: ``plan.matvecs`` products of the
+        embedding's ``_product``.
         """
         matrices = self._controls.matrices
         if not 0 <= channel < len(matrices):
@@ -760,5 +769,6 @@ class StepEvaluator:
             return scale * derivative_action_diag(self._factorization(), control, psi)
         aux = BlockDerivativeOperator(self.ctx.h_step, control)
         plan = aux_plan(aux, self.ctx.dt, self.ctx.tau)
-        x, _ = aux.split(expm.apply(aux, aux.stack(psi), plan, validate=False, scale=scale))
-        return x.copy()
+        v = aux.stack(psi)
+        expm.move(aux, v, plan, scale, np.empty_like(v), np.empty_like(v))
+        return aux.split(v)[0].copy()

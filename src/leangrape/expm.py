@@ -37,21 +37,22 @@ overlaps ``<lambda| L(A, E) |psi>`` of the Fréchet derivative of
 ``exp(A)`` along a direction ``E``, contracted from the co-state's Taylor
 terms (see :class:`DerivativePlan`).
 
-One Taylor recursion runs every application, in place.  :func:`apply` is
-the checked public entry: it copies its start vector, so the caller's is
-left as it is, runs through the matrix's checked ``matvec`` and holds
-three work vectors of the state dimension, the returned one among them.
-:func:`move` moves the caller's own vector in place, through the matrix's
-unchecked product, and holds two more, the caller's ``term`` and
-``work``.  :func:`move_pair` runs a backward step's pair, the co-state and
-``psi`` moved together in one pass stage by stage, through the unchecked
-product too.  It keeps the co-state's ``m_d`` terms and holds, besides
-them and the two moved vectors, ``psi``'s term vector and one product
-vector: ``m_d + 2`` vectors, all of them the caller's.  All three run the
-same products, scalars and additions per vector, so each moves a vector
-bit for bit as the others would.  The per-term scalars ``(scale / s) /
-j`` are computed once per stage scale and order, by that very Python
-expression, and kept as read-only 0-d arrays (:func:`term_scalars`).
+One Taylor recursion runs every application, in place, and every
+product is the matrix's unchecked ``_product``.  :func:`move` moves the
+caller's own vector and holds two more, the caller's ``term`` and
+``work``.  :func:`apply` is the checked public entry: it checks its
+inputs once, copies its start vector, so the caller's is left as it is,
+and moves the copy with :func:`move`, holding three work vectors of the
+state dimension, the returned one among them.  :func:`move_pair` runs a
+backward step's pair, the co-state and ``psi`` moved together in one
+pass stage by stage.  It keeps the co-state's ``m_d`` terms and holds,
+besides them and the two moved vectors, ``psi``'s term vector and one
+product vector: ``m_d + 2`` vectors, all of them the caller's.  It runs
+the same products, scalars and additions per vector as :func:`move`, so
+it moves each vector bit for bit as :func:`apply` would.  The per-term
+scalars ``(scale / s) / j`` are computed once per stage scale and order,
+by that very Python expression, and kept as read-only 0-d arrays
+(:func:`term_scalars`).
 
 The working precision is IEEE binary64, the package's only one:
 ``UNIT_ROUNDOFF`` is ``u = 2^-53`` and ``U_PRIME`` is ``u'``.  Both
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -138,28 +139,6 @@ class ExpmPlan:
     def matvecs(self) -> int:
         """Matrix-vector products consumed by one application: order * scaling."""
         return self.order * self.scaling
-
-    def stage(self) -> "ExpmPlan":
-        """The plan of one of the ``scaling`` stages: the same order at scaling 1.
-
-        :func:`apply` under this plan at ``scale / scaling`` runs the products
-        and per-term scalars of one stage of this plan at ``scale``, bit for
-        bit, so ``scaling`` of them in a row equal one application.
-        """
-        if self.scaling == 1:
-            return self
-        return _stage_plan(self)
-
-
-@lru_cache(maxsize=1024)
-def _stage_plan(plan: ExpmPlan) -> ExpmPlan:
-    norm1_b = plan.norm1 / plan.scaling
-    return replace(
-        plan,
-        scaling=1,
-        norm1=norm1_b,
-        bound=error_bound(norm1_b, plan.order, 1, plan.sigma_prime),
-    )
 
 
 def remainder_rm(x: float, m: int) -> float:
@@ -584,37 +563,20 @@ def _taylor_pass(
             np.add(current_2, term_2, current_2)
 
 
-def _stages(
-    product, v: np.ndarray, plan: ExpmPlan, scale: complex, term: np.ndarray, work: np.ndarray
-) -> None:
-    """The ``plan.scaling`` stages of one application on ``v``, in place: :func:`apply`'s loop."""
-    stage_scale = scale / plan.scaling
-    for _ in range(plan.scaling):
-        np.copyto(term, v)
-        _taylor_pass(product, stage_scale, plan.order, work, v, term)
-
-
-def apply(
-    a: Matrix,
-    psi: np.ndarray,
-    plan: ExpmPlan,
-    *,
-    validate: bool = True,
-    scale: complex = 1.0,
-) -> np.ndarray:
+def apply(a: Matrix, psi: np.ndarray, plan: ExpmPlan, *, scale: complex = 1.0) -> np.ndarray:
     """Evaluate ``exp(scale A) @ psi`` under a plan for ``scale A``; the checked entry.
 
-    Runs the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
+    Checks its inputs once, copies ``psi`` and moves the copy with
+    :func:`move`: the inner Taylor recursion ``b_j = (B / j) b_{j-1}`` with
     ``B = scale A / s`` accumulated into the current iterate, repeated
     ``scaling`` times for the outer squaring loop, consuming exactly
-    ``plan.matvecs`` products ``a.matvec``.  The factor
-    ``(scale / s) / j`` is one scalar multiply after each product, so
-    neither ``B`` nor ``scale A`` is ever materialized and the entries
+    ``plan.matvecs`` products, each ``A``'s unchecked ``_product``.  The
+    factor ``(scale / s) / j`` is one scalar multiply after each product,
+    so neither ``B`` nor ``scale A`` is ever materialized and the entries
     enter exactly as stored in ``A``.  The result is a new array and
     ``psi`` is left as it is.  Exactly three work vectors of the state
     dimension are live at any time, the result among them; that constant
-    is this module's memory contract for one vector.  :func:`move` runs
-    the same arithmetic on the caller's own vector, in place.
+    is this module's memory contract for one vector.
 
     ``scale`` folds a time step into that scalar, as in Al-Mohy & Higham's
     ``expmv`` (SIAM J. Sci. Comput. 33, 488, 2011): a Hermitian ``H`` with
@@ -627,21 +589,18 @@ def apply(
     that scalar rounds each part once.  The stored entries are ``H``'s own,
     so no rounding of a materialized generator ``-i dt H`` is left
     uncounted.  Negation is exact, so ``scale=-1.0`` equals ``apply`` on
-    the negated matrix bit for bit, and the stage scalar ``scale / s`` is
-    what :meth:`ExpmPlan.stage` runs at.
+    the negated matrix bit for bit.
 
-    ``validate`` enforces the precondition under which the certified
-    bound holds: ``scale A`` is anti-Hermitian.  A caller that knows the
-    precondition otherwise turns it off.  The steps of a
+    The checks are the preconditions of the certified bound: a finite
+    ``scale``, a square ``A``, a ``psi`` of matching length with finite
+    entries and an anti-Hermitian ``scale A``.  Each failure raises
+    ValueError before any product.  The steps of a
     :class:`~leangrape.derivatives.StepEvaluator` do not call this: they
     move through :func:`move` and :func:`move_pair`, which check nothing,
     because :class:`~leangrape.costs.ControlProblem` checked ``H_s`` and
     each ``h_k`` Hermitian when it was made, so a step Hamiltonian with
     real amplitudes is Hermitian and ``scale = -i dt`` or ``+i dt`` makes
-    it anti-Hermitian.  The block-embedded derivative generator of the
-    reference path is not anti-Hermitian at all; its product turns the
-    check off and certifies through the generalized two-norm surrogate
-    instead (see :mod:`leangrape.derivatives`).
+    it anti-Hermitian.
     """
     scale = complex(scale)
     if not cmath.isfinite(scale):
@@ -649,11 +608,11 @@ def apply(
     current = np.array(psi, dtype=np.complex128)  # the caller's vector is left as it is
     if a.n_rows != a.n_cols or current.shape != (a.n_cols,):
         raise ValueError("apply expects a square matrix and a matching vector")
-    if validate:
-        generator = a if scale == 1.0 else a.scaled(scale)
-        if not is_anti_hermitian(generator):
-            raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
-    _stages(a.matvec, current, plan, scale, np.empty_like(current), np.empty_like(current))
+    if not np.isfinite(current).all():
+        raise ValueError("psi has a non-finite entry")
+    if not is_anti_hermitian(a if scale == 1.0 else a.scaled(scale)):
+        raise ValueError("scale times the matrix is not anti-Hermitian within tolerance")
+    move(a, current, plan, scale, np.empty_like(current), np.empty_like(current))
     return current
 
 
@@ -662,16 +621,19 @@ def move(
 ) -> None:
     """Move ``v`` to ``exp(scale h) v`` under ``plan``, in place: :func:`apply` unchecked.
 
-    The one-vector sibling of :func:`move_pair`: every stage of
-    ``plan``, the products, scalars and additions of :func:`apply`, so
-    ``v`` ends as ``apply(h, v, plan, scale=scale)`` bit for bit.  Every
-    product is ``h``'s unchecked one and nothing is validated: the caller
-    owns the arrays and guarantees their shapes (``v``, ``term`` and
-    ``work`` are complex128 with ``d`` entries, and none of them overlaps
-    another).  ``term`` holds each Taylor term, ``work`` each product;
-    no vector is allocated.
+    The one-vector sibling of :func:`move_pair`: the ``plan.scaling``
+    stages of ``plan``, each one Taylor pass at ``scale / s``, so ``v`` ends
+    as ``apply(h, v, plan, scale=scale)`` bit for bit.  Every product is
+    ``h``'s unchecked one and nothing is validated: the caller owns the
+    arrays and guarantees their shapes (``v``, ``term`` and ``work`` are
+    complex128 with ``d`` entries, and none of them overlaps another).
+    ``term`` holds each Taylor term, ``work`` each product; no vector is
+    allocated.
     """
-    _stages(h._product, v, plan, complex(scale), term, work)
+    stage_scale = complex(scale) / plan.scaling
+    for _ in range(plan.scaling):
+        np.copyto(term, v)
+        _taylor_pass(h._product, stage_scale, plan.order, work, v, term)
 
 
 def move_pair(
@@ -714,6 +676,9 @@ def move_pair(
 
 
 def expm_multiply(a: Matrix, psi: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-    """Plan-and-apply convenience; returns the result and the matvec count used."""
+    """Plan-and-apply convenience; returns the result and the matvec count used.
+
+    ``psi`` and ``a`` are checked as :func:`apply` checks them.
+    """
     plan = make_plan(a.one_norm(), a.max_row_nnz(), tau)
     return apply(a, psi, plan), plan.matvecs

@@ -11,7 +11,8 @@ accumulates each row as one running sum into the output vector.  Each
 matrix class calls its kernel in one place, the unchecked
 ``_product(v, out)``; ``matvec`` checks the lengths and the overlap of
 ``v`` and ``out``, then calls it.  A caller that owns and has checked every
-array it passes (a backward step, see
+array it passes (every product of the engine in :mod:`leangrape.expm`,
+and a backward step, see
 :meth:`leangrape.derivatives.StepEvaluator.pull_back`) calls ``_product``
 itself.  Weighted
 sums of CSR matrices (:class:`FixedPatternSum`, and through it

@@ -34,7 +34,7 @@ def random_sparse_dense_pair(rng, dim, density=0.2):
 
 
 class CountingOperator:
-    """Delegates to ``op`` and counts its matrix-vector products."""
+    """Delegates to ``op`` and counts its unchecked products, where every engine product runs."""
 
     def __init__(self, op):
         self.op = op
@@ -43,9 +43,9 @@ class CountingOperator:
     def __getattr__(self, name):
         return getattr(self.op, name)
 
-    def matvec(self, v, out=None):
+    def _product(self, v, out):
         self.calls += 1
-        return self.op.matvec(v, out)
+        return self.op._product(v, out)
 
 
 def make_step(h_dense, hc_denses, dt, backend=Backend.SCALING_SQUARING, tau=1e-10):

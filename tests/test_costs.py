@@ -1392,7 +1392,7 @@ class TestStepPlansOncePerField:
         d, n, k = 4, 3, 2
         problem = make_problem(rng, d, k, Backend.DIAGONALIZATION, psi0=random_state(rng, d))
         field = costs.ControlField(n, k, 0.3, rng.normal(size=(n, k)))
-        memo = costs._step_evaluators(problem, field)
+        memo = costs._StepMemo(problem, field)
         for step in (0, 1, 2):
             memo(step).forward(random_state(rng, d))
         memo(0)  # lets step 2 go, with its plan
@@ -1402,3 +1402,15 @@ class TestStepPlansOncePerField:
         for step in (1, 2):
             memo(step).forward(random_state(rng, d))
         assert calls == {"make_plan": 0, "derivative_plan": 0}
+
+    def test_memo_refuses_a_field_of_another_channel_count(self, rng):
+        d = 4
+        problem = make_problem(rng, d, 2, psi0=random_state(rng, d))
+        field = costs.ControlField.constant(0.1, 3, 3, 0.2)
+        with pytest.raises(ValueError, match="field has 3 channels, problem has 2"):
+            costs._StepMemo(problem, field)
+        psi, phi = random_state(rng, d), random_state(rng, d)
+        with pytest.raises(ValueError, match="field has 3 channels, problem has 2"):
+            costs.forward_propagate(problem, field, psi)
+        with pytest.raises(ValueError, match="field has 3 channels, problem has 2"):
+            costs.c1_state_grad(problem, field, psi, phi)

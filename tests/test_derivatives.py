@@ -36,6 +36,13 @@ def dense_embedding(h, hc, dt):
     return np.block([[gen, ctrl], [np.zeros_like(gen), gen]])
 
 
+def eager_kernel(fact):
+    """The whole divided-difference kernel ``outer(half, half) * sinc``, built at once."""
+    w = -fact.eigvals.imag
+    half = np.exp(0.5 * fact.eigvals)
+    return np.outer(half, half) * np.sinc((w[None, :] - w[:, None]) / (2 * np.pi))
+
+
 def transient_peak(call) -> int:
     """Bytes ``call()`` holds at its peak beyond what was allocated before it."""
     tracemalloc.start()
@@ -105,9 +112,9 @@ class TestMoveContract:
         step = make_step(random_hermitian(rng, d, scale=2.0), [], dt)
         psi = random_state(rng, d)
         h, plan = step.ctx.h_step, step._step_plan()
-        want = expm.apply(h, psi, plan, validate=False, scale=-1j * dt)
+        want = expm.apply(h, psi, plan, scale=-1j * dt)
         assert np.array_equal(step.forward(psi), want)
-        want = expm.apply(h, psi, plan, validate=False, scale=1j * dt)
+        want = expm.apply(h, psi, plan, scale=1j * dt)
         assert np.array_equal(step.adjoint(psi), want)
 
     @pytest.mark.parametrize("backend", list(Backend))
@@ -158,8 +165,9 @@ class TestAuxDerivative:
         # the embedding's bottom block carries U psi
         aux = BlockDerivativeOperator(step.ctx.h_step, sparse.build_csr([], d, d))
         plan = aux_plan(aux, 0.3, step.ctx.tau)
-        out = expm.apply(aux, aux.stack(psi), plan, validate=False, scale=-1j * 0.3)
-        u_psi = aux.split(out)[1]
+        v = aux.stack(psi)
+        expm.move(aux, v, plan, -1j * 0.3, np.empty_like(v), np.empty_like(v))
+        u_psi = aux.split(v)[1]
         assert np.linalg.norm(u_psi - step.forward(psi)) <= 2e-10
 
     def test_commuting_closed_form(self, rng):
@@ -182,10 +190,48 @@ class TestAuxDerivative:
         fd = fd_derivative(h0, hc, a, dt, psi)
         assert np.linalg.norm(du - fd) / np.linalg.norm(fd) <= 1e-7
 
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_moves_the_embedding_under_its_plan(self, rng, monkeypatch, storage):
+        d, dt = 8, 0.9
+        wrap = sparse.from_dense if storage == "csr" else sparse.DenseMatrix
+        h_step, control = wrap(random_hermitian(rng, d, scale=2.0)), wrap(random_hermitian(rng, d))
+        problem = costs.ControlProblem(h_step, (control,), Backend.SCALING_SQUARING, 1e-10)
+        step = problem.step_evaluator(costs.ControlField.constant(0.0, 1, 1, dt), 0)
+        h, hc = step.ctx.h_step, step._controls.matrices[0]
+        assert type(h) is type(hc) is type(h_step)
+        psi = random_state(rng, d)
+        plan = aux_plan(BlockDerivativeOperator(h, hc), dt, step.ctx.tau)
+        assert plan.scaling > 1
+        counted = []
+        real_product = BlockDerivativeOperator._product
+
+        def counting_product(op, v, out):
+            counted.append(op)
+            return real_product(op, v, out)
+
+        monkeypatch.setattr(BlockDerivativeOperator, "_product", counting_product)
+        monkeypatch.setattr(type(h), "matvec", lambda *args: pytest.fail("matvec ran"))
+        du = step.control_derivative(0, psi)
+        monkeypatch.undo()
+        # one route: every product is the embedding's unchecked one, plan.matvecs of them
+        assert len(counted) == plan.matvecs
+        assert all(op is counted[0] and op.step is h and op.control is hc for op in counted)
+        # the Van Loan reference: the top block of exp(-i dt E) (0, psi)
+        start = np.concatenate([np.zeros(d, dtype=complex), psi])
+        want = (scipy_expm(dense_embedding(h, hc, dt)) @ start)[:d]
+        assert np.linalg.norm(du - want) <= 1e-9 * np.linalg.norm(want)
+
     def test_bad_channel(self, rng):
         step = make_step(random_hermitian(rng, 3), [], 0.1)  # one zero control
         with pytest.raises(IndexError):
             step.control_derivative(1, random_state(rng, 3))
+
+    def test_mismatched_psi_refused(self, rng):
+        # a length-1 psi would broadcast into the embedding's bottom block
+        step = make_step(random_hermitian(rng, 4), [random_hermitian(rng, 4)], 0.3)
+        for psi in (np.ones(1, dtype=complex), random_state(rng, 5)):
+            with pytest.raises(ValueError, match="psi has shape"):
+                step.control_derivative(0, psi)
 
     def test_block_operator_matches_materialized_embedding(self, rng):
         d, dt = 9, 0.37
@@ -298,8 +344,9 @@ class TestDiagPrepare:
         assert np.abs(fact.eigvals.real).max() <= 1e-10
         # exact in real arithmetic; numpy's complex products may round
         # half_i * half_j and half_j * half_i an ulp apart
-        assert np.abs(fact.kernel - fact.kernel.T).max() <= 1e-15
-        assert np.abs(np.diag(fact.kernel) - fact.exp_eigvals).max() <= 1e-15
+        kernel = eager_kernel(fact)
+        assert np.abs(kernel - kernel.T).max() <= 1e-15
+        assert np.abs(np.diag(kernel) - fact.exp_eigvals).max() <= 1e-15
 
 
 class TestDiagDerivative:
@@ -543,9 +590,9 @@ class TestPullBack:
         back = 1j * step.ctx.dt
         h = step.ctx.h_step
         # stage by stage, the scalars and products of one application each
-        want = expm.apply(h, lam, plan.costate, validate=False, scale=back)
+        want = expm.apply(h, lam, plan.costate, scale=back)
         assert np.array_equal(costate, want)
-        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
+        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, scale=back))
 
     @pytest.mark.parametrize("n_channels", [2, 5])
     def test_each_stage_sums_its_overlaps_from_zero(self, rng, n_channels):
@@ -595,8 +642,8 @@ class TestPullBack:
         got = step.pull_back(costate, psi)
 
         h, back, ahead = step.ctx.h_step, 1j * dt, -1j * dt / scaling
-        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, validate=False, scale=back))
-        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, validate=False, scale=back))
+        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, scale=back))
+        assert np.array_equal(psi, expm.apply(h, psi_n, plan.state, scale=back))
         # the overlaps of the stage recursion, each stage summed from zero
         m_d = plan.costate.order
         want = np.zeros(k, dtype=complex)
@@ -900,8 +947,9 @@ class TestRealEigenbasis:
         assert np.abs(rebuilt - (-1j * dt * h)).max() <= 1e-12 * norm1
         assert np.abs(fact.eigvecs @ fact.eigvecs.T - np.eye(d)).max() <= 1e-10
         assert np.abs(fact.eigvals.real).max() == 0.0
-        assert np.abs(fact.kernel - fact.kernel.T).max() <= 1e-15
-        assert np.abs(np.diag(fact.kernel) - fact.exp_eigvals).max() <= 1e-15
+        kernel = eager_kernel(fact)
+        assert np.abs(kernel - kernel.T).max() <= 1e-15
+        assert np.abs(np.diag(kernel) - fact.exp_eigvals).max() <= 1e-15
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     @pytest.mark.parametrize("n_costates", [1, 5])
@@ -946,7 +994,9 @@ class TestRealEigenbasis:
         w = np.linalg.eigh(h * dt)[0]
         half = np.exp(0.5 * fact.eigvals)
         eager = np.outer(half, half) * np.sinc((w[None, :] - w[:, None]) / (2 * np.pi))
-        assert np.array_equal(fact.kernel, eager)
+        g = np.ones((d, d), dtype=complex)
+        fact.scale_by_kernel(g)
+        assert np.array_equal(g, eager)
 
 
 class TestEigenbasisArithmetic:
@@ -961,7 +1011,7 @@ class TestEigenbasisArithmetic:
         # in place, as the product was written: numpy's complex product is not
         # commutative bit for bit, and `g * kernel` may run as `kernel *= g`
         want = g.copy()
-        want *= fact.kernel
+        want *= eager_kernel(fact)
         fact.scale_by_kernel(g)
         assert np.array_equal(g, want)
 

@@ -32,7 +32,7 @@ class TestApply:
         a = csr_from(random_anti_hermitian(rng, 12, scale=3.0))
         plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-10)
         counting = CountingOperator(a)
-        out = expm.apply(counting, random_state(rng, 12), plan, validate=False)
+        out = expm.apply(counting, random_state(rng, 12), plan)
         assert plan.matvecs > 1
         assert counting.calls == plan.matvecs
         assert np.isfinite(out).all()
@@ -121,6 +121,25 @@ class TestApply:
         with pytest.raises(ValueError):
             expm.apply(a, np.zeros(5, complex), plan)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_psi_refused_before_any_product(self, rng, bad):
+        a = csr_from(random_anti_hermitian(rng, 4))
+        plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-8)
+        psi = random_state(rng, 4)
+        psi[2] = bad
+        counting = CountingOperator(a)
+        with pytest.raises(ValueError, match="psi has a non-finite entry"):
+            expm.apply(counting, psi, plan)
+        with pytest.raises(ValueError, match="psi has a non-finite entry"):
+            expm.expm_multiply(counting, psi, 1e-10)
+        assert counting.calls == 0
+
+    def test_no_opt_out_of_the_checks(self, rng):
+        a = csr_from(random_anti_hermitian(rng, 4))
+        plan = expm.make_plan(a.one_norm(), a.max_row_nnz(), 1e-8)
+        with pytest.raises(TypeError):
+            expm.apply(a, random_state(rng, 4), plan, **{"validate": False})
+
 
 class TestTaylorTerms:
     def test_move_pair_keeps_every_costate_term_of_every_stage(self, rng, monkeypatch):
@@ -160,8 +179,8 @@ class TestTaylorTerms:
         monkeypatch.undo()
         # three stages move each vector as one application under its own plan
         back = 1j * dt
-        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, validate=False, scale=back))
-        assert np.array_equal(psi, expm.apply(h, psi_n, state, validate=False, scale=back))
+        assert np.array_equal(costate, expm.apply(h, lam, plan.costate, scale=back))
+        assert np.array_equal(psi, expm.apply(h, psi_n, state, scale=back))
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
     def test_move_is_apply_in_place(self, rng, monkeypatch, storage):
@@ -171,7 +190,7 @@ class TestTaylorTerms:
         psi = random_state(rng, d)
         plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
         assert plan.scaling > 1
-        want = expm.apply(h, psi, plan, validate=False, scale=-1j * dt)
+        want = expm.apply(h, psi, plan, scale=-1j * dt)
         counted = []
         real_product = type(h)._product
 
@@ -193,16 +212,14 @@ class TestTaylorTerms:
         psi = random_state(rng, d)
         plan = expm.make_plan(dt * h.one_norm(), h.max_row_nnz(), 1e-10)
         assert plan.scaling > 1
-        stage = plan.stage()
-        assert (stage.order, stage.scaling) == (plan.order, 1)
+        # one stage: the same order at scaling 1, for the stage generator's norm
         norm1_b = plan.norm1 / plan.scaling
-        assert stage.bound == expm.error_bound(norm1_b, plan.order, 1, plan.sigma_prime)
+        bound = expm.error_bound(norm1_b, plan.order, 1, plan.sigma_prime)
+        stage = dataclasses.replace(plan, scaling=1, norm1=norm1_b, bound=bound)
         v = psi
         for _ in range(plan.scaling):
-            v = expm.apply(h, v, stage, validate=False, scale=-1j * dt / plan.scaling)
-        assert np.array_equal(v, expm.apply(h, psi, plan, validate=False, scale=-1j * dt))
-        single = expm.make_plan(0.5, 3, 1e-10)
-        assert single.scaling == 1 and single.stage() is single
+            v = expm.apply(h, v, stage, scale=-1j * dt / plan.scaling)
+        assert np.array_equal(v, expm.apply(h, psi, plan, scale=-1j * dt))
 
 
 class TestTermScalars:
