@@ -287,8 +287,9 @@ class BlockDerivativeOperator:
     the engine takes ``-i dt`` as its ``scale``, so the generator
     ``-i dt E`` is never stored, and the operator keeps references to ``H``
     and ``h_k``, no copies.  As in :mod:`leangrape.sparse`, :meth:`matvec`
-    checks the stacked vector and calls the unchecked ``_product``, which
-    the engine runs: each block's product is the matrix's own ``_product``.
+    checks the stacked vector and ``out`` (length, dtype, no overlap) and
+    calls the unchecked ``_product``, which the engine runs: each block's
+    product is the matrix's own ``_product``.
 
     ``one_norm``, ``inf_norm`` and ``max_row_nnz`` are the embedding's,
     assembled exactly from the column and row sums of ``H`` and ``h_k``
@@ -320,10 +321,19 @@ class BlockDerivativeOperator:
         return v[:d], v[d:]
 
     def matvec(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``E v``, written into ``out`` when given; ``out`` must not overlap ``v``."""
         if v.shape != (self.n_rows,):
             raise ValueError("stacked vector dimension mismatch")
         if out is None:
             out = np.empty(self.n_rows, dtype=np.complex128)
+        # the blocks' kernels trust both lengths, and they read v while they write out
+        elif out.shape != (self.n_rows,) or out.dtype != np.complex128:
+            raise ValueError(
+                f"out has shape {out.shape} and dtype {out.dtype}, "
+                f"expected complex128 of shape ({self.n_rows},)"
+            )
+        elif np.may_share_memory(v, out):
+            raise ValueError("out must not overlap the stacked vector")
         return self._product(v, out)
 
     def _product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:

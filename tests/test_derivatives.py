@@ -263,6 +263,29 @@ class TestAuxDerivative:
         assert op.max_row_nnz() == (aux != 0).sum(axis=1).max() == 2 * d
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_block_operator_refuses_bad_out(self, rng, storage):
+        # the blocks' unchecked products would write past a short out, or
+        # read a block of v after overwriting it
+        d = 6
+        wrap = (lambda m: m) if storage == "csr" else (lambda m: sparse.DenseMatrix(m.to_dense()))
+        h = wrap(sparse.from_dense(random_hermitian(rng, d)))
+        hc = wrap(sparse.from_dense(random_hermitian(rng, d)))
+        op = BlockDerivativeOperator(h, hc)
+        v = rng.normal(size=2 * d) + 1j * rng.normal(size=2 * d)
+        kept = v.copy()
+        for out in (np.empty(2 * d - 1, dtype=complex), np.empty(d, dtype=complex)):
+            with pytest.raises(ValueError, match="expected complex128 of shape"):
+                op.matvec(v, out=out)
+        with pytest.raises(ValueError, match="expected complex128 of shape"):
+            op.matvec(v, out=np.empty(2 * d, dtype=np.complex64))
+        buf = np.zeros(3 * d, dtype=complex)
+        buf[: 2 * d] = v
+        for w, out in ((v, v), (v, v[::-1]), (buf[: 2 * d], buf[d:])):
+            with pytest.raises(ValueError, match="must not overlap"):
+                op.matvec(w, out=out)
+        assert np.array_equal(v, kept) and np.array_equal(buf[: 2 * d], kept)
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
     @pytest.mark.parametrize(
         "d, widths",
         # STACK_ROWS // d channels to a stack while that exceeds CHANNEL_BLOCK
